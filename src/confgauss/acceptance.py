@@ -8,6 +8,7 @@ residuals at their stated tolerances and returns a ``CriterionResult``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,33 @@ class CriterionResult:
         return f"[{status}] {self.name}"
 
 
+def _criterion(title: str):
+    """Report a criterion under ``title`` whether it passes, fails or raises.
+
+    The decorated function returns ``(passed, details)``; the wrapper makes
+    the ``CriterionResult`` and carries ``title`` for ``run_all``'s error
+    path.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> CriterionResult:
+            passed, details = fn(*args, **kwargs)
+            return CriterionResult(title, passed, details)
+
+        run.title = title
+        return run
+
+    return decorate
+
+
 def _data(name, params, n, domain=None):
     spec = make_surface(name, **params)
     grid = sample(spec, n, domain=domain)
     return fundamental_data(grid)
 
 
-def criterion_structure_equations(n: int = 128) -> CriterionResult:
+@_criterion("structure-equation suite")
+def criterion_structure_equations(n: int = 128):
     """1. Gauss-Codazzi and structure identities on the whole zoo."""
     details = {}
     passed = True
@@ -91,10 +112,11 @@ def criterion_structure_equations(n: int = 128) -> CriterionResult:
         key = name if not params else f"{name}{tuple(params.values())}"
         details[key] = {"structure": sr, "gauss_codazzi": gc, "tol": tol}
         passed &= worst <= tol
-    return CriterionResult("structure-equation suite", passed, details)
+    return passed, details
 
 
-def criterion_sphere_law(n: int = 64) -> CriterionResult:
+@_criterion("geodesic sphere law")
+def criterion_sphere_law(n: int = 64):
     """2. Geodesic spheres: h = (1-R^2)/(2R) within 1e-8."""
     details = {}
     passed = True
@@ -105,10 +127,11 @@ def criterion_sphere_law(n: int = 64) -> CriterionResult:
         err = float(np.max(np.abs(ts.H - expected)))
         details[f"R={radius}"] = err
         passed &= err <= 1e-8
-    return CriterionResult("geodesic sphere law", passed, details)
+    return passed, details
 
 
-def criterion_gauss_map(n: int = 128) -> CriterionResult:
+@_criterion("conformal Gauss map suite")
+def criterion_gauss_map(n: int = 128):
     """3. <Y,Y>=1, envelope, metric law, three-representation agreement."""
     details = {}
     passed = True
@@ -145,11 +168,12 @@ def criterion_gauss_map(n: int = 128) -> CriterionResult:
                     float(np.max(np.abs(y_r3 - y_h3))))
         details[f"three-rep {name}"] = agree
         passed &= agree <= 1e-8
-    return CriterionResult("conformal Gauss map suite", passed, details)
+    return passed, details
 
 
+@_criterion("Moebius equivariance")
 def criterion_moebius_equivariance(n: int = 65, n_classify: int = 128,
-                                   words: int = 20) -> CriterionResult:
+                                   words: int = 20):
     """4. Y_phi = M Y, mu_phi = M mu M^T, verdict invariance."""
     rng = np.random.default_rng(2024)
     data = _data("catenoid", {}, n)
@@ -194,10 +218,11 @@ def criterion_moebius_equivariance(n: int = 65, n_classify: int = 128,
                     or rep.hyperplane.vtype != base.hyperplane.vtype):
                 details["verdict_mismatches"] += 1
     passed &= details["verdict_mismatches"] == 0
-    return CriterionResult("Moebius equivariance", passed, details)
+    return passed, details
 
 
-def criterion_willmore_separation(n: int = 128) -> CriterionResult:
+@_criterion("Willmore vs minimal-Y separation")
+def criterion_willmore_separation(n: int = 128):
     """5. Harmonicity residual small iff the surface is Willmore."""
     details = {}
     passed = True
@@ -213,10 +238,11 @@ def criterion_willmore_separation(n: int = 128) -> CriterionResult:
         key = name if not params else f"{name}{tuple(params.values())}"
         details[key] = res
         passed &= res >= 1e-2
-    return CriterionResult("Willmore vs minimal-Y separation", passed, details)
+    return passed, details
 
 
-def criterion_conserved_blocks(n: int = 128) -> CriterionResult:
+@_criterion("conserved-quantity block theorem")
+def criterion_conserved_blocks(n: int = 128):
     """6. mu-block extraction matches direct currents; divergences."""
     details = {}
     passed = True
@@ -241,7 +267,7 @@ def criterion_conserved_blocks(n: int = 128) -> CriterionResult:
     div_off = wl.divergence_residual(wl.direct_currents(off).v_tra, off.grid)
     details["cylinder_off_shell_div"] = div_off
     passed &= div_off >= 1e-2
-    return CriterionResult("conserved-quantity block theorem", passed, details)
+    return passed, details
 
 
 def _translated_catenoid(n: int):
@@ -252,16 +278,18 @@ def _translated_catenoid(n: int):
     return fundamental_data(moved)
 
 
-def criterion_inversion_exchange(n: int = 128) -> CriterionResult:
+@_criterion("inversion exchange law")
+def criterion_inversion_exchange(n: int = 128):
     """7. V_tra <-> V_inv, V_dil -> -V_dil, V~_rot fixed under inversion."""
     report = wl.inversion_exchange_check(_translated_catenoid(n))
     worst = max(report[k] for k in
                 ("tra_vs_inv", "inv_vs_tra", "dil_flip", "rot_tilde_fixed"))
     passed = worst <= 1e-4 and report["mu_transport"] <= 1e-5
-    return CriterionResult("inversion exchange law", passed, report)
+    return passed, report
 
 
-def criterion_classification(n: int = 128) -> CriterionResult:
+@_criterion("classification matrix")
+def criterion_classification(n: int = 128):
     """8. The classification matrix over the zoo."""
     cases = [
         ("cylinder", {}, 0, "lightlike", False),
@@ -291,10 +319,11 @@ def criterion_classification(n: int = 128) -> CriterionResult:
         "verdict": rep.verdict, "q_holomorphy": rep.q_holomorphy, "ok": ok,
     }
     passed &= ok
-    return CriterionResult("classification matrix", passed, details)
+    return passed, details
 
 
-def criterion_q_consistency(n: int = 128) -> CriterionResult:
+@_criterion("Bryant functional consistency")
+def criterion_q_consistency(n: int = 128):
     """9. Direct vs closed-form Q; quantitative holomorphy identity."""
     details = {}
     passed = True
@@ -321,10 +350,11 @@ def criterion_q_consistency(n: int = 128) -> CriterionResult:
         ident = holomorphy_identity_residual(data_s3, qres.q)
         details[f"holomorphy identity {name}"] = ident
         passed &= ident <= 1e-4
-    return CriterionResult("Bryant functional consistency", passed, details)
+    return passed, details
 
 
-def criterion_duals(n: int = 128) -> CriterionResult:
+@_criterion("dual surfaces")
+def criterion_duals(n: int = 128):
     """10. Dual surfaces: cylinder, clifford, sqrt2-torus, catenoid error."""
     details = {}
     passed = True
@@ -347,7 +377,7 @@ def criterion_duals(n: int = 128) -> CriterionResult:
     data_s3 = representation(data, "s3")
     dual = cg.dual_surface_s3(data_s3)
     g = data_s3.grid
-    dual_z = np.stack([g.dz(dual[..., k]) for k in range(4)], axis=-1)
+    dual_z = g.dz(dual)
     defect = interior_max((dual_z * dual_z).sum(axis=-1))
     details["sqrt2_torus_dual_conformality"] = defect
     passed &= defect <= 1e-6
@@ -358,10 +388,11 @@ def criterion_duals(n: int = 128) -> CriterionResult:
         passed = False
     except ValueError as exc:
         details["catenoid_dual_error_path"] = str(exc)
-    return CriterionResult("dual surfaces", passed, details)
+    return passed, details
 
 
-def criterion_convergence(n_coarse: int = 65, n_fine: int = 129) -> CriterionResult:
+@_criterion("stencil convergence")
+def criterion_convergence(n_coarse: int = 65, n_fine: int = 129):
     """11. Halving the step cuts stencil residuals by >= 10x."""
     details = {}
     passed = True
@@ -398,7 +429,7 @@ def criterion_convergence(n_coarse: int = 65, n_fine: int = 129) -> CriterionRes
         r = ratio(fn)
         details[label] = r
         passed &= r >= 10.0
-    return CriterionResult("stencil convergence", passed, details)
+    return passed, details
 
 
 CRITERIA = [
@@ -420,8 +451,9 @@ def run_all(n: int = 128, echo: bool = False) -> list:
     """Run every acceptance criterion; optionally print one line each.
 
     A criterion that cannot even be evaluated at the requested resolution
-    (e.g. grids too small for the stencils) is reported as failed rather
-    than aborting the suite.
+    (e.g. grids too small for the stencils) is reported as failed, under
+    its own name and with the error in its details, rather than aborting
+    the suite.
     """
     results = []
     for idx, crit in enumerate(CRITERIA, start=1):
@@ -435,8 +467,7 @@ def run_all(n: int = 128, echo: bool = False) -> list:
             else:
                 res = crit(n)
         except ValueError as exc:
-            res = CriterionResult(crit.__doc__.split(".")[1].strip(), False,
-                                  {"error": str(exc)})
+            res = CriterionResult(crit.title, False, {"error": str(exc)})
         res.name = f"{idx}. {res.name}"
         results.append(res)
         if echo:

@@ -10,11 +10,13 @@ agree with that sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map
-from .grid import FundamentalData, interior_max
+from .grid import ChartGrid, FundamentalData, interior_max
+from .jets import Jet2
 from .lorentz import EPSILON, classify_vector, lorentz_product
 from .models import representation
 from .willmore import harmonicity_residual, willmore_scalar
@@ -57,6 +59,49 @@ class QResult:
     umbilic_flagged: bool = False
 
 
+class _S3Fields(FundamentalData):
+    """S^3 data with the classifier's derivative fields, each taken once.
+
+    W_{S3}, the closed-form Q, Q_zbar and the 2h restriction are computed
+    on first use and kept on this object, so they live as long as it does.
+    """
+
+    @cached_property
+    def willmore(self) -> np.ndarray:
+        return willmore_scalar(self)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Closed form omega^2 e^{-2Lam} (omega_z/omega)_zbar + omega^2 (h^2+1)/4."""
+        g = self.grid
+        ratio = g.dz(self.Omega) / self.Omega
+        return (self.Omega ** 2 * np.exp(-2.0 * self.lam) * g.dzbar(ratio)
+                + self.Omega ** 2 * (self.H ** 2 + 1.0) / 4.0)
+
+    @cached_property
+    def q_zbar(self) -> np.ndarray:
+        return self.grid.dzbar(self.q)
+
+    @cached_property
+    def coarse(self) -> "_S3Fields":
+        """Pointwise restriction to the every-other-node subgrid."""
+        g = self.grid
+        jet = g.jet
+        coarse_jet = Jet2(*(a[::2, ::2] for a in
+                            (jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)))
+        coarse_grid = ChartGrid(g.model, g.u[::2], g.v[::2], coarse_jet,
+                                conf_tol=g.conf_tol)
+        return _S3Fields(self.model, coarse_grid, self.lam[::2, ::2],
+                         self.n[::2, ::2], self.H[::2, ::2],
+                         self.Omega[::2, ::2])
+
+
+def _s3_fields(data: FundamentalData) -> _S3Fields:
+    if isinstance(data, _S3Fields):
+        return data
+    return _S3Fields(data.model, data.grid, data.lam, data.n, data.H, data.Omega)
+
+
 def bryant_q(data: FundamentalData, cong: CongruenceGrid,
              atol: float = 1e-5) -> QResult:
     """Q two ways on S^3 data: direct <Y_zz,Y_zz> and the closed form.
@@ -72,21 +117,21 @@ def bryant_q(data: FundamentalData, cong: CongruenceGrid,
     q_direct = lorentz_product(cong.Yzz, cong.Yzz)
     if data.has_umbilic():
         return QResult(q_direct, q_direct, 0.0, umbilic_flagged=True)
-    q_closed = _closed_q(data)
-    agreement = interior_max(q_closed - q_direct)
-    scale = max(1.0, interior_max(q_closed))
+    fields = _s3_fields(data)
+    agreement = interior_max(fields.q - q_direct)
+    scale = max(1.0, interior_max(fields.q))
     if agreement > atol * scale:
-        coarse = _coarse_restriction(data)
+        coarse = fields.coarse
         cong_c = conformal_gauss_map(coarse)
         agreement_c = interior_max(
-            _closed_q(coarse) - lorentz_product(cong_c.Yzz, cong_c.Yzz)
+            coarse.q - lorentz_product(cong_c.Yzz, cong_c.Yzz)
         )
         if agreement > agreement_c / 4.0:
             raise ValueError(
                 f"closed-form and direct Q disagree: {agreement:.3e} > {atol:.1e}"
                 " and do not converge to each other"
             )
-    return QResult(q_closed, q_direct, agreement)
+    return QResult(fields.q, q_direct, agreement)
 
 
 def bryant_q_r3(data: FundamentalData) -> np.ndarray:
@@ -133,37 +178,14 @@ def isothermic_witness(data: FundamentalData, q: np.ndarray) -> float:
     return interior_max(w.imag) / scale
 
 
-def _field_and_scale(data: FundamentalData, q: np.ndarray):
-    w = willmore_scalar(data)
-    term = np.conj(data.Omega) ** 2 * np.exp(-4.0 * data.lam) * q
+def _field_and_scale(fields: _S3Fields, q: np.ndarray):
+    w = fields.willmore
+    term = np.conj(fields.Omega) ** 2 * np.exp(-4.0 * fields.lam) * q
     fieldc = w ** 2 - term
-    e2l_cong = np.abs(data.Omega) ** 2 * np.exp(-2.0 * data.lam)
+    e2l_cong = np.abs(fields.Omega) ** 2 * np.exp(-2.0 * fields.lam)
     scale = max(interior_max(w ** 2), interior_max(term),
                 interior_max((e2l_cong / 2.0) ** 2))
     return fieldc, scale
-
-
-def _coarse_restriction(data: FundamentalData) -> FundamentalData:
-    """Pointwise restriction of the data to the every-other-node subgrid."""
-    from .grid import ChartGrid
-    from .jets import Jet2
-
-    g = data.grid
-    jet = g.jet
-    coarse_jet = Jet2(*(a[::2, ::2] for a in
-                        (jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)))
-    coarse_grid = ChartGrid(g.model, g.u[::2], g.v[::2], coarse_jet,
-                            conf_tol=g.conf_tol)
-    return FundamentalData(data.model, coarse_grid, data.lam[::2, ::2],
-                           data.n[::2, ::2], data.H[::2, ::2],
-                           data.Omega[::2, ::2])
-
-
-def _closed_q(data: FundamentalData) -> np.ndarray:
-    g = data.grid
-    ratio = g.dz(data.Omega) / data.Omega
-    return (data.Omega ** 2 * np.exp(-2.0 * data.lam) * g.dzbar(ratio)
-            + data.Omega ** 2 * (data.H ** 2 + 1.0) / 4.0)
 
 
 def estimate_classification_noise(data: FundamentalData) -> dict:
@@ -173,20 +195,17 @@ def estimate_classification_noise(data: FundamentalData) -> dict:
     on the 2h subgrid; for 4th-order stencils the fine-grid error is
     about the fine/coarse difference divided by 15.
     """
-    q_fine = _closed_q(data)
-    fld_fine, _ = _field_and_scale(data, q_fine)
-    qz_fine = data.grid.dzbar(q_fine)
-
-    coarse = _coarse_restriction(data)
-    q_coarse = _closed_q(coarse)
-    fld_coarse, _ = _field_and_scale(coarse, q_coarse)
-    qz_coarse = coarse.grid.dzbar(q_coarse)
+    fine = _s3_fields(data)
+    coarse = fine.coarse
+    fld_fine, _ = _field_and_scale(fine, fine.q)
+    fld_coarse, _ = _field_and_scale(coarse, coarse.q)
 
     diff = fld_coarse - fld_fine[::2, ::2]
     return {
         "field": interior_max(diff.real, band=4) / 15.0,
         "field_imag": interior_max(diff.imag, band=4) / 15.0,
-        "holomorphy": interior_max(qz_coarse - qz_fine[::2, ::2], band=4) / 15.0,
+        "holomorphy": interior_max(coarse.q_zbar - fine.q_zbar[::2, ::2],
+                                   band=4) / 15.0,
     }
 
 
@@ -202,7 +221,7 @@ def classification_value(data: FundamentalData, q: np.ndarray,
     """
     if data.model != "s3":
         raise ValueError("needs S^3 data")
-    fieldc, scale = _field_and_scale(data, q)
+    fieldc, scale = _field_and_scale(_s3_fields(data), q)
     # the field carries two stencil passes, whose edge effects reach 4
     # nodes deep; the sign statistic uses that wider band
     band = 4
@@ -306,10 +325,13 @@ def classify_data(data: FundamentalData, surface: str = "custom",
         raise ValueError(
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
-    data_s3 = representation(data, "s3")
+    data_s3 = _s3_fields(representation(data, "s3"))
     cong = conformal_gauss_map(data_s3)
     qres = bryant_q(data_s3, cong)
-    holo = holomorphy_residual(qres.q, data_s3.grid)
+    # bryant_q returns the direct Q on charts umbilic in the S^3 gauge
+    q_zbar = (data_s3.q_zbar if qres.q is data_s3.q
+              else data_s3.grid.dzbar(qres.q))
+    holo = interior_max(q_zbar)
     witness = isothermic_witness(data_s3, qres.q)
     noise = estimate_classification_noise(data_s3)
     fld, kappa, diag = classification_value(data_s3, qres.q,
@@ -322,7 +344,7 @@ def classify_data(data: FundamentalData, surface: str = "custom",
     diag["field_interior_max"] = interior_max(fld)
     # gate on the band-4 residual to stay commensurate with the noise
     # estimate; the reported residual keeps the band-2 convention
-    holo_inner = interior_max(data_s3.grid.dzbar(qres.q), band=4)
+    holo_inner = interior_max(q_zbar, band=4)
     holo_gate = max(holomorphy_tol, 10.0 * noise["holomorphy"])
     imag_gate = max(IMAG_REL_TOL, 10.0 * noise["field_imag"] / diag["scale"])
     not_cmc = holo_inner > holo_gate or diag["imag_rel"] > imag_gate

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .classify import classify, classify_data
+from .classify import classify_data
 from .congruence import conformal_gauss_map, isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data, interior_max
 from .lorentz import parse_word, word_matrix
@@ -152,14 +152,12 @@ def _exit_code_for(report) -> int:
 def cmd_analyze(args) -> int:
     spec = make_surface(args.surface, **_collect_params(args))
     domain = _parse_domain(args.domain) if args.domain else None
-    report = classify(spec, n=args.grid, domain=domain,
-                      holomorphy_tol=args.tol_holomorphy)
+    data = fundamental_data(sample(spec, args.grid, domain=domain))
+    report = classify_data(data, surface=spec.name, params=spec.params,
+                           holomorphy_tol=args.tol_holomorphy)
     _emit_report(report, args)
     if args.out:
-        grid = sample(spec, args.grid, domain=domain)
-        data = fundamental_data(grid)
-        cong = conformal_gauss_map(data)
-        _export_fields(args, data, cong, report)
+        _export_fields(args, data, conformal_gauss_map(data), report)
     return _exit_code_for(report)
 
 
@@ -177,11 +175,11 @@ def cmd_transform(args) -> int:
     rep = classify_data(moved, surface=f"{spec.name} (transformed)",
                         params=spec.params, holomorphy_tol=args.tol_holomorphy)
     m = word_matrix(word)
-    y_base = conformal_gauss_map(data).Y
-    y_moved = conformal_gauss_map(moved).Y
-    y_err = float(np.max(np.abs(y_moved - y_base @ m.T)))
-    mu_base = conserved_matrix(conformal_gauss_map(data))
-    mu_moved = conserved_matrix(conformal_gauss_map(moved))
+    cong_base = conformal_gauss_map(data)
+    cong_moved = conformal_gauss_map(moved)
+    y_err = float(np.max(np.abs(cong_moved.Y - cong_base.Y @ m.T)))
+    mu_base = conserved_matrix(cong_base)
+    mu_moved = conserved_matrix(cong_moved)
     mu_err = max(
         interior_max(mu_moved[k] - np.einsum("ab,...bc,dc->...ad", m, mu_base[k], m))
         for k in range(2)

@@ -9,6 +9,7 @@ enveloped immersion from a congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,34 +35,34 @@ __all__ = [
 
 @dataclass
 class CongruenceGrid:
-    """Sphere congruence Y over a chart, with stencil-derived derivatives."""
+    """Sphere congruence Y over a chart, with stencil-derived derivatives.
+
+    Each derivative is taken on first use and kept: Y_z by one dz over all
+    five components, Y_zz and Y_zzbar from one shared d_u and d_v of Y_z.
+    """
 
     grid: ChartGrid
     Y: np.ndarray
 
-    def __post_init__(self):
-        self.Yz = np.stack(
-            [self.grid.dz(self.Y[..., k]) for k in range(5)], axis=-1
-        )
-        self.Yzb = np.conj(self.Yz)
-        self._Yzz = None
-        self._Yzzb = None
+    @cached_property
+    def Yz(self):
+        return self.grid.dz(self.Y)
+
+    @cached_property
+    def Yzb(self):
+        return np.conj(self.Yz)
+
+    @cached_property
+    def _second_derivatives(self):
+        return self.grid.dz_dzbar(self.Yz)
 
     @property
     def Yzz(self):
-        if self._Yzz is None:
-            self._Yzz = np.stack(
-                [self.grid.dz(self.Yz[..., k]) for k in range(5)], axis=-1
-            )
-        return self._Yzz
+        return self._second_derivatives[0]
 
     @property
     def Yzzb(self):
-        if self._Yzzb is None:
-            self._Yzzb = np.stack(
-                [self.grid.dzbar(self.Yz[..., k]) for k in range(5)], axis=-1
-            )
-        return self._Yzzb
+        return self._second_derivatives[1]
 
     @property
     def e2L(self):
@@ -103,8 +104,7 @@ def conformal_gauss_map(data: FundamentalData) -> CongruenceGrid:
 def envelope_residuals(cong: CongruenceGrid, lift_field: np.ndarray):
     """Interior max norms of <Y, p> and <Y, p_z> for a lift field p."""
     r1 = lorentz_product(cong.Y, lift_field)
-    pz = np.stack([cong.grid.dz(lift_field[..., k]) for k in range(5)], axis=-1)
-    r2 = lorentz_product(cong.Y.astype(complex), pz)
+    r2 = lorentz_product(cong.Y.astype(complex), cong.grid.dz(lift_field))
     return interior_max(r1), interior_max(r2)
 
 
@@ -175,8 +175,7 @@ def dual_branch_mask(data: FundamentalData, xstar: np.ndarray,
     reported, not classified.
     """
     g = data.grid
-    xstar_z = np.stack([g.dz(xstar[..., k]) for k in range(xstar.shape[-1])],
-                       axis=-1)
+    xstar_z = g.dz(xstar)
     speed2 = (xstar_z * np.conj(xstar_z)).real.sum(axis=-1)
     return speed2 <= rel_tol * float(np.max(speed2))
 

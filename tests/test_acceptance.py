@@ -58,3 +58,17 @@ def test_acceptance_10_dual_surfaces(results):
 
 def test_acceptance_11_convergence(results):
     _check(results, "stencil convergence")
+
+
+def test_raising_criterion_keeps_its_name(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("transfer failed")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_sphere_law])
+    (passing,) = acceptance.run_all(n=16)
+    monkeypatch.setattr(acceptance, "transfer_r3_to_s3", fail)
+    (failing,) = acceptance.run_all(n=16)
+    assert passing.passed
+    assert failing.name == passing.name == "1. geodesic sphere law"
+    assert not failing.passed
+    assert failing.details == {"error": "transfer failed"}

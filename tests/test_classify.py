@@ -182,3 +182,17 @@ def test_classify_another_cmc_torus():
     assert rep.kappa == -1
     assert rep.hyperplane.vtype == "timelike"
     assert rep.verdict == "conformally CMC in S³"
+
+
+def test_classify_takes_each_derivative_once(monkeypatch):
+    passes = []
+    for axis, name in enumerate(("d_u", "d_v")):
+        def counted(self, f, _orig=getattr(G.ChartGrid, name), _axis=axis):
+            field = np.ascontiguousarray(f)
+            passes.append((_axis, field.shape, field.tobytes()))
+            return _orig(self, f)
+
+        monkeypatch.setattr(G.ChartGrid, name, counted)
+    CL.classify_data(data_for("cylinder", n=33), "cylinder")
+    assert len(passes) <= 24
+    assert len(set(passes)) == len(passes)

@@ -23,8 +23,62 @@ def test_dz_examples():
 def test_dz_conjugation_exact():
     g = _plain_grid(17)
     rng = np.random.default_rng(0)
-    f = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
-    assert np.array_equal(g.dz(np.conj(f)), np.conj(g.dzbar(f)))
+    for shape in ((17, 17), (17, 17, 5)):
+        f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(g.dz(np.conj(f)), np.conj(g.dzbar(f)))
+
+
+def _plane_chart(u, v):
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    zero = np.zeros(uu.shape + (3,))
+    pos = np.stack([uu, vv, np.zeros_like(uu)], axis=-1)
+    du, dv = zero.copy(), zero.copy()
+    du[..., 0] = 1.0
+    dv[..., 1] = 1.0
+    return G.ChartGrid("r3", u, v, Jet2(pos, du, dv, zero, zero, zero))
+
+
+def _polynomial_field(g, axis, degree, kind):
+    """A degree-``degree`` polynomial along ``axis`` and its exact derivative."""
+    uu, vv = np.meshgrid(g.u, g.v, indexing="ij")
+    x, y = (uu, vv) if axis == 0 else (vv, uu)
+    x = x - 0.3
+    f, df = x ** degree * np.cos(y), degree * x ** (degree - 1) * np.cos(y)
+    if kind == "complex":
+        f, df = (1.0 - 2.0j) * f + 1j * np.sin(y), (1.0 - 2.0j) * df
+    elif kind == "vector":
+        scales = np.array([1.0, -2.0, 0.5, 3.0])
+        f, df = f[..., None] * scales, df[..., None] * scales
+    return f, df
+
+
+@pytest.mark.parametrize("nodes", [(9, 11), (11, 9)])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("kind", ["real", "complex", "vector"])
+def test_axis_derivative_polynomial_exactness(nodes, axis, kind):
+    # interior stencil exact to degree 4, the two edge rows at each end to
+    # degree 6; one degree more and each is visibly inexact
+    g = _plane_chart(np.linspace(-1.0, 1.0, nodes[0]),
+                     np.linspace(0.5, 1.7, nodes[1]))
+    assert g.hu != g.hv
+    derivative = g.d_u if axis == 0 else g.d_v
+    for rows, exact, inexact in [(slice(2, -2), 4, 5), ([0, 1, -2, -1], 6, 7)]:
+        for degree in (exact, inexact):
+            f, df = _polynomial_field(g, axis, degree, kind)
+            result = derivative(f)
+            assert result.dtype == (complex if kind == "complex" else float)
+            err = np.max(np.abs(np.moveaxis(result - df, axis, 0)[rows]))
+            scale = np.max(np.abs(df))
+            if degree == exact:
+                assert err <= 1e-12 * scale, (degree, err)
+            else:
+                assert err >= 1e-6 * scale, (degree, err)
+
+
+def test_axis_derivative_rejects_mismatched_field():
+    g = _plane_chart(np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match="nodes along axis 1"):
+        g.d_v(np.zeros((9, 9)))
 
 
 def test_grid_too_small():
