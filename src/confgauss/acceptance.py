@@ -29,8 +29,8 @@ from .grid import (
     interior_max,
     structure_residuals,
 )
-from .jets import push_affine
-from .lorentz import random_word, word_matrix
+from .jets import push_word
+from .lorentz import Generator, random_word, word_matrix
 from .models import lift_h3, lift_r3, lift_s3, representation, transfer_r3_to_s3
 from .zoo import make_surface, sample
 
@@ -273,7 +273,7 @@ def criterion_conserved_blocks(n: int = 128):
 def _translated_catenoid(n: int):
     spec = make_surface("catenoid")
     grid = sample(spec, n, domain=((-0.5, 0.5), (-1.2, 1.2)))
-    jet = push_affine(grid.jet, np.eye(3), np.array([3.0, 0.0, 0.0]))
+    jet = push_word(grid.jet, [Generator("tra", (3.0, 0.0, 0.0))])
     moved = ChartGrid("r3", grid.u, grid.v, jet)
     return fundamental_data(moved)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map
-from .grid import ChartGrid, FundamentalData, interior_max
+from .grid import MIN_GRID, ChartGrid, FundamentalData, interior_max
 from .jets import Jet2
 from .lorentz import EPSILON, classify_vector, lorentz_product
 from .models import representation
@@ -43,6 +43,8 @@ IMAG_REL_TOL = 1e-6
 WILLMORE_RESIDUAL_TOL = 1e-4
 LINEAR_ETA_TOL = 1e-6
 NORMAL_TYPE_TOL = 1e-6
+# the 2h restriction (every other node) must itself be a valid grid
+MIN_CLASSIFY_GRID = 2 * MIN_GRID - 1
 
 _SPACE_BY_KAPPA = {0: "R^3", -1: "S^3", 1: "H^3"}
 _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
@@ -321,6 +323,11 @@ def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None,
                   holomorphy_tol: float = HOLOMORPHY_TOL) -> ClassificationReport:
     """Classification pipeline on prepared fundamental data (any model)."""
+    if min(data.grid.shape) < MIN_CLASSIFY_GRID:
+        raise ValueError(
+            f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
+            " so that its 2h restriction is still a grid"
+        )
     if data.has_umbilic():
         raise ValueError(
             "umbilic surface: conformal Gauss map degenerate on the chart"

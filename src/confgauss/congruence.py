@@ -13,10 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ChartGrid, FundamentalData, fundamental_data, interior_max
+from .grid import ChartGrid, FundamentalData, interior_max
 from .jets import push_word
-from .lorentz import lorentz_product, word_matrix
-from .models import lift_h3, lift_r3, lift_s3, representation
+from .lorentz import lorentz_product
+from .models import lift_h3, lift_r3, lift_s3, oriented_r3_data, representation
 
 __all__ = [
     "CongruenceGrid",
@@ -218,24 +218,15 @@ def transform_immersion(data: FundamentalData, word) -> FundamentalData:
     """Apply a Moebius generator word to a surface by pushing its jets.
 
     Surfaces charted in S^3 or H^3 are first re-expressed in the R^3
-    gauge; the word then acts on R^3 ∪ {∞} through the generator maps,
-    keeping analytic jets (chain rule, never re-sampling).
+    gauge; the word then acts on R^3 ∪ {∞} through its generators' SO(4,1)
+    matrices on the lifted jets, keeping analytic jets (never re-sampling),
+    and the normal is the one induced by the source's orientation.
     """
     if data.model != "r3":
         data = representation(data, "r3")
     g = data.grid
     jet = push_word(g.jet, word)
-    new_grid = ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol)
-    cand = fundamental_data(new_grid)
-    # conformal maps either keep or flip the induced orientation; keep the
-    # Gauss lift continuous with the source by matching the envelope
-    y_old = conformal_gauss_map(data).Y
-    y_ref = y_old @ word_matrix(word).T
-    y_new = conformal_gauss_map(cand).Y
-    if np.mean(np.abs(y_new + y_ref)) < np.mean(np.abs(y_new - y_ref)):
-        cand = FundamentalData("r3", new_grid, cand.lam, -cand.n, -cand.H,
-                               -cand.Omega)
-    return cand
+    return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol), data)
 
 
 def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray,

@@ -18,6 +18,7 @@ from .jets import Jet2
 __all__ = [
     "ChartGrid",
     "FundamentalData",
+    "chart_normal",
     "fundamental_data",
     "gauss_codazzi_residual",
     "structure_residuals",
@@ -27,6 +28,7 @@ __all__ = [
 
 MIN_GRID = 9
 UMBILIC_REL_TOL = 1e-7
+SPACING_REL_TOL = 1e-6
 
 
 def _onesided_weights(pos: int, nodes: int = 7) -> np.ndarray:
@@ -86,10 +88,6 @@ def _ambient_dot(model: str, a, b):
     return (a * b).sum(axis=-1)
 
 
-def _cross3(a, b):
-    return np.cross(a, b)
-
-
 def _cross4(a, b, c):
     """Euclidean generalized cross product of R^4: <w,t> = det[a,b,c,t]."""
     w = np.zeros(a.shape)
@@ -116,6 +114,18 @@ def _cross4_lorentz(a, b, c):
     return w
 
 
+def _check_axis(name: str, axis: np.ndarray) -> None:
+    """Reject a chart axis that is not finite, strictly increasing and uniform."""
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"chart axis {name} has non-finite values")
+    steps = np.diff(axis)
+    if np.any(steps <= 0.0):
+        raise ValueError(f"chart axis {name} is not strictly increasing")
+    mean = (axis[-1] - axis[0]) / (len(axis) - 1)
+    if np.max(np.abs(steps - mean)) > SPACING_REL_TOL * mean:
+        raise ValueError(f"chart axis {name} is not uniformly spaced")
+
+
 @dataclass
 class ChartGrid:
     """Rectangular sample grid over a conformal chart with analytic 2-jets."""
@@ -132,6 +142,11 @@ class ChartGrid:
             raise ValueError("grid too small")
         if self.model not in ("r3", "s3", "h3"):
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("u", "v"):
+            _check_axis(name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("pos", "du", "dv", "duu", "duv", "dvv"):
+            if not np.all(np.isfinite(getattr(self.jet, name))):
+                raise ValueError(f"jet has non-finite values in {name}")
         self.hu = float(self.u[1] - self.u[0])
         self.hv = float(self.v[1] - self.v[0])
         pz, pzb = self.pos_z, self.pos_zb
@@ -226,10 +241,37 @@ class FundamentalData:
     def has_umbilic(self, band: int = 2) -> bool:
         return bool(np.any(self.umbilic_mask[band:-band, band:-band]))
 
+    @property
+    def orientation(self) -> int:
+        """+1 when n is the chart's own normal (``chart_normal``), else -1."""
+        dots = self.grid._dot(self.n, chart_normal(self.grid))
+        return 1 if float(np.sum(dots)) >= 0.0 else -1
+
     def tracefree_form(self):
         """Real-notation tracefree second fundamental form (A11, A12)."""
         e = np.exp(-2.0 * self.lam)
         return self.Omega.real * e, -self.Omega.imag * e
+
+
+def chart_normal(grid: ChartGrid) -> np.ndarray:
+    """Unit normal that the chart's own orientation gives, from its 1-jets.
+
+    R^3: p_u x p_v over the conformal factor (|p_u|^2 + |p_v|^2)/2;
+    S^3 and H^3: the unit normal n with det[p, p_u, p_v, n] > 0
+    (euclidean, resp. Lorentzian cross product).
+    """
+    du, dv = grid.jet.du, grid.jet.dv
+    if grid.model == "r3":
+        speed2 = (du * du).sum(axis=-1) + (dv * dv).sum(axis=-1)
+        return np.cross(du, dv) * (2.0 / speed2)[..., None]
+    if grid.model == "s3":
+        w = _cross4(grid.pos, du, dv)
+        return w / np.sqrt((w * w).sum(axis=-1))[..., None]
+    w = _cross4_lorentz(grid.pos, du, dv)
+    norm2 = _ambient_dot("h3", w, w)
+    if np.any(norm2 <= 0.0):
+        raise ValueError("degenerate jet: normal is not spacelike")
+    return w / np.sqrt(norm2)[..., None]
 
 
 def fundamental_data(grid: ChartGrid) -> FundamentalData:
@@ -238,20 +280,7 @@ def fundamental_data(grid: ChartGrid) -> FundamentalData:
     pzz, pzzb = grid.pos_zz, grid.pos_zzb
     dot_zzb = grid._dot(pz, pzb).real  # = e^{2 lam} / 2
     lam = 0.5 * np.log(2.0 * dot_zzb)
-
-    if grid.model == "r3":
-        n = _cross3(pz, pzb) / (1j * dot_zzb[..., None])
-        n = n.real
-    elif grid.model == "s3":
-        w = _cross4(grid.pos, grid.jet.du, grid.jet.dv)
-        n = w / np.sqrt((w * w).sum(axis=-1))[..., None]
-    else:
-        w = _cross4_lorentz(grid.pos, grid.jet.du, grid.jet.dv)
-        norm2 = _ambient_dot("h3", w, w)
-        if np.any(norm2 <= 0.0):
-            raise ValueError("degenerate jet: normal is not spacelike")
-        n = w / np.sqrt(norm2)[..., None]
-
+    n = chart_normal(grid)
     h_field = grid._dot(pzzb, n.astype(complex)).real / dot_zzb
     omega = 2.0 * grid._dot(pzz, n.astype(complex))
     return FundamentalData(grid.model, grid, lam, n, h_field, omega)

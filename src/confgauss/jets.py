@@ -1,9 +1,19 @@
-"""Order-2 jets of chart maps and their analytic pushforwards.
+"""Order-2 jets of chart maps and their exact projective pushforward.
 
 A ``Jet2`` carries position and derivatives up to order two of a map from
-a planar chart (u, v) into an ambient R^d.  Pushforwards through the model
-projections and through Moebius generators are done by the exact chain
-rule, so transformed surfaces keep analytic (non-differenced) jets.
+a planar chart (u, v) into an ambient R^d.  Every map between the model
+spaces, and every Moebius generator acting on R^3 ∪ {∞}, is pushed by the
+same three steps:
+
+1. lift the 2-jet to the light cone of R^{4,1}; the lift is quadratic for
+   R^3, (x, (|x|^2-1)/2, (|x|^2+1)/2), and affine for S^3, (X, 1), and for
+   H^3, (Z_h, -1, Z_4), so the lifted jet is exact;
+2. multiply by the generator's SO(4,1) matrix (nothing for a projection);
+3. dehomogenize once into the target model by the quotient rule, dividing
+   by Y5 - Y4 for R^3, by Y5 for S^3 and by -Y4 for H^3.
+
+A word is pushed one generator at a time.  Transformed surfaces therefore
+keep analytic (non-differenced) jets.
 """
 
 from __future__ import annotations
@@ -12,18 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import Generator, axis_angle_matrix
+from .lorentz import V_L, generator_matrix
 
 __all__ = [
     "Jet2",
-    "push_affine",
-    "push_map",
-    "push_inversion",
     "push_stereo",
     "push_stereo_inv",
     "push_hyper",
     "push_hyper_inv",
-    "push_generator",
     "push_word",
 ]
 
@@ -48,201 +54,113 @@ class Jet2:
                       (self.pos, self.du, self.dv, self.duu, self.duv, self.dvv)))
 
 
-def push_affine(jet: Jet2, a: np.ndarray, b=None) -> Jet2:
-    """Pushforward through x -> a x + b (a: (d_out, d_in))."""
-    a = np.asarray(a, dtype=float)
-    out = Jet2(
-        jet.pos @ a.T,
-        jet.du @ a.T,
-        jet.dv @ a.T,
-        jet.duu @ a.T,
-        jet.duv @ a.T,
-        jet.dvv @ a.T,
-    )
-    if b is not None:
-        out.pos = out.pos + np.asarray(b, dtype=float)
-    return out
+_E = np.eye(5)
+
+# model -> (K, c, w): a point x lifts to K x + c (plus |x|^2/2 V_L on R^3),
+# and a cone vector Y dehomogenizes to K^T Y / <w, Y>
+_CHARTS = {
+    "r3": (_E[:, :3], (_E[4] - _E[3]) / 2.0, _E[4] - _E[3]),
+    "s3": (_E[:, :4], _E[4], _E[4]),
+    "h3": (_E[:, [0, 1, 2, 4]], -_E[3], -_E[3]),
+}
 
 
-def push_map(jet: Jet2, value_jac_hess) -> Jet2:
-    """Pushforward through a map given by (F, J, H) at the jet positions.
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
 
-    ``value_jac_hess(pos)`` must return F (..., m), the Jacobian J
-    (..., m, d) and the Hessian H (..., m, d, d).
+
+def _push(jet: Jet2, source: str, target: str, matrix=None,
+          tol: float = 0.0, message: str = "image meets the point at infinity") -> Jet2:
+    """Lift ``jet`` from ``source`` to the cone, apply ``matrix``, project to ``target``.
+
+    Raises ``ValueError(message)`` where the denominator is at most ``tol``
+    (in absolute value on R^3, where both signs of a lift are valid).
     """
-    f, jac, hess = value_jac_hess(jet.pos)
+    k_src, c_src, _ = _CHARTS[source]
+    k_dst, _, w_dst = _CHARTS[target]
+    rows = np.vstack([k_dst.T, w_dst])  # numerator rows, then the denominator
+    if matrix is not None:
+        rows = rows @ matrix
+    lin, const = rows @ k_src, rows @ c_src
+    num_lin, den_lin = np.ascontiguousarray(lin[:-1].T), lin[-1]
+    # the R^3 lift's |x|^2/2 V_L term drops out where the rows annihilate V_L
+    cone = rows @ V_L if source == "r3" else np.zeros(len(rows))
+    quadratic = bool(cone.any())
+    # a similarity fixes infinity: no quadratic part, constant denominator
+    affine = not quadratic and not den_lin.any()
 
-    def first(t):
-        return np.einsum("...md,...d->...m", jac, t)
+    def image(t, quad):
+        """Numerator and denominator of rows @ (lift component); ``quad`` is
+        the matching component of the jet of |x|^2/2."""
+        num, den = t @ num_lin, t @ den_lin
+        if quadratic:
+            num += quad[..., None] * cone[:-1]
+            den += quad * cone[-1]
+        return num, den
 
-    def second(t1, t2, t12):
-        quad = np.einsum("...mde,...d,...e->...m", hess, t1, t2)
-        return quad + first(t12)
+    x, tangents = jet.pos, (jet.du, jet.dv)
+    num, den = image(x, 0.5 * _dot(x, x) if quadratic else None)
+    num += const[:-1]
+    den += const[-1]
+    if np.any((den if target != "r3" else np.abs(den)) <= tol):
+        raise ValueError(message)
+    inv = (1.0 / den)[..., None]
+    f = num * inv
+    scratch = np.empty_like(f)
 
-    return Jet2(
-        f,
-        first(jet.du),
-        first(jet.dv),
-        second(jet.du, jet.du, jet.duu),
-        second(jet.du, jet.dv, jet.duv),
-        second(jet.dv, jet.dv, jet.dvv),
-    )
+    def quotient(num, *terms):
+        """(num - sum of g * d over terms) / den, in place on num; every d
+        is a derivative of den, which vanishes for an affine map."""
+        for g, d in () if affine else terms:
+            num -= np.multiply(g, d, out=scratch)
+        num *= inv
+        return num
 
-
-def _inversion_vjh(x):
-    d = x.shape[-1]
-    rr = (x * x).sum(axis=-1)  # (...)
-    f = x / rr[..., None]
-    eye = np.eye(d)
-    jac = (
-        eye / rr[..., None, None]
-        - 2.0 * x[..., :, None] * x[..., None, :] / (rr ** 2)[..., None, None]
-    )
-    # H[i,j,k] = -2 (x_k d_ij + x_j d_ik + x_i d_jk) / r^4 + 8 x_i x_j x_k / r^6
-    xi = x[..., :, None, None]
-    xj = x[..., None, :, None]
-    xk = x[..., None, None, :]
-    dij = eye[:, :, None]
-    dik = eye[:, None, :]
-    djk = eye[None, :, :]
-    r4 = (rr ** 2)[..., None, None, None]
-    r6 = (rr ** 3)[..., None, None, None]
-    hess = -2.0 * (xk * dij + xj * dik + xi * djk) / r4 + 8.0 * xi * xj * xk / r6
-    return f, jac, hess
-
-
-def push_inversion(jet: Jet2) -> Jet2:
-    """Pushforward through the inversion x -> x/|x|^2 of R^3."""
-    if np.any((jet.pos * jet.pos).sum(axis=-1) < 1e-24):
-        raise ValueError("inversion center on surface")
-    return push_map(jet, _inversion_vjh)
-
-
-def _stereo_inv_vjh(x):
-    # F = (2x, r^2-1) / (1+r^2)
-    r2 = (x * x).sum(axis=-1)[..., None]
-    g = 1.0 / (1.0 + r2)
-    shape = x.shape[:-1]
-    f = np.concatenate([2.0 * x * g, 1.0 - 2.0 * g], axis=-1)
-    gj = -2.0 * x * g ** 2  # dg/dx_j
-    gjk = (
-        -2.0 * np.broadcast_to(np.eye(3), shape + (3, 3)) * (g ** 2)[..., None]
-        + 8.0 * x[..., :, None] * x[..., None, :] * (g ** 3)[..., None]
-    )
-    jac = np.zeros(shape + (4, 3))
-    hess = np.zeros(shape + (4, 3, 3))
-    eye = np.broadcast_to(np.eye(3), shape + (3, 3))
-    jac[..., :3, :] = 2.0 * eye * g[..., None] + 2.0 * x[..., :, None] * gj[..., None, :]
-    jac[..., 3, :] = -2.0 * gj
-    hess[..., :3, :, :] = (
-        2.0 * eye[..., :, :, None] * gj[..., None, None, :]
-        + 2.0 * eye[..., :, None, :] * gj[..., None, :, None]
-        + 2.0 * x[..., :, None, None] * gjk[..., None, :, :]
-    )
-    hess[..., 3, :, :] = -2.0 * gjk
-    return f, jac, hess
+    # quotient rule for f = num / den:
+    #   f_a = (num_a - f den_a) / den
+    #   f_ab = (num_ab - f_a den_b - f_b den_a - f den_ab) / den
+    firsts = []
+    for t in tangents:
+        num_a, den_a = image(t, _dot(x, t) if quadratic else None)
+        den_a = den_a[..., None]
+        firsts.append((quotient(num_a, (f, den_a)), den_a))
+    seconds = []
+    for (a, b), t in (((0, 0), jet.duu), ((0, 1), jet.duv), ((1, 1), jet.dvv)):
+        (f_a, den_a), (f_b, den_b) = firsts[a], firsts[b]
+        quad = _dot(tangents[a], tangents[b]) + _dot(x, t) if quadratic else None
+        num_ab, den_ab = image(t, quad)
+        seconds.append(quotient(num_ab, (f_a, den_b), (f_b, den_a), (f, den_ab[..., None])))
+    return Jet2(f, firsts[0][0], firsts[1][0], *seconds)
 
 
 def push_stereo_inv(jet: Jet2) -> Jet2:
     """Pushforward through the inverse stereographic projection R^3 -> S^3."""
-    return push_map(jet, _stereo_inv_vjh)
-
-
-def _stereo_vjh(x):
-    # F = (x1, x2, x3) / (1 - t)
-    t = x[..., 3:4]
-    g = 1.0 / (1.0 - t)
-    shape = x.shape[:-1]
-    f = x[..., :3] * g
-    jac = np.zeros(shape + (3, 4))
-    hess = np.zeros(shape + (3, 4, 4))
-    eye = np.broadcast_to(np.eye(3), shape + (3, 3))
-    jac[..., :, :3] = eye * g[..., None]
-    jac[..., :, 3] = x[..., :3] * g ** 2
-    hess[..., :, :3, 3] = eye * (g ** 2)[..., None]
-    hess[..., :, 3, :3] = eye * (g ** 2)[..., None]
-    hess[..., :, 3, 3] = 2.0 * x[..., :3] * g ** 3
-    return f, jac, hess
+    return _push(jet, "r3", "s3")
 
 
 def push_stereo(jet: Jet2) -> Jet2:
     """Pushforward through the stereographic projection S^3 -> R^3."""
-    if np.any(jet.pos[..., 3] > 1.0 - 1e-10):
-        raise ValueError("chart meets the north pole")
-    return push_map(jet, _stereo_vjh)
-
-
-def _hyper_vjh(z):
-    # F = (z1, z2, z3) / (1 + t)
-    t = z[..., 3:4]
-    g = 1.0 / (1.0 + t)
-    shape = z.shape[:-1]
-    f = z[..., :3] * g
-    jac = np.zeros(shape + (3, 4))
-    hess = np.zeros(shape + (3, 4, 4))
-    eye = np.broadcast_to(np.eye(3), shape + (3, 3))
-    jac[..., :, :3] = eye * g[..., None]
-    jac[..., :, 3] = -z[..., :3] * g ** 2
-    hess[..., :, :3, 3] = -eye * (g ** 2)[..., None]
-    hess[..., :, 3, :3] = -eye * (g ** 2)[..., None]
-    hess[..., :, 3, 3] = 2.0 * z[..., :3] * g ** 3
-    return f, jac, hess
+    return _push(jet, "s3", "r3", tol=1e-10, message="chart meets the north pole")
 
 
 def push_hyper(jet: Jet2) -> Jet2:
     """Pushforward through the hyperbolic projection H^3 -> B_1(0)."""
-    return push_map(jet, _hyper_vjh)
-
-
-def _hyper_inv_vjh(x):
-    # F = (2x, r^2+1) / (1-r^2)
-    r2 = (x * x).sum(axis=-1)[..., None]
-    g = 1.0 / (1.0 - r2)
-    shape = x.shape[:-1]
-    f = np.concatenate([2.0 * x * g, 2.0 * g - 1.0], axis=-1)
-    gj = 2.0 * x * g ** 2
-    gjk = (
-        2.0 * np.broadcast_to(np.eye(3), shape + (3, 3)) * (g ** 2)[..., None]
-        + 8.0 * x[..., :, None] * x[..., None, :] * (g ** 3)[..., None]
-    )
-    jac = np.zeros(shape + (4, 3))
-    hess = np.zeros(shape + (4, 3, 3))
-    eye = np.broadcast_to(np.eye(3), shape + (3, 3))
-    jac[..., :3, :] = 2.0 * eye * g[..., None] + 2.0 * x[..., :, None] * gj[..., None, :]
-    jac[..., 3, :] = 2.0 * gj
-    hess[..., :3, :, :] = (
-        2.0 * eye[..., :, :, None] * gj[..., None, None, :]
-        + 2.0 * eye[..., :, None, :] * gj[..., None, :, None]
-        + 2.0 * x[..., :, None, None] * gjk[..., None, :, :]
-    )
-    hess[..., 3, :, :] = 2.0 * gjk
-    return f, jac, hess
+    return _push(jet, "h3", "r3")
 
 
 def push_hyper_inv(jet: Jet2) -> Jet2:
     """Pushforward through the inverse hyperbolic projection B_1(0) -> H^3."""
-    if np.any((jet.pos * jet.pos).sum(axis=-1) >= 1.0):
-        raise ValueError("chart leaves the Poincare ball")
-    return push_map(jet, _hyper_inv_vjh)
-
-
-def push_generator(jet: Jet2, gen: Generator) -> Jet2:
-    """Pushforward of an R^3 chart jet through one Moebius generator."""
-    if gen.kind == "dil":
-        return push_affine(jet, np.exp(gen.param[0]) * np.eye(3))
-    if gen.kind == "rot":
-        theta = axis_angle_matrix(gen.param[:3], gen.param[3])
-        return push_affine(jet, theta)
-    if gen.kind == "tra":
-        return push_affine(jet, np.eye(3), np.asarray(gen.param, dtype=float))
-    if gen.kind == "inv":
-        return push_inversion(jet)
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    return _push(jet, "r3", "h3", message="chart leaves the Poincare ball")
 
 
 def push_word(jet: Jet2, word) -> Jet2:
-    """Pushforward through a generator word, applied left-to-right."""
-    out = jet
+    """Pushforward of an R^3 chart jet through a generator word, left-to-right.
+
+    One generator matrix at a time: an inversion then divides by the exact
+    -|x|^2 of its input, which the product matrix of the whole word would
+    form by cancellation near the point that the word sends to infinity.
+    """
     for gen in word:
-        out = push_generator(out, gen)
-    return out
+        jet = _push(jet, "r3", "r3", generator_matrix(gen), tol=1e-24,
+                    message="inversion center on surface")
+    return jet

@@ -26,7 +26,6 @@ __all__ = [
     "axis_angle_matrix",
     "inversion_matrix",
     "translation_matrix",
-    "moebius_generator",
     "is_so41",
     "act_on_r3",
     "act_on_s3",
@@ -146,19 +145,6 @@ def translation_matrix(a) -> np.ndarray:
     return m
 
 
-def moebius_generator(kind: str, param=None) -> np.ndarray:
-    """Generator matrix by kind: 'dil', 'rot', 'inv' or 'tra'."""
-    if kind == "dil":
-        return dilation_matrix(float(param))
-    if kind == "rot":
-        return rotation_matrix(np.asarray(param, dtype=float))
-    if kind == "inv":
-        return inversion_matrix()
-    if kind == "tra":
-        return translation_matrix(param)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 def is_so41(m, tol: float = 1e-12) -> bool:
     """True iff m^T eps m = eps entrywise and det m = 1, both within tol."""
     m = np.asarray(m, dtype=float)
@@ -211,9 +197,6 @@ class Generator:
 
     kind: str
     param: tuple = ()
-
-    def matrix(self) -> np.ndarray:
-        return generator_matrix(self)
 
 
 def generator_matrix(gen: Generator) -> np.ndarray:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets as _jets
+from .grid import ChartGrid, FundamentalData, fundamental_data
 from .lorentz import INFINITY, V_L
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "transfer_r3_to_h3",
     "normal_r3_to_s3",
     "normal_r3_to_h3",
+    "oriented_r3_data",
 ]
 
 NORTH_POLE_TOL = 1e-12
@@ -204,6 +207,27 @@ def normal_r3_to_h3(n, phi) -> np.ndarray:
     return n4 + 2.0 * ndotphi / (1.0 - r2) * phi4
 
 
+# Sign of the R^3 chart normal of a projected chart against the normal the
+# projection induces from the source's own chart normal: stereographic
+# projection keeps the chart orientation, the hyperbolic one reverses it.
+# Moebius words on R^3 keep it, inversions included: an inversion reverses
+# the chart orientation, and its SO(4,1) matrix reverses the induced normal.
+_CHART_ORIENTATION = {"r3": 1, "s3": 1, "h3": -1}
+
+
+def oriented_r3_data(grid: ChartGrid, source: FundamentalData) -> FundamentalData:
+    """Fundamental data of an R^3 image of ``source``, with the induced normal.
+
+    ``grid`` is the image chart of ``source`` under a projection or a
+    Moebius word; the chart normal is flipped exactly when the source's
+    normal and its projection's orientation disagree.
+    """
+    data = fundamental_data(grid)
+    if source.orientation * _CHART_ORIENTATION[source.model] < 0:
+        data = FundamentalData("r3", grid, data.lam, -data.n, -data.H, -data.Omega)
+    return data
+
+
 def representation(data, target: str):
     """Re-express chart-grid fundamental data in another model's gauge.
 
@@ -211,38 +235,24 @@ def representation(data, target: str):
     projection and the scalars through the transfer formulas, so the Gauss
     map orientation is the one induced by the source chart.
     """
-    from . import grid as _grid
-    from . import jets as _jets
-
     if target == data.model:
         return data
     g = data.grid
     if data.model == "r3":
         if target == "s3":
             jet = _jets.push_stereo_inv(g.jet)
-            new_grid = _grid.ChartGrid("s3", g.u, g.v, jet, conf_tol=g.conf_tol)
+            new_grid = ChartGrid("s3", g.u, g.v, jet, conf_tol=g.conf_tol)
             scal = transfer_r3_to_s3(data.lam, data.n, data.H, data.Omega, g.pos)
             nrm = normal_r3_to_s3(data.n, g.pos)
-            return _grid.FundamentalData("s3", new_grid, scal.lam, nrm, scal.H, scal.Omega)
+            return FundamentalData("s3", new_grid, scal.lam, nrm, scal.H, scal.Omega)
         if target == "h3":
             jet = _jets.push_hyper_inv(g.jet)
-            new_grid = _grid.ChartGrid("h3", g.u, g.v, jet, conf_tol=g.conf_tol)
+            new_grid = ChartGrid("h3", g.u, g.v, jet, conf_tol=g.conf_tol)
             scal = transfer_r3_to_h3(data.lam, data.n, data.H, data.Omega, g.pos)
             nrm = normal_r3_to_h3(data.n, g.pos)
-            return _grid.FundamentalData("h3", new_grid, scal.lam, nrm, scal.H, scal.Omega)
+            return FundamentalData("h3", new_grid, scal.lam, nrm, scal.H, scal.Omega)
     if target == "r3":
         jet = _jets.push_stereo(g.jet) if data.model == "s3" else _jets.push_hyper(g.jet)
-        new_grid = _grid.ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol)
-        cand = _grid.fundamental_data(new_grid)
-        # match the source orientation: the native cross-product normal is
-        # the induced one up to a global sign; Omega is the decisive
-        # comparand (H can vanish identically on minimal charts)
-        back = transfer_r3_to_s3(cand.lam, cand.n, cand.H, cand.Omega, new_grid.pos) \
-            if data.model == "s3" else \
-            transfer_r3_to_h3(cand.lam, cand.n, cand.H, cand.Omega, new_grid.pos)
-        if np.mean(np.abs(back.Omega + data.Omega)) < np.mean(np.abs(back.Omega - data.Omega)):
-            cand = _grid.FundamentalData("r3", new_grid, cand.lam, -cand.n,
-                                         -cand.H, -cand.Omega)
-        return cand
+        return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol), data)
     # s3 <-> h3 goes through r3
     return representation(representation(data, "r3"), target)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map
 from .grid import FundamentalData, fundamental_data, interior_max, ChartGrid
-from .jets import push_inversion
-from .lorentz import inversion_matrix, lorentz_product
+from .jets import push_word
+from .lorentz import Generator, inversion_matrix, lorentz_product
 from .models import representation
 
 __all__ = [
@@ -156,7 +156,7 @@ def inversion_exchange_check(data: FundamentalData) -> dict:
     if data.model != "r3":
         raise ValueError("inversion exchange needs R^3 data")
     g = data.grid
-    jet_inv = push_inversion(g.jet)  # raises when the surface meets 0
+    jet_inv = push_word(g.jet, [Generator("inv")])  # raises when the surface meets 0
     g_inv = ChartGrid("r3", g.u, g.v, jet_inv, conf_tol=g.conf_tol)
     data_inv = fundamental_data(g_inv)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ChartGrid
-from .jets import Jet2, push_affine, push_inversion
+from .jets import Jet2, push_word
+from .lorentz import Generator
 
 __all__ = ["SurfaceSpec", "make_surface", "sample", "list_surfaces", "CATALOG"]
 
@@ -42,8 +43,6 @@ class SurfaceSpec:
 
 def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
     """Sample a surface on an n x n grid; validates conformality at build."""
-    if n < 9:
-        raise ValueError("grid too small")
     (u0, u1), (v0, v1) = domain if domain is not None else spec.domain
     u = np.linspace(u0, u1, n)
     v = np.linspace(v0, v1, n)
@@ -135,11 +134,10 @@ def _enneper_jets(u, v):
 
 def _inverted_catenoid_jets(u, v, offset):
     jet = _catenoid_jets(u, v)
-    jet = push_affine(jet, np.eye(3), np.asarray(offset, dtype=float))
-    r = np.sqrt((jet.pos ** 2).sum(axis=-1))
-    if r.min() < 0.5 or r.max() > 10.0:
+    r = np.sqrt(((jet.pos + np.asarray(offset, dtype=float)) ** 2).sum(axis=-1))
+    if np.any(r < 0.5) or np.any(r > 10.0):
         raise ValueError("chart leaves the |x| in [0.5, 10] safety band")
-    return push_inversion(jet)
+    return push_word(jet, [Generator("tra", tuple(offset)), Generator("inv")])
 
 
 def _torus_jets(u, v, big_r, small_r):

@@ -137,6 +137,13 @@ def test_classify_rejects_umbilic():
         CL.classify(make_surface("sphere", R=1.0), n=64)
 
 
+def test_classify_grid_minimum():
+    spec = make_surface("cylinder")
+    with pytest.raises(ValueError, match="at least 17 nodes per side.*2h restriction"):
+        CL.classify(spec, n=16)
+    assert CL.classify(spec, n=17).verdict == "conformally CMC in ℝ³"
+
+
 def test_report_dict_schema():
     rep = CL.classify(make_surface("cylinder"), n=96)
     payload = rep.to_dict()

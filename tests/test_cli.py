@@ -115,3 +115,11 @@ def test_domain_override(capsys):
                            "--domain=-0.3,0.3,-1.0,1.0")
     assert code == 0
     assert json.loads(out)["kappa"] == 0
+
+
+def test_degenerate_domain_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "cylinder",
+                             "--domain", "0,0,-1,1", "--grid", "33")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: chart axis u is not strictly increasing"]

@@ -222,8 +222,13 @@ def test_uniqueness_perturbation():
     assert r1 <= 1e-6 and r2 <= 1e-6
 
 
-def test_moebius_equivariance(rng):
-    data = data_for("catenoid", n=65)
+@pytest.mark.parametrize("source", ["catenoid", "hyperbolic_cylinder_r3"])
+def test_moebius_equivariance(rng, source):
+    data = (data_for("catenoid", n=65) if source == "catenoid" else
+            models.representation(data_for("hyperbolic_cylinder", n=65), "r3"))
+    # the second source's normal is opposite to its R^3 chart normal, so
+    # every transformed chart's normal must be flipped
+    assert data.orientation == (1 if source == "catenoid" else -1)
     cong = C.conformal_gauss_map(data)
     done, tries = 0, 0
     while done < 20 and tries < 200:

@@ -84,6 +84,8 @@ def test_axis_derivative_rejects_mismatched_field():
 def test_grid_too_small():
     with pytest.raises(ValueError, match="too small"):
         sample(make_surface("plane"), 8)
+    with pytest.raises(ValueError, match="too small"):
+        sample(make_surface("inverted_catenoid"), 0)
 
 
 def test_derivatives_commute_with_refinement():
@@ -193,6 +195,47 @@ def test_degenerate_jet_rejected():
     zero = np.zeros((n, n, 3))
     jet = Jet2(zero, zero, zero, zero, zero, zero)
     with pytest.raises(ValueError, match="immersion"):
+        G.ChartGrid("r3", u, u, jet)
+
+
+def _plane_jet(u, v):
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    return make_surface("plane").jet_fn(uu, vv)
+
+
+def test_linspace_axes_accepted():
+    # a uniform axis far from the origin keeps a tiny relative spacing error
+    u = np.linspace(1000.0, 1000.5, 33)
+    v = np.linspace(-1.0, 1.0, 17)
+    g = G.ChartGrid("r3", u, v, _plane_jet(u, v))
+    assert g.shape == (33, 17)
+
+
+@pytest.mark.parametrize("axis, match", [
+    (np.linspace(-1.0, 1.0, 17)[::-1], "not strictly increasing"),
+    (np.zeros(17), "not strictly increasing"),
+    (np.r_[np.linspace(-1.0, 1.0, 17)[:8], np.linspace(-1.0, 1.0, 17)[8:] + 1e-3],
+     "not uniformly spaced"),
+    (np.linspace(-1.0, 1.0, 17) ** 3, "not uniformly spaced"),
+    (np.r_[np.nan, np.linspace(-1.0, 1.0, 17)[1:]], "axis u has non-finite"),
+    (np.r_[np.linspace(-1.0, 1.0, 17)[:-1], np.inf], "axis u has non-finite"),
+])
+def test_bad_axis_rejected(axis, match):
+    v = np.linspace(-1.0, 1.0, 17)
+    jet = _plane_jet(np.linspace(-1.0, 1.0, 17), v)
+    with pytest.raises(ValueError, match=match):
+        G.ChartGrid("r3", axis, v, jet)
+    with pytest.raises(ValueError, match=match.replace("axis u", "axis v")):
+        G.ChartGrid("r3", v, axis, jet)
+
+
+@pytest.mark.parametrize("component", ["pos", "du", "duv", "dvv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_jet_rejected(component, bad):
+    u = np.linspace(-1.0, 1.0, 17)
+    jet = _plane_jet(u, u)
+    getattr(jet, component)[5, 7, 1] = bad
+    with pytest.raises(ValueError, match=f"non-finite values in {component}"):
         G.ChartGrid("r3", u, u, jet)
 
 

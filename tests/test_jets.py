@@ -1,7 +1,7 @@
 import numpy as np
 
 from confgauss import jets as J
-from confgauss.lorentz import Generator
+from confgauss.lorentz import Generator, axis_angle_matrix
 from confgauss.models import hyper_inv, stereo_inv
 
 
@@ -47,7 +47,20 @@ def _fd_check(push, point_map, scale=1.0):
 
 
 def test_push_inversion_matches_finite_differences():
-    _fd_check(J.push_inversion, lambda x: x / np.dot(x, x))
+    _fd_check(lambda jet: J.push_word(jet, [Generator("inv")]),
+              lambda x: x / np.dot(x, x))
+
+
+def test_push_word_matches_finite_differences():
+    word = [Generator("dil", (0.4,)), Generator("rot", (0.3, -0.5, 0.8, 1.1)),
+            Generator("tra", (1.0, 0.0, 0.0)), Generator("inv")]
+    theta = axis_angle_matrix((0.3, -0.5, 0.8), 1.1)
+
+    def point_map(x):
+        moved = theta @ (np.exp(0.4) * x) + np.array([1.0, 0.0, 0.0])
+        return moved / np.dot(moved, moved)
+
+    _fd_check(lambda jet: J.push_word(jet, word), point_map)
 
 
 def test_push_stereo_inv_matches_finite_differences():
@@ -77,7 +90,7 @@ def test_push_inversion_guards_origin():
     import pytest
 
     with pytest.raises(ValueError, match="inversion center"):
-        J.push_inversion(jet)
+        J.push_word(jet, [Generator("inv")])
 
 
 def test_stereo_round_trip_on_jets():

@@ -5,7 +5,7 @@ from confgauss import congruence as C
 from confgauss import grid as G
 from confgauss import willmore as W
 from confgauss.grid import ChartGrid, fundamental_data
-from confgauss.jets import push_affine
+from confgauss.jets import push_word
 from confgauss.lorentz import Generator, inversion_matrix, random_word, word_matrix
 from confgauss.zoo import make_surface, sample
 from conftest import data_for
@@ -124,7 +124,7 @@ def test_divergence_residuals():
 
 def _translated_catenoid(n=128):
     grid = sample(make_surface("catenoid"), n, domain=((-0.5, 0.5), (-1.2, 1.2)))
-    jet = push_affine(grid.jet, np.eye(3), np.array([3.0, 0.0, 0.0]))
+    jet = push_word(grid.jet, [Generator("tra", (3.0, 0.0, 0.0))])
     return fundamental_data(ChartGrid("r3", grid.u, grid.v, jet))
 
 
