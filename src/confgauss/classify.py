@@ -274,8 +274,12 @@ def hyperplane_fit(samples: np.ndarray, type_tol: float = NORMAL_TYPE_TOL) -> Hy
     if norm < 1e-8:
         raise ValueError("degenerate congruence")
     v, eta = v / norm, float(eta / norm)
-    # deterministic sign: largest-magnitude component positive
-    lead = int(np.argmax(np.abs(v)))
+    # deterministic sign: the first component whose magnitude is within
+    # NORMAL_TYPE_TOL (relative) of the largest is positive; a lightlike v
+    # often has |v4| = |v5| up to round-off, where argmax picks by noise
+    mag = np.abs(v).tolist()
+    cut = (1.0 - NORMAL_TYPE_TOL) * max(mag)
+    lead = next(k for k, m in enumerate(mag) if m >= cut)
     if v[lead] < 0:
         v, eta = -v, -eta
     rms = float(np.sqrt(np.mean(((samples @ (EPSILON @ v)) - eta) ** 2)))

@@ -18,7 +18,7 @@ from .congruence import conformal_gauss_map, isotropic_frame, transform_immersio
 from .grid import export_csv, fundamental_data, interior_max
 from .lorentz import parse_word, word_matrix
 from .models import representation
-from .willmore import conserved_matrix, direct_currents, willmore_operator
+from .willmore import conserved_matrix, direct_currents, willmore_scalar
 from .zoo import list_surfaces, make_surface, sample
 
 DETERMINATE_VERDICT_PREFIXES = (
@@ -117,9 +117,9 @@ def _export_fields(args, data, cong, report):
     g = data.grid
     fields = {"lam": data.lam, "H": data.H, "Omega": data.Omega, "n": data.n,
               "Y": cong.Y}
-    wf = willmore_operator(data)
-    fields["W"] = wf.w
-    fields["W_s3"] = wf.w_s3
+    data_s3 = representation(data, "s3")
+    fields["W"] = willmore_scalar(data)
+    fields["W_s3"] = fields["W"] if data_s3 is data else willmore_scalar(data_s3)
     if data.model == "r3":
         # block extraction of the currents is off-shell when the surface
         # is not Willmore; the report's willmore_residual says which
@@ -133,7 +133,6 @@ def _export_fields(args, data, cong, report):
     for name, value in fields.items():
         export_csv(out / f"{name}.csv", g, {name: value})
 
-    data_s3 = representation(data, "s3")
     frame = isotropic_frame(data_s3, conformal_gauss_map(data_s3))
     frame_fields = {"nu": frame.nu, "nustar": frame.nustar, "l": frame.l,
                     "H_nu": frame.H_nu, "H_nustar": frame.H_nustar,
@@ -294,6 +293,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

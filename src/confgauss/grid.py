@@ -319,23 +319,43 @@ def structure_residuals(grid: ChartGrid, data: FundamentalData) -> float:
 
 
 def export_csv(path, grid: ChartGrid, fields: dict) -> None:
-    """Write per-node fields as CSV with header row u,v,<components...>."""
-    uu, vv = np.meshgrid(grid.u, grid.v, indexing="ij")
-    cols = [uu.ravel(), vv.ravel()]
+    """Write per-node fields as CSV with header row u,v,<components...>.
+
+    Rows run u-major (u outer, v inner); every value is %.17g, and a complex
+    component is written as <name>_re, <name>_im.  The bytes are those of
+    ``np.savetxt(path, table, delimiter=",", header=header, comments="",
+    fmt="%.17g")``, written one grid line at a time: each u and v value is
+    formatted once, and a line's field values go through one format string.
+    """
+    u = np.asarray(grid.u, dtype=float)
+    v = np.asarray(grid.v, dtype=float)
+    cols = []
     names = ["u", "v"]
     for name, f in fields.items():
         f = np.asarray(f)
+        if f.shape[:2] != (u.size, v.size):
+            raise ValueError(f"field {name} has shape {f.shape}, grid has "
+                             f"{u.size} x {v.size} nodes")
         if f.ndim == 2:
             comps = [(name, f)]
         else:
             comps = [(f"{name}{k + 1}", f[..., k]) for k in range(f.shape[-1])]
         for cname, comp in comps:
             if np.iscomplexobj(comp):
-                cols += [comp.real.ravel(), comp.imag.ravel()]
+                cols += [comp.real, comp.imag]
                 names += [f"{cname}_re", f"{cname}_im"]
             else:
-                cols += [comp.ravel()]
+                cols += [comp]
                 names += [cname]
-    data = np.column_stack(cols)
-    header = ",".join(names)
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    block = np.empty((u.size, v.size, len(cols)))
+    for k, col in enumerate(cols):
+        block[..., k] = col
+    # "%.17g" text contains no "%", so formatted axis values can sit in a
+    # format string
+    v_rows = [",".join(["%.17g" % vj] + ["%.17g"] * len(cols)) + "\n"
+              for vj in v.tolist()]
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for ui, line in zip(u.tolist(), block):
+            u_text = "%.17g," % ui
+            fh.write((u_text + u_text.join(v_rows)) % tuple(line.ravel().tolist()))

@@ -109,6 +109,19 @@ def test_hyperplane_fit_cases():
         assert fit.rms <= 1e-7, name
 
 
+def test_hyperplane_fit_sign_stable_under_roundoff():
+    # the lightlike normal of the inverted catenoid has |v4| = |v5| up to
+    # round-off; 1e-15 noise in the samples must not flip the reported sign
+    _, cong = _s3_setup("inverted_catenoid")
+    samples = cong.Y[2:-2, 2:-2].reshape(-1, 5)
+    ref = CL.hyperplane_fit(samples)
+    assert ref.vtype == "lightlike"
+    for seed in range(10):
+        noise = np.random.default_rng(seed).standard_normal(samples.shape)
+        fit = CL.hyperplane_fit(samples * (1.0 + 1e-15 * noise))
+        assert np.max(np.abs(fit.v - ref.v)) <= 1e-6, seed
+
+
 def test_hyperplane_fit_requires_samples():
     with pytest.raises(ValueError, match="100 samples"):
         CL.hyperplane_fit(np.tile([0, 0, 1, 0, 0.0], (50, 1)))

@@ -1,5 +1,6 @@
 import json
 
+from confgauss import cli
 from confgauss.cli import main
 
 
@@ -123,3 +124,15 @@ def test_degenerate_domain_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: chart axis u is not strictly increasing"]
+
+
+def test_memory_error_exits_1(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(cli, "sample", out_of_memory)
+    code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "10000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "745. TiB" in err

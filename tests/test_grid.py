@@ -4,7 +4,7 @@ import pytest
 from confgauss import grid as G
 from confgauss.jets import Jet2
 from confgauss.zoo import make_surface, sample
-from conftest import data_for
+from conftest import data_for, savetxt_reference
 
 
 def _plain_grid(n=33, lo=-1.0, hi=1.0):
@@ -187,6 +187,47 @@ def test_export_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "u,v,H,n1,n2,n3,Omega_re,Omega_im"
     assert len(lines) == 1 + 81
+
+
+def _export_grid(nu=9, nv=13):
+    # non-square with hu != hv, so a v-major writer differs; axis values
+    # that need all 17 digits
+    u = np.linspace(-1.0, 1.0, nu) / 3.0
+    v = np.linspace(0.5, 5.0, nv) / 7.0
+    return G.ChartGrid("r3", u, v, _plane_jet(u, v))
+
+
+def _export_fields(shape):
+    rng = np.random.default_rng(7)
+    real = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    real.flat[:7] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+    vec = rng.normal(size=shape + (3,))
+    vec[2, 3] = [np.nan, -0.0, -5e-324]
+    cplx = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cplx[4, 5] = complex(-0.0, np.inf)
+    cplx[1, 2] = complex(1e300, np.nan)
+    return {"H": real, "n": vec, "Omega": cplx}
+
+
+def test_export_csv_matches_savetxt(tmp_path):
+    g = _export_grid()
+    assert g.hu != g.hv
+    fields = _export_fields(g.shape)
+    cases = [fields] + [{name: value} for name, value in fields.items()]
+    for k, case in enumerate(cases):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        G.export_csv(got, g, case)
+        savetxt_reference(want, g, case)
+        assert got.read_bytes() == want.read_bytes(), list(case)
+    # u-major: the second row is (u0, v1)
+    row = (tmp_path / "got0.csv").read_text().splitlines()[2].split(",")
+    assert (float(row[0]), float(row[1])) == (g.u[0], g.v[1])
+
+
+def test_export_csv_rejects_mismatched_field(tmp_path):
+    g = _export_grid()
+    with pytest.raises(ValueError, match="field H has shape"):
+        G.export_csv(tmp_path / "bad.csv", g, {"H": np.zeros((13, 9))})
 
 
 def test_degenerate_jet_rejected():
