@@ -30,8 +30,8 @@ from .grid import (
     structure_residuals,
 )
 from .jets import push_word
-from .lorentz import Generator, random_word, word_matrix
-from .models import lift_h3, lift_r3, lift_s3, representation, transfer_r3_to_s3
+from .lorentz import Generator, dot, random_word, word_matrix
+from .models import LIFTS, representation, transfer_r3_to_s3
 from .zoo import make_surface, sample
 
 WILLMORE_SET = [
@@ -92,6 +92,11 @@ def _criterion(title: str):
     return decorate
 
 
+def _key(name, params) -> str:
+    """Details key of a catalog surface: its name, then any parameters."""
+    return name if not params else f"{name}{tuple(params.values())}"
+
+
 def _data(name, params, n, domain=None):
     spec = make_surface(name, **params)
     grid = sample(spec, n, domain=domain)
@@ -109,8 +114,7 @@ def criterion_structure_equations(n: int = 128):
         sr = structure_residuals(data.grid, data)
         gc = interior_max(gauss_codazzi_residual(data))
         worst = max(sr, gc)
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = {"structure": sr, "gauss_codazzi": gc, "tol": tol}
+        details[_key(name, params)] = {"structure": sr, "gauss_codazzi": gc, "tol": tol}
         passed &= worst <= tol
     return passed, details
 
@@ -140,16 +144,13 @@ def criterion_gauss_map(n: int = 128):
             continue  # umbilic charts: congruence constant
         data = _data(name, params, n)
         cong = cg.conformal_gauss_map(data)
-        lift_fn = {"r3": lift_r3, "s3": lift_s3, "h3": lift_h3}[data.model]
-        lift_field = lift_fn(data.grid.pos)
-        e1, e2 = cg.envelope_residuals(cong, lift_field)
+        e1, e2 = cg.envelope_residuals(cong, LIFTS[data.model](data.grid.pos))
         entry = {
             "norm": cong.norm_defect(),
             "envelope": max(e1, e2),
             "metric_law": cg.metric_law_residual(cong, data),
         }
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = entry
+        details[_key(name, params)] = entry
         passed &= entry["norm"] <= 1e-10
         passed &= entry["envelope"] <= 1e-6
         passed &= entry["metric_law"] <= 1e-6
@@ -196,7 +197,7 @@ def criterion_moebius_equivariance(n: int = 65, n_classify: int = 128,
         y_err = float(np.max(np.abs(cong2.Y - cong.Y @ m.T)))
         mu2 = wl.conserved_matrix(cong2)
         mu_err = max(
-            interior_max(mu2[k] - np.einsum("ab,...bc,dc->...ad", m, mu[k], m))
+            interior_max(mu2[k] - m @ mu[k] @ m.T)
             for k in range(2)
         )
         details["worst_y"] = max(details["worst_y"], y_err)
@@ -229,14 +230,12 @@ def criterion_willmore_separation(n: int = 128):
     for name, params in WILLMORE_SET:
         data = _data(name, params, n)
         res = interior_max(wl.harmonicity_residual(cg.conformal_gauss_map(data)))
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = res
+        details[_key(name, params)] = res
         passed &= res <= 1e-4
     for name, params in NON_WILLMORE_SET:
         data = _data(name, params, n)
         res = interior_max(wl.harmonicity_residual(cg.conformal_gauss_map(data)))
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = res
+        details[_key(name, params)] = res
         passed &= res >= 1e-2
     return passed, details
 
@@ -260,8 +259,7 @@ def criterion_conserved_blocks(n: int = 128):
             wl._max_current_diff(ext.v_inv, cur.v_inv),
         )
         div_tra = wl.divergence_residual(cur.v_tra, data.grid)
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = {"block_vs_direct": worst, "div_tra": div_tra}
+        details[_key(name, params)] = {"block_vs_direct": worst, "div_tra": div_tra}
         passed &= worst <= 1e-5 and div_tra <= 1e-3
     off = _data("cylinder", {}, n)
     div_off = wl.divergence_residual(wl.direct_currents(off).v_tra, off.grid)
@@ -306,8 +304,7 @@ def criterion_classification(n: int = 128):
               and rep.hyperplane.vtype == want_type
               and rep.hyperplane.linear == want_linear
               and rep.hyperplane.rms <= 1e-6)
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = {
+        details[_key(name, params)] = {
             "kappa": rep.kappa, "type": rep.hyperplane.vtype,
             "linear": rep.hyperplane.linear, "rms": rep.hyperplane.rms,
             "verdict": rep.verdict, "ok": ok,
@@ -339,8 +336,7 @@ def criterion_q_consistency(n: int = 128):
         if data.model == "r3":
             q_phi = bryant_q_r3(data)
             entry["qphi_vs_direct"] = interior_max(q_phi - qres.q_direct)
-        key = name if not params else f"{name}{tuple(params.values())}"
-        details[key] = entry
+        details[_key(name, params)] = entry
         passed &= all(v <= 1e-5 for v in entry.values())
     for name, params in [("cylinder", {}),
                          ("torus_revolution", {"R": np.sqrt(2.0), "r": 1.0})]:
@@ -378,7 +374,7 @@ def criterion_duals(n: int = 128):
     dual = cg.dual_surface_s3(data_s3)
     g = data_s3.grid
     dual_z = g.dz(dual)
-    defect = interior_max((dual_z * dual_z).sum(axis=-1))
+    defect = interior_max(dot(dual_z, dual_z))
     details["sqrt2_torus_dual_conformality"] = defect
     passed &= defect <= 1e-6
 

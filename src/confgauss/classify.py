@@ -27,7 +27,6 @@ __all__ = [
     "ClassificationReport",
     "bryant_q",
     "bryant_q_r3",
-    "holomorphy_residual",
     "holomorphy_identity_residual",
     "isothermic_witness",
     "classification_value",
@@ -64,8 +63,9 @@ class QResult:
 class _S3Fields(FundamentalData):
     """S^3 data with the classifier's derivative fields, each taken once.
 
-    W_{S3}, the closed-form Q, Q_zbar and the 2h restriction are computed
-    on first use and kept on this object, so they live as long as it does.
+    W_{S3}, the closed-form Q, Q_zbar, the sign field of that Q and the 2h
+    restriction are computed on first use and kept on this object, so they
+    live as long as it does.
     """
 
     @cached_property
@@ -75,14 +75,16 @@ class _S3Fields(FundamentalData):
     @cached_property
     def q(self) -> np.ndarray:
         """Closed form omega^2 e^{-2Lam} (omega_z/omega)_zbar + omega^2 (h^2+1)/4."""
-        g = self.grid
-        ratio = g.dz(self.Omega) / self.Omega
-        return (self.Omega ** 2 * np.exp(-2.0 * self.lam) * g.dzbar(ratio)
-                + self.Omega ** 2 * (self.H ** 2 + 1.0) / 4.0)
+        return _closed_form_q(self, 1.0)
 
     @cached_property
     def q_zbar(self) -> np.ndarray:
         return self.grid.dzbar(self.q)
+
+    @cached_property
+    def sign_field(self):
+        """``_field_and_scale`` of the closed-form Q."""
+        return _field_and_scale(self, self.q)
 
     @cached_property
     def coarse(self) -> "_S3Fields":
@@ -96,6 +98,15 @@ class _S3Fields(FundamentalData):
         return _S3Fields(self.model, coarse_grid, self.lam[::2, ::2],
                          self.n[::2, ::2], self.H[::2, ::2],
                          self.Omega[::2, ::2])
+
+
+def _closed_form_q(data: FundamentalData, curvature: float) -> np.ndarray:
+    """Omega^2 e^{-2lam} (Omega_z/Omega)_zbar + Omega^2 (H^2 + curvature)/4,
+    the ambient sectional curvature being 1 on S^3 and 0 on R^3."""
+    g = data.grid
+    ratio = g.dz(data.Omega) / data.Omega
+    return (data.Omega ** 2 * np.exp(-2.0 * data.lam) * g.dzbar(ratio)
+            + data.Omega ** 2 * ((data.H ** 2 + curvature) / 4.0))
 
 
 def _s3_fields(data: FundamentalData) -> _S3Fields:
@@ -141,17 +152,7 @@ def bryant_q_r3(data: FundamentalData) -> np.ndarray:
     + Omega^2 H^2 / 4."""
     if data.model != "r3":
         raise ValueError("bryant_q_r3 expects R^3 data")
-    g = data.grid
-    ratio = g.dz(data.Omega) / data.Omega
-    return (
-        data.Omega ** 2 * np.exp(-2.0 * data.lam) * g.dzbar(ratio)
-        + data.Omega ** 2 * data.H ** 2 / 4.0
-    )
-
-
-def holomorphy_residual(q: np.ndarray, grid) -> float:
-    """Interior max of |Q_zbar|."""
-    return interior_max(grid.dzbar(q))
+    return _closed_form_q(data, 0.0)
 
 
 def holomorphy_identity_residual(data: FundamentalData, q: np.ndarray) -> float:
@@ -199,8 +200,8 @@ def estimate_classification_noise(data: FundamentalData) -> dict:
     """
     fine = _s3_fields(data)
     coarse = fine.coarse
-    fld_fine, _ = _field_and_scale(fine, fine.q)
-    fld_coarse, _ = _field_and_scale(coarse, coarse.q)
+    fld_fine, _ = fine.sign_field
+    fld_coarse, _ = coarse.sign_field
 
     diff = fld_coarse - fld_fine[::2, ::2]
     return {
@@ -223,7 +224,10 @@ def classification_value(data: FundamentalData, q: np.ndarray,
     """
     if data.model != "s3":
         raise ValueError("needs S^3 data")
-    fieldc, scale = _field_and_scale(_s3_fields(data), q)
+    fields = _s3_fields(data)
+    # reuse the kept field when q is the closed form already taken on data
+    fieldc, scale = (fields.sign_field if q is fields.__dict__.get("q")
+                     else _field_and_scale(fields, q))
     # the field carries two stencil passes, whose edge effects reach 4
     # nodes deep; the sign statistic uses that wider band
     band = 4
@@ -255,16 +259,22 @@ class HyperplaneFit:
 
 
 def hyperplane_fit(samples: np.ndarray, type_tol: float = NORMAL_TYPE_TOL) -> HyperplaneFit:
-    """Fit the best affine hyperplane through congruence samples.
+    """Fit the best affine hyperplane through congruence samples (..., 5).
 
     Smallest eigenvector of the 6x6 second-moment matrix of the stacked
     vectors (eps Y, -1); v is reported with unit euclidean norm.
     """
-    samples = np.asarray(samples, dtype=float).reshape(-1, 5)
-    if samples.shape[0] < 100:
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 500:
         raise ValueError("need at least 100 samples")
-    z = np.concatenate([samples @ EPSILON, -np.ones((samples.shape[0], 1))], axis=1)
-    moment = (z.T @ z) / samples.shape[0]
+    # z = (Y, -1) is the only copy of the samples; the sign of eps goes
+    # onto the moments, which it flips exactly
+    z = np.empty(samples.shape[:-1] + (6,))
+    z[..., :5] = samples
+    z[..., 5] = -1.0
+    z = z.reshape(-1, 6)
+    flip = np.append(np.diag(EPSILON), 1.0)
+    moment = (z.T @ z) * np.outer(flip, flip) / z.shape[0]
     evals, evecs = np.linalg.eigh(moment)
     if evals[1] <= 1e-10 * max(evals[-1], 1e-30):
         raise ValueError("degenerate congruence")
@@ -282,7 +292,7 @@ def hyperplane_fit(samples: np.ndarray, type_tol: float = NORMAL_TYPE_TOL) -> Hy
     lead = next(k for k, m in enumerate(mag) if m >= cut)
     if v[lead] < 0:
         v, eta = -v, -eta
-    rms = float(np.sqrt(np.mean(((samples @ (EPSILON @ v)) - eta) ** 2)))
+    rms = float(np.sqrt(np.mean((z @ np.append(EPSILON @ v, eta)) ** 2)))
     return HyperplaneFit(v, eta, rms, classify_vector(v, type_tol),
                          abs(eta) <= LINEAR_ETA_TOL)
 
@@ -349,8 +359,7 @@ def classify_data(data: FundamentalData, surface: str = "custom",
                                             noise_floor=10.0 * noise["field"])
     diag["noise_estimate"] = noise
     willmore_res = interior_max(harmonicity_residual(cong))
-    inner_y = cong.Y[2:-2, 2:-2].reshape(-1, 5)
-    plane = hyperplane_fit(inner_y)
+    plane = hyperplane_fit(cong.Y[2:-2, 2:-2])
 
     diag["field_interior_max"] = interior_max(fld)
     # gate on the band-4 residual to stay commensurate with the noise

@@ -179,10 +179,7 @@ def cmd_transform(args) -> int:
     y_err = float(np.max(np.abs(cong_moved.Y - cong_base.Y @ m.T)))
     mu_base = conserved_matrix(cong_base)
     mu_moved = conserved_matrix(cong_moved)
-    mu_err = max(
-        interior_max(mu_moved[k] - np.einsum("ab,...bc,dc->...ad", m, mu_base[k], m))
-        for k in range(2)
-    )
+    mu_err = max(interior_max(mu_moved[k] - m @ mu_base[k] @ m.T) for k in range(2))
     payload = {
         "surface": spec.name,
         "word": args.word,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .grid import ChartGrid, FundamentalData, interior_max
 from .jets import push_word
-from .lorentz import lorentz_product
-from .models import lift_h3, lift_r3, lift_s3, oriented_r3_data, representation
+from .lorentz import dot, lorentz_product
+from .models import LIFTS, lift_s3, oriented_r3_data, representation
 
 __all__ = [
     "CongruenceGrid",
@@ -73,20 +73,11 @@ class CongruenceGrid:
         return float(np.max(np.abs(lorentz_product(self.Y, self.Y) - 1.0)))
 
 
-def _lift_field(data: FundamentalData) -> np.ndarray:
-    pos = data.grid.pos
-    if data.model == "r3":
-        return lift_r3(pos)
-    if data.model == "s3":
-        return lift_s3(pos)
-    return lift_h3(pos)
-
-
 def _normal_lift(data: FundamentalData) -> np.ndarray:
     """The (n, <n,phi>, <n,phi>)-style completion of the lift, per model."""
     n = data.n
     if data.model == "r3":
-        ndotphi = (n * data.grid.pos).sum(axis=-1)[..., None]
+        ndotphi = dot(n, data.grid.pos)[..., None]
         return np.concatenate([n, ndotphi, ndotphi], axis=-1)
     if data.model == "s3":
         zeros = np.zeros(n.shape[:-1] + (1,))
@@ -97,7 +88,7 @@ def _normal_lift(data: FundamentalData) -> np.ndarray:
 
 def conformal_gauss_map(data: FundamentalData) -> CongruenceGrid:
     """Conformal Gauss map of the immersion, in the data's representation."""
-    y = data.H[..., None] * _lift_field(data) + _normal_lift(data)
+    y = data.H[..., None] * LIFTS[data.model](data.grid.pos) + _normal_lift(data)
     return CongruenceGrid(data.grid, y)
 
 
@@ -176,7 +167,7 @@ def dual_branch_mask(data: FundamentalData, xstar: np.ndarray,
     """
     g = data.grid
     xstar_z = g.dz(xstar)
-    speed2 = (xstar_z * np.conj(xstar_z)).real.sum(axis=-1)
+    speed2 = dot(xstar_z, np.conj(xstar_z)).real
     return speed2 <= rel_tol * float(np.max(speed2))
 
 

@@ -1,19 +1,22 @@
 """Discrete calculus on conformal chart grids.
 
 Wirtinger derivatives of sampled fields by 4th-order stencils, extraction
-of the fundamental data (lam, n, H, Omega) from analytic 2-jets, and the
-structure-equation residuals.  Order <= 2 jets are always analytic; every
-higher derivative is a stencil derivative of a per-node field, never a
-difference of positions.
+of the fundamental data (lam, n, H, Omega) from analytic 2-jets in real
+arithmetic (the first fundamental form E, F, G and the normal parts of the
+second derivatives), and the structure-equation residuals.  Order <= 2
+jets are always analytic; every higher derivative is a stencil derivative
+of a per-node field, never a difference of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .jets import Jet2
+from .lorentz import dot
 
 __all__ = [
     "ChartGrid",
@@ -84,8 +87,8 @@ def _axis_derivative(f, h: float, n: int, axis: int) -> np.ndarray:
 def _ambient_dot(model: str, a, b):
     """Ambient product of the model space; bilinear, broadcasts."""
     if model == "h3":
-        return (a[..., :3] * b[..., :3]).sum(axis=-1) - a[..., 3] * b[..., 3]
-    return (a * b).sum(axis=-1)
+        return dot(a[..., :3], b[..., :3]) - a[..., 3] * b[..., 3]
+    return dot(a, b)
 
 
 def _cross4(a, b, c):
@@ -104,13 +107,6 @@ def _cross4(a, b, c):
         )
         # cofactor of entry (i, 3) in the matrix with columns [a, b, c, t]
         w[..., i] = ((-1) ** (i + 3)) * det3
-    return w
-
-
-def _cross4_lorentz(a, b, c):
-    """Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det[a,b,c,t]."""
-    w = _cross4(a, b, c)
-    w[..., 3] = -w[..., 3]
     return w
 
 
@@ -149,17 +145,25 @@ class ChartGrid:
                 raise ValueError(f"jet has non-finite values in {name}")
         self.hu = float(self.u[1] - self.u[0])
         self.hv = float(self.v[1] - self.v[0])
-        pz, pzb = self.pos_z, self.pos_zb
-        dot_zz = self._dot(pz, pz)
-        dot_zzb = self._dot(pz, pzb).real
-        if np.any(dot_zzb <= self.imm_eps):
+        # first fundamental form: <p_z, p_zbar> = (E + G) / 4 and
+        # |<p_z, p_z>| = hypot(E - G, 2F) / 4
+        du, dv = self.jet.du, self.jet.dv
+        e, f, g = self._dot(du, du), self._dot(du, dv), self._dot(dv, dv)
+        trace = e + g
+        if np.any(trace <= 4.0 * self.imm_eps):
             raise ValueError("degenerate jet: immersion condition fails")
-        if np.any(np.abs(dot_zz) > self.conf_tol * dot_zzb):
+        if np.any(np.hypot(e - g, 2.0 * f) > self.conf_tol * trace):
             raise ValueError("chart is not conformal within tolerance")
 
-    # -- complex jets -------------------------------------------------
+    # -- chart data -----------------------------------------------------
     def _dot(self, a, b):
         return _ambient_dot(self.model, a, b)
+
+    @property
+    def metric_trace(self):
+        """E + G = 2 e^{2 lam}, from the 1-jets (recomputed, not kept)."""
+        du, dv = self.jet.du, self.jet.dv
+        return self._dot(du, du) + self._dot(dv, dv)
 
     @property
     def shape(self):
@@ -169,6 +173,7 @@ class ChartGrid:
     def pos(self):
         return self.jet.pos
 
+    # -- complex jets, for the structure equations ----------------------
     @property
     def pos_z(self):
         return (self.jet.du - 1j * self.jet.dv) / 2.0
@@ -194,12 +199,10 @@ class ChartGrid:
 
     def dz(self, f):
         """Discrete d/dz = (d/du - i d/dv)/2 of a sampled field."""
-        f = np.asarray(f)
         return (self.d_u(f) - 1j * self.d_v(f)) / 2.0
 
     def dzbar(self, f):
         """Discrete d/dzbar = (d/du + i d/dv)/2 of a sampled field."""
-        f = np.asarray(f)
         return (self.d_u(f) + 1j * self.d_v(f)) / 2.0
 
     def dz_dzbar(self, f):
@@ -213,10 +216,10 @@ def interior_max(f, band: int = 2) -> float:
 
     Vector fields are reduced by the euclidean norm of the components.
     """
-    f = np.asarray(f)
+    f = np.asarray(f)[band:-band, band:-band]
     if f.ndim > 2:
         f = np.sqrt((np.abs(f) ** 2).sum(axis=tuple(range(2, f.ndim))))
-    return float(np.max(np.abs(f[band:-band, band:-band])))
+    return float(np.max(np.abs(f)))
 
 
 @dataclass
@@ -241,7 +244,7 @@ class FundamentalData:
     def has_umbilic(self, band: int = 2) -> bool:
         return bool(np.any(self.umbilic_mask[band:-band, band:-band]))
 
-    @property
+    @cached_property
     def orientation(self) -> int:
         """+1 when n is the chart's own normal (``chart_normal``), else -1."""
         dots = self.grid._dot(self.n, chart_normal(self.grid))
@@ -262,12 +265,12 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
     """
     du, dv = grid.jet.du, grid.jet.dv
     if grid.model == "r3":
-        speed2 = (du * du).sum(axis=-1) + (dv * dv).sum(axis=-1)
-        return np.cross(du, dv) * (2.0 / speed2)[..., None]
+        return np.cross(du, dv) * (2.0 / grid.metric_trace)[..., None]
     if grid.model == "s3":
         w = _cross4(grid.pos, du, dv)
-        return w / np.sqrt((w * w).sum(axis=-1))[..., None]
-    w = _cross4_lorentz(grid.pos, du, dv)
+        return w / np.sqrt(dot(w, w))[..., None]
+    w = _cross4(grid.pos, du, dv)
+    w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
     norm2 = _ambient_dot("h3", w, w)
     if np.any(norm2 <= 0.0):
         raise ValueError("degenerate jet: normal is not spacelike")
@@ -275,14 +278,18 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
 
 
 def fundamental_data(grid: ChartGrid) -> FundamentalData:
-    """Extract (lam, n, H, Omega) from the analytic 2-jets of a grid."""
-    pz, pzb = grid.pos_z, grid.pos_zb
-    pzz, pzzb = grid.pos_zz, grid.pos_zzb
-    dot_zzb = grid._dot(pz, pzb).real  # = e^{2 lam} / 2
-    lam = 0.5 * np.log(2.0 * dot_zzb)
+    """Extract (lam, n, H, Omega) from the analytic 2-jets of a grid.
+
+    Real arithmetic throughout: e^{2 lam} = (E + G) / 2,
+    H = <p_uu + p_vv, n> / (E + G) and
+    Omega = <p_uu - p_vv, n> / 2 - i <p_uv, n>, which are 2 <p_zz, n> and
+    <p_zzbar, n> / <p_z, p_zbar> of the complex jets.
+    """
+    jet, trace = grid.jet, grid.metric_trace
+    lam = 0.5 * np.log(0.5 * trace)
     n = chart_normal(grid)
-    h_field = grid._dot(pzzb, n.astype(complex)).real / dot_zzb
-    omega = 2.0 * grid._dot(pzz, n.astype(complex))
+    h_field = grid._dot(jet.duu + jet.dvv, n) / trace
+    omega = 0.5 * grid._dot(jet.duu - jet.dvv, n) - 1j * grid._dot(jet.duv, n)
     return FundamentalData(grid.model, grid, lam, n, h_field, omega)
 
 

@@ -19,7 +19,9 @@ __all__ = [
     "V_T",
     "V_L",
     "INFINITY",
+    "dot",
     "lorentz_product",
+    "lift_r3",
     "classify_vector",
     "dilation_matrix",
     "rotation_matrix",
@@ -66,11 +68,20 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+def dot(a, b):
+    """Euclidean product on the last axis; broadcasts, no conjugation.
+
+    The one per-node contraction of the package: a single ``einsum`` pass
+    instead of a product array reduced over a 3-to-5-long axis.
+    """
+    return np.einsum("...i,...i->...", a, b)
+
+
 def lorentz_product(u, v):
     """Bilinear (4,1) product on the last axis; broadcasts, no conjugation."""
     u = np.asarray(u)
     v = np.asarray(v)
-    return (u[..., :4] * v[..., :4]).sum(axis=-1) - u[..., 4] * v[..., 4]
+    return dot(u[..., :4], v[..., :4]) - u[..., 4] * v[..., 4]
 
 
 def classify_vector(v, tol: float = 1e-9) -> str:
@@ -155,12 +166,15 @@ def is_so41(m, tol: float = 1e-12) -> bool:
     return abs(np.linalg.det(m) - 1.0) <= tol
 
 
-def _lift_r3_point(x):
-    if x is INFINITY:
+def lift_r3(phi) -> np.ndarray:
+    """Isotropic lift of R^3 points: (phi, (|phi|^2-1)/2, (|phi|^2+1)/2)."""
+    if phi is INFINITY:
         return V_L.copy()
-    x = np.asarray(x, dtype=float).reshape(3)
-    r2 = float(np.dot(x, x))
-    return np.concatenate([x, [(r2 - 1.0) / 2.0, (r2 + 1.0) / 2.0]])
+    phi = np.asarray(phi, dtype=float)
+    r2 = dot(phi, phi)
+    return np.concatenate(
+        [phi, ((r2 - 1.0) / 2.0)[..., None], ((r2 + 1.0) / 2.0)[..., None]], axis=-1
+    )
 
 
 def act_on_r3(m, x, tol: float = 1e-12, so41_tol: float = 1e-9):
@@ -172,7 +186,7 @@ def act_on_r3(m, x, tol: float = 1e-12, so41_tol: float = 1e-9):
     m = np.asarray(m, dtype=float)
     if not is_so41(m, so41_tol):
         raise ValueError("matrix is not in SO(4,1)")
-    y = m @ _lift_r3_point(x)
+    y = m @ lift_r3(x)
     denom = y[4] - y[3]
     if abs(denom) <= tol * max(1.0, float(np.linalg.norm(y))):
         return INFINITY

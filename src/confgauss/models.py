@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jets as _jets
 from .grid import ChartGrid, FundamentalData, fundamental_data
-from .lorentz import INFINITY, V_L
+from .lorentz import INFINITY, dot, lift_r3
 
 __all__ = [
     "ModelPoint",
@@ -25,13 +25,12 @@ __all__ = [
     "hyper",
     "hyper_inv",
     "lift",
+    "LIFTS",
     "lift_r3",
     "lift_s3",
     "lift_h3",
     "transfer_r3_to_s3",
     "transfer_r3_to_h3",
-    "normal_r3_to_s3",
-    "normal_r3_to_h3",
     "oriented_r3_data",
 ]
 
@@ -112,17 +111,6 @@ def hyper_inv(x):
     return np.concatenate([2.0 * x, [r2 + 1.0]]) / (1.0 - r2)
 
 
-def lift_r3(phi) -> np.ndarray:
-    """Isotropic lift of R^3 points: (phi, (|phi|^2-1)/2, (|phi|^2+1)/2)."""
-    if phi is INFINITY:
-        return V_L.copy()
-    phi = np.asarray(phi, dtype=float)
-    r2 = (phi * phi).sum(axis=-1)
-    return np.concatenate(
-        [phi, ((r2 - 1.0) / 2.0)[..., None], ((r2 + 1.0) / 2.0)[..., None]], axis=-1
-    )
-
-
 def lift_s3(x) -> np.ndarray:
     """Isotropic lift of S^3 points: (X, 1)."""
     x = np.asarray(x, dtype=float)
@@ -137,13 +125,29 @@ def lift_h3(z) -> np.ndarray:
     )
 
 
+LIFTS = {"r3": lift_r3, "s3": lift_s3, "h3": lift_h3}
+
+
 def lift(p: ModelPoint) -> np.ndarray:
     """Isotropic lift of a tagged model point into the cone of R^{4,1}."""
-    if p.model == "r3":
-        return lift_r3(p.coords)
-    if p.model == "s3":
-        return lift_s3(np.asarray(p.coords, dtype=float))
-    return lift_h3(np.asarray(p.coords, dtype=float))
+    return LIFTS[p.model](p.coords)
+
+
+def _conformal_factor(phi, sign):
+    """1 + sign |phi|^2: sign +1 for the S^3 gauge, -1 for H^3 (in the ball)."""
+    conf = 1.0 + sign * dot(phi, phi)
+    if np.any(conf <= 0.0):
+        raise ValueError("not in ball")
+    return conf
+
+
+def _transfer(model, sign, lam, n, H, Omega, phi) -> TransferredScalars:
+    phi = np.asarray(phi, dtype=float)
+    conf = _conformal_factor(phi, sign)
+    ndotphi = dot(np.asarray(n), phi)
+    return TransferredScalars(model, np.asarray(lam) + np.log(2.0 / conf),
+                              conf / 2.0 * np.asarray(H) + sign * ndotphi,
+                              2.0 * np.asarray(Omega) / conf)
 
 
 def transfer_r3_to_s3(lam, n, H, Omega, phi) -> TransferredScalars:
@@ -153,58 +157,28 @@ def transfer_r3_to_s3(lam, n, H, Omega, phi) -> TransferredScalars:
     h = (|phi|^2+1)/2 H + <n, phi>,
     omega = 2 Omega / (1+|phi|^2).
     """
-    phi = np.asarray(phi, dtype=float)
-    r2 = (phi * phi).sum(axis=-1)
-    ndotphi = (np.asarray(n) * phi).sum(axis=-1)
-    big_lam = np.asarray(lam) + np.log(2.0 / (1.0 + r2))
-    h = (r2 + 1.0) / 2.0 * np.asarray(H) + ndotphi
-    omega = 2.0 * np.asarray(Omega) / (1.0 + r2)
-    return TransferredScalars("s3", big_lam, h, omega)
+    return _transfer("s3", 1.0, lam, n, H, Omega, phi)
 
 
 def transfer_r3_to_h3(lam, n, H, Omega, phi) -> TransferredScalars:
-    """Transfer R^3 fundamental scalars to the H^3 gauge; needs |phi| < 1."""
-    phi = np.asarray(phi, dtype=float)
-    r2 = (phi * phi).sum(axis=-1)
-    if np.any(r2 >= 1.0):
-        raise ValueError("not in ball")
-    ndotphi = (np.asarray(n) * phi).sum(axis=-1)
-    lam_z = np.asarray(lam) + np.log(2.0 / (1.0 - r2))
-    h_z = (1.0 - r2) / 2.0 * np.asarray(H) - ndotphi
-    omega_z = 2.0 * np.asarray(Omega) / (1.0 - r2)
-    return TransferredScalars("h3", lam_z, h_z, omega_z)
+    """Transfer R^3 fundamental scalars to the H^3 gauge; needs |phi| < 1.
 
-
-def normal_r3_to_s3(n, phi) -> np.ndarray:
-    """Gauss map of the S^3 representation induced by the R^3 one.
-
-    N = (n, 0) - 2 <n, phi> / (1+|phi|^2) * (phi, -1).
+    The S^3 formulas with |phi|^2 -> -|phi|^2 and <n, phi> -> -<n, phi>.
     """
+    return _transfer("h3", -1.0, lam, n, H, Omega, phi)
+
+
+def _normal_from_r3(n, phi, sign) -> np.ndarray:
+    """Gauss map of the S^3 (sign +1) or H^3 (sign -1) representation
+    induced by the R^3 one: (n, 0) - 2 sign <n, phi> / (1 + sign |phi|^2)
+    * (phi, -sign)."""
     phi = np.asarray(phi, dtype=float)
     n = np.asarray(n, dtype=float)
-    r2 = (phi * phi).sum(axis=-1)[..., None]
-    ndotphi = (n * phi).sum(axis=-1)[..., None]
-    zeros = np.zeros(phi.shape[:-1] + (1,))
-    n4 = np.concatenate([n, zeros], axis=-1)
-    phi4 = np.concatenate([phi, -np.ones_like(zeros)], axis=-1)
-    return n4 - 2.0 * ndotphi / (1.0 + r2) * phi4
-
-
-def normal_r3_to_h3(n, phi) -> np.ndarray:
-    """Gauss map of the H^3 representation induced by the R^3 one.
-
-    n^Z = (n, 0) + 2 <n, phi> / (1-|phi|^2) * (phi, 1).
-    """
-    phi = np.asarray(phi, dtype=float)
-    n = np.asarray(n, dtype=float)
-    r2 = (phi * phi).sum(axis=-1)[..., None]
-    if np.any(r2 >= 1.0):
-        raise ValueError("not in ball")
-    ndotphi = (n * phi).sum(axis=-1)[..., None]
-    zeros = np.zeros(phi.shape[:-1] + (1,))
-    n4 = np.concatenate([n, zeros], axis=-1)
-    phi4 = np.concatenate([phi, np.ones_like(zeros)], axis=-1)
-    return n4 + 2.0 * ndotphi / (1.0 - r2) * phi4
+    conf = _conformal_factor(phi, sign)[..., None]
+    last = np.full(phi.shape[:-1] + (1,), -sign)
+    n4 = np.concatenate([n, np.zeros_like(last)], axis=-1)
+    phi4 = np.concatenate([phi, last], axis=-1)
+    return n4 - sign * 2.0 * dot(n, phi)[..., None] / conf * phi4
 
 
 # Sign of the R^3 chart normal of a projected chart against the normal the
@@ -239,18 +213,12 @@ def representation(data, target: str):
         return data
     g = data.grid
     if data.model == "r3":
-        if target == "s3":
-            jet = _jets.push_stereo_inv(g.jet)
-            new_grid = ChartGrid("s3", g.u, g.v, jet, conf_tol=g.conf_tol)
-            scal = transfer_r3_to_s3(data.lam, data.n, data.H, data.Omega, g.pos)
-            nrm = normal_r3_to_s3(data.n, g.pos)
-            return FundamentalData("s3", new_grid, scal.lam, nrm, scal.H, scal.Omega)
-        if target == "h3":
-            jet = _jets.push_hyper_inv(g.jet)
-            new_grid = ChartGrid("h3", g.u, g.v, jet, conf_tol=g.conf_tol)
-            scal = transfer_r3_to_h3(data.lam, data.n, data.H, data.Omega, g.pos)
-            nrm = normal_r3_to_h3(data.n, g.pos)
-            return FundamentalData("h3", new_grid, scal.lam, nrm, scal.H, scal.Omega)
+        push, sign = {"s3": (_jets.push_stereo_inv, 1.0),
+                      "h3": (_jets.push_hyper_inv, -1.0)}[target]
+        new_grid = ChartGrid(target, g.u, g.v, push(g.jet), conf_tol=g.conf_tol)
+        scal = _transfer(target, sign, data.lam, data.n, data.H, data.Omega, g.pos)
+        return FundamentalData(target, new_grid, scal.lam,
+                               _normal_from_r3(data.n, g.pos, sign), scal.H, scal.Omega)
     if target == "r3":
         jet = _jets.push_stereo(g.jet) if data.model == "s3" else _jets.push_hyper(g.jet)
         return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol), data)

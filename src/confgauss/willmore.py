@@ -1,6 +1,6 @@
 """Willmore operator, minimality of the congruence, and conservation laws.
 
-The Willmore operator in the R^3 and S^3 gauges, the harmonic-map residual
+The Willmore scalar in the data's own gauge, the harmonic-map residual
 of Y, the conserved currents attached to translations, dilations, rotations
 and inversions, their block extraction from the antisymmetric matrix
 mu = grad(Y) Y^T - Y grad(Y)^T, and the inversion exchange law.
@@ -15,14 +15,11 @@ import numpy as np
 from .congruence import CongruenceGrid, conformal_gauss_map
 from .grid import FundamentalData, fundamental_data, interior_max, ChartGrid
 from .jets import push_word
-from .lorentz import Generator, inversion_matrix, lorentz_product
-from .models import representation
+from .lorentz import Generator, dot, inversion_matrix, lorentz_product
 
 __all__ = [
-    "WillmoreFields",
     "ConservedSet",
     "willmore_scalar",
-    "willmore_operator",
     "harmonicity_residual",
     "conserved_matrix",
     "direct_currents",
@@ -32,14 +29,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class WillmoreFields:
-    """Willmore operator values in the native gauge and the S^3 gauge."""
-
-    w: np.ndarray
-    w_s3: np.ndarray
-
-
 def willmore_scalar(data: FundamentalData) -> np.ndarray:
     """W = H_zzbar + (|Omega|^2 e^{-2lam} / 2) H in the data's own gauge."""
     g = data.grid
@@ -47,19 +36,10 @@ def willmore_scalar(data: FundamentalData) -> np.ndarray:
     return h_zzb + 0.5 * np.abs(data.Omega) ** 2 * np.exp(-2.0 * data.lam) * data.H
 
 
-def willmore_operator(data: FundamentalData) -> WillmoreFields:
-    """Willmore operator in the native gauge and transferred to S^3."""
-    w = willmore_scalar(data)
-    if data.model == "s3":
-        return WillmoreFields(w, w)
-    w_s3 = willmore_scalar(representation(data, "s3"))
-    return WillmoreFields(w, w_s3)
-
-
 def harmonicity_residual(cong: CongruenceGrid) -> np.ndarray:
     """Per-node euclidean norm of Delta Y + <grad Y . grad Y> Y."""
     res = 4.0 * (cong.Yzzb + lorentz_product(cong.Yz, cong.Yzb)[..., None] * cong.Y)
-    return np.sqrt((np.abs(res) ** 2).sum(axis=-1))
+    return np.sqrt(dot(res.real, res.real) + dot(res.imag, res.imag))
 
 
 def conserved_matrix(cong: CongruenceGrid):
@@ -109,11 +89,11 @@ def direct_currents(data: FundamentalData) -> ConservedSet:
     )
     grad_h = np.stack([h_x, h_y])
     v_tra = -2.0 * (grad_h[..., None] * n + data.H[..., None] * a_grad)
-    v_dil = (v_tra * phi).sum(axis=-1)
+    v_dil = dot(v_tra, phi)
     perp_grad_phi = np.stack([-phi_y, phi_x])
     v_rot = np.cross(phi, v_tra) + 2.0 * data.H[..., None] * perp_grad_phi
     v_rot_tilde = np.cross(phi, v_tra) + 2.0 * np.cross(a_grad, n)
-    r2 = (phi * phi).sum(axis=-1)
+    r2 = dot(phi, phi)
     v_inv = (
         r2[..., None] * v_tra
         - 2.0 * v_dil[..., None] * phi

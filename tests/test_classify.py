@@ -53,16 +53,16 @@ def test_bryant_q_r3_route():
 def test_holomorphy_residuals():
     data, cong = _s3_setup("torus_revolution", R=np.sqrt(2.0), r=1.0)
     q = CL.bryant_q(data, cong).q
-    assert CL.holomorphy_residual(q, data.grid) <= 1e-4
+    assert G.interior_max(data.grid.dzbar(q)) <= 1e-4
     data, cong = _s3_setup("cylinder")
     q = CL.bryant_q(data, cong).q
     # Q is constant; the band-2 figure carries the stencil-switch rows,
     # the clean interior sits at the 1e-8 level
-    assert CL.holomorphy_residual(q, data.grid) <= 5e-6
+    assert G.interior_max(data.grid.dzbar(q)) <= 5e-6
     assert G.interior_max(data.grid.dzbar(q), band=6) <= 1e-8
     data, cong = _s3_setup("revolution_profile")
     q = CL.bryant_q(data, cong).q
-    assert CL.holomorphy_residual(q, data.grid) >= 1e-2
+    assert G.interior_max(data.grid.dzbar(q)) >= 1e-2
 
 
 def test_holomorphy_identity():
@@ -216,3 +216,16 @@ def test_classify_takes_each_derivative_once(monkeypatch):
     CL.classify_data(data_for("cylinder", n=33), "cylinder")
     assert len(passes) <= 24
     assert len(set(passes)) == len(passes)
+
+
+def test_classify_builds_each_sign_field_once(monkeypatch):
+    shapes = []
+    field_and_scale = CL._field_and_scale
+
+    def counted(fields, q):
+        shapes.append(fields.grid.shape)
+        return field_and_scale(fields, q)
+
+    monkeypatch.setattr(CL, "_field_and_scale", counted)
+    CL.classify_data(data_for("torus_revolution", n=33, R=3.0, r=1.0), "torus")
+    assert sorted(shapes) == [(17, 17), (33, 33)]

@@ -3,7 +3,8 @@ import pytest
 
 from confgauss import grid as G
 from confgauss.jets import Jet2
-from confgauss.zoo import make_surface, sample
+from confgauss.models import representation
+from confgauss.zoo import CATALOG, make_surface, sample
 from conftest import data_for, savetxt_reference
 
 
@@ -286,3 +287,60 @@ def test_dz_dzbar_commute_exactly():
     f = rng.normal(size=(33, 33)) + 1j * rng.normal(size=(33, 33))
     comm = g.dz(g.dzbar(f)) - g.dzbar(g.dz(f))
     assert np.max(np.abs(comm)) <= 1e-12 * np.max(np.abs(f))
+
+
+# representations whose chart lies in the Poincare ball at the catalog domain
+_IN_BALL = ("enneper", "inverted_catenoid", "hyperbolic_cylinder")
+
+
+def _oracle_grids():
+    """Every catalog chart at N = 33, in its own model and re-expressed."""
+    for name in CATALOG:
+        data = data_for(name, n=33)
+        targets = ("r3", "s3") + (("h3",) if name in _IN_BALL else ())
+        for target in targets:
+            yield f"{name}/{target}", representation(data, target).grid
+
+
+def test_real_chart_data_matches_complex_jets():
+    """fundamental_data and the conformality check equal the complex-jet
+    formulas 2 <p_z, p_zbar> = e^{2 lam}, H = <p_zzbar, n> / <p_z, p_zbar>,
+    Omega = 2 <p_zz, n>."""
+    for label, g in _oracle_grids():
+        data = G.fundamental_data(g)
+        pz, pzb = g.pos_z, g.pos_zb
+        dot_zzb = g._dot(pz, pzb).real
+        n = data.n.astype(complex)
+        h_ref = g._dot(g.pos_zzb.astype(complex), n).real / dot_zzb
+        omega_ref = 2.0 * g._dot(g.pos_zz, n)
+        for got, ref in ((np.exp(2.0 * data.lam), 2.0 * dot_zzb),
+                         (data.H, h_ref), (data.Omega, omega_ref)):
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), label
+        # the immersion and conformality checks: (E + G) / 4 = <p_z, p_zbar>
+        # and hypot(E - G, 2F) / 4 = |<p_z, p_z>|
+        e, f, gg = (g._dot(a, b) for a, b in ((g.jet.du, g.jet.du),
+                                               (g.jet.du, g.jet.dv),
+                                               (g.jet.dv, g.jet.dv)))
+        assert np.all(np.abs(g.metric_trace / 4.0 - dot_zzb) <= 1e-13 * dot_zzb), label
+        defect = np.hypot(e - gg, 2.0 * f) / 4.0
+        assert np.all(np.abs(defect - np.abs(g._dot(pz, pz))) <= 1e-13 * dot_zzb), label
+
+
+@pytest.mark.parametrize("ratio, conformal", [(0.5, True), (1.5, False)])
+@pytest.mark.parametrize("shear", [False, True])
+def test_conformality_check_threshold(ratio, conformal, shear):
+    """A plane chart stretched (E != G) or sheared (F != 0) along v to
+    |<p_z,p_z>| / <p_z,p_zbar> of about ratio * conf_tol."""
+    u = np.linspace(-1.0, 1.0, 17)
+    jet = _plane_jet(u, u)
+    tol = 1e-8
+    s = ratio * tol
+    jet.dv = jet.dv + s * jet.du if shear else jet.dv * (1.0 + s)
+    pz = (jet.du - 1j * jet.dv) / 2.0
+    defect = np.max(np.abs((pz * pz).sum(-1)) / (pz * np.conj(pz)).sum(-1).real)
+    assert (defect <= tol) == conformal
+    if conformal:
+        G.ChartGrid("r3", u, u, jet, conf_tol=tol)
+    else:
+        with pytest.raises(ValueError, match="not conformal"):
+            G.ChartGrid("r3", u, u, jet, conf_tol=tol)

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from confgauss import jets as J
-from confgauss.lorentz import Generator, axis_angle_matrix
+from confgauss.lorentz import Generator, axis_angle_matrix, generator_matrix, random_word
 from confgauss.models import hyper_inv, stereo_inv
 
 
@@ -87,8 +89,6 @@ def test_push_word_composes():
 def test_push_inversion_guards_origin():
     zero = np.zeros((3, 3, 3))
     jet = J.Jet2(zero, zero, zero, zero, zero, zero)
-    import pytest
-
     with pytest.raises(ValueError, match="inversion center"):
         J.push_word(jet, [Generator("inv")])
 
@@ -111,3 +111,52 @@ def test_hyper_round_trip_on_jets():
     for a, b in zip((jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv),
                     (back.pos, back.du, back.dv, back.duu, back.duv, back.dvv)):
         assert np.max(np.abs(a - b)) <= 1e-11
+
+
+_JET_PARTS = ("pos", "du", "dv", "duu", "duv", "dvv")
+
+
+def _grid_jet():
+    u = np.linspace(-0.3, 0.3, 9)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    return _quadratic_jet(uu, vv)
+
+
+def test_push_word_calls_the_exact_pass_once_per_inversion(monkeypatch):
+    calls = []
+    exact = J._push
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(J, "_push", counting)
+    word = [Generator("dil", (0.4,)), Generator("tra", (1.0, 0.0, 0.0)),
+            Generator("inv"), Generator("rot", (0.0, 0.0, 1.0, 0.5)),
+            Generator("tra", (0.0, 2.0, 0.0)), Generator("inv"), Generator("inv"),
+            Generator("dil", (-0.2,))]
+    J.push_word(_grid_jet(), word)
+    assert len(calls) == 3
+    assert all(np.array_equal(m, generator_matrix(Generator("inv"))) for m in calls)
+    calls.clear()
+    J.push_word(_grid_jet(), [g for g in word if g.kind != "inv"])
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_push_word_matches_generator_by_generator(seed):
+    """The fused push equals the one-generator-at-a-time exact push."""
+    word = random_word(np.random.default_rng(seed), allow_inversion=True)
+    ref = _grid_jet()
+    for gen in word:
+        if gen.kind == "inv":
+            # the inversion centre stays off the surface
+            r = np.linalg.norm(ref.pos, axis=-1)
+            assume(r.min() >= 0.1 * max(1.0, r.max()))
+        ref = J._push(ref, "r3", "r3", generator_matrix(gen))
+    out = J.push_word(_grid_jet(), word)
+    for name in _JET_PARTS:
+        a, b = getattr(out, name), getattr(ref, name)
+        scale = np.maximum(1.0, np.linalg.norm(b, axis=-1))
+        assert np.all(np.linalg.norm(a - b, axis=-1) <= 1e-13 * scale), name

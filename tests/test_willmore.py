@@ -7,6 +7,7 @@ from confgauss import willmore as W
 from confgauss.grid import ChartGrid, fundamental_data
 from confgauss.jets import push_word
 from confgauss.lorentz import Generator, inversion_matrix, random_word, word_matrix
+from confgauss.models import representation
 from confgauss.zoo import make_surface, sample
 from conftest import data_for
 
@@ -30,9 +31,10 @@ def test_willmore_operator_real():
 def test_gauge_identity():
     for name in ("cylinder", "catenoid", "inverted_catenoid"):
         data = data_for(name, n=128)
-        wf = W.willmore_operator(data)
+        w = W.willmore_scalar(data)
+        w_s3 = W.willmore_scalar(representation(data, "s3"))
         r2 = (data.grid.pos ** 2).sum(axis=-1)
-        assert G.interior_max(wf.w_s3 - (r2 + 1.0) / 2.0 * wf.w) <= 1e-6, name
+        assert G.interior_max(w_s3 - (r2 + 1.0) / 2.0 * w) <= 1e-6, name
 
 
 def test_harmonicity_separation():
