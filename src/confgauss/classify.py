@@ -45,9 +45,8 @@ NORMAL_TYPE_TOL = 1e-6
 # the 2h restriction (every other node) must itself be a valid grid
 MIN_CLASSIFY_GRID = 2 * MIN_GRID - 1
 
-_SPACE_BY_KAPPA = {0: "R^3", -1: "S^3", 1: "H^3"}
+_SPACE_BY_KAPPA = {0: "ℝ³", -1: "S³", 1: "ℍ³"}
 _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
-_PRETTY_SPACE = {"R^3": "ℝ³", "S^3": "S³", "H^3": "ℍ³"}
 
 
 @dataclass
@@ -337,6 +336,9 @@ def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None,
                   holomorphy_tol: float = HOLOMORPHY_TOL) -> ClassificationReport:
     """Classification pipeline on prepared fundamental data (any model)."""
+    if not (np.isfinite(holomorphy_tol) and holomorphy_tol > 0.0):
+        raise ValueError(f"holomorphy tolerance must be finite and positive,"
+                         f" got {holomorphy_tol!r}")
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
@@ -379,7 +381,7 @@ def classify_data(data: FundamentalData, surface: str = "custom",
             verdict = "inconsistent"
             diag["expected_normal_type"] = expected_type
         else:
-            space = _PRETTY_SPACE[_SPACE_BY_KAPPA[kappa]]
+            space = _SPACE_BY_KAPPA[kappa]
             if willmore_res <= WILLMORE_RESIDUAL_TOL:
                 verdict = f"conformally minimal in {space}"
             else:

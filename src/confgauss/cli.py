@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .classify import classify_data
+from .classify import HOLOMORPHY_TOL, classify_data
 from .congruence import conformal_gauss_map, isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data, interior_max
 from .lorentz import parse_word, word_matrix
@@ -80,12 +80,8 @@ def _sanitize(obj):
 
 
 def _collect_params(args) -> dict:
-    params = {}
-    for flag in _PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[flag] = val
-    return params
+    return {flag: getattr(args, flag) for flag in _PARAM_FLAGS
+            if getattr(args, flag, None) is not None}
 
 
 def _parse_domain(text):
@@ -165,9 +161,7 @@ def cmd_transform(args) -> int:
     domain = _parse_domain(args.domain) if args.domain else None
     word = parse_word(args.word)
     grid = sample(spec, args.grid, domain=domain)
-    data = fundamental_data(grid)
-    if data.model != "r3":
-        data = representation(data, "r3")
+    data = representation(fundamental_data(grid), "r3")
     base = classify_data(data, surface=spec.name, params=spec.params,
                          holomorphy_tol=args.tol_holomorphy)
     moved = transform_immersion(data, word)
@@ -251,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help=f"surface parameter {flag}")
             p.add_argument("--domain", default=None,
                            help="chart override u0,u1,v0,v1")
-            p.add_argument("--tol-holomorphy", type=float, default=1e-3,
+            p.add_argument("--tol-holomorphy", type=float, default=HOLOMORPHY_TOL,
                            dest="tol_holomorphy",
                            help="holomorphy gate for the CMC verdict")
             p.add_argument("--out", default=None, help="directory for CSV fields")

@@ -15,8 +15,8 @@ import numpy as np
 
 from .grid import ChartGrid, FundamentalData, interior_max
 from .jets import push_word
-from .lorentz import dot, lorentz_product
-from .models import LIFTS, lift_s3, oriented_r3_data, representation
+from .lorentz import dehomogenize, dot, lift, lorentz_product
+from .models import oriented_r3_data, representation
 
 __all__ = [
     "CongruenceGrid",
@@ -73,22 +73,11 @@ class CongruenceGrid:
         return float(np.max(np.abs(lorentz_product(self.Y, self.Y) - 1.0)))
 
 
-def _normal_lift(data: FundamentalData) -> np.ndarray:
-    """The (n, <n,phi>, <n,phi>)-style completion of the lift, per model."""
-    n = data.n
-    if data.model == "r3":
-        ndotphi = dot(n, data.grid.pos)[..., None]
-        return np.concatenate([n, ndotphi, ndotphi], axis=-1)
-    if data.model == "s3":
-        zeros = np.zeros(n.shape[:-1] + (1,))
-        return np.concatenate([n, zeros], axis=-1)
-    zeros = np.zeros(n.shape[:-1] + (1,))
-    return np.concatenate([n[..., :3], zeros, n[..., 3:4]], axis=-1)
-
-
 def conformal_gauss_map(data: FundamentalData) -> CongruenceGrid:
-    """Conformal Gauss map of the immersion, in the data's representation."""
-    y = data.H[..., None] * LIFTS[data.model](data.grid.pos) + _normal_lift(data)
+    """Conformal Gauss map Y = H p(x) + dp_x(n) of the immersion, in the
+    data's representation."""
+    pos = data.grid.pos
+    y = data.H[..., None] * lift(pos, data.model) + lift(pos, data.model, tangent=data.n)
     return CongruenceGrid(data.grid, y)
 
 
@@ -190,18 +179,16 @@ def isotropic_frame(data: FundamentalData, cong: CongruenceGrid) -> IsotropicFra
     if data.model != "s3":
         raise ValueError("isotropic_frame needs S^3 data")
     _require_no_umbilic(data, "frame")
-    nu = lift_s3(data.grid.pos)
+    nu = lift(data.grid.pos, "s3")
     xstar = dual_surface_s3(data)
-    pxstar = lift_s3(xstar)
+    pxstar = lift(xstar, "s3")
     l = lorentz_product(nu, pxstar)
     nustar = -pxstar / l[..., None]
     e2big_l = cong.e2L
-    nu_c = nu.astype(complex)
-    nustar_c = nustar.astype(complex)
-    omega_nu = 2.0 * lorentz_product(cong.Yzz, nu_c)
-    omega_nustar = 2.0 * lorentz_product(cong.Yzz, nustar_c)
-    h_nu = 2.0 * lorentz_product(cong.Yzzb, nu_c).real / e2big_l
-    h_nustar = 2.0 * lorentz_product(cong.Yzzb, nustar_c).real / e2big_l
+    omega_nu = 2.0 * lorentz_product(cong.Yzz, nu)
+    omega_nustar = 2.0 * lorentz_product(cong.Yzz, nustar)
+    h_nu = 2.0 * lorentz_product(cong.Yzzb, nu).real / e2big_l
+    h_nustar = 2.0 * lorentz_product(cong.Yzzb, nustar).real / e2big_l
     return IsotropicFrame(nu, nustar, l, e2big_l, h_nu, h_nustar, omega_nu, omega_nustar)
 
 
@@ -239,4 +226,5 @@ def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray,
     h_nu0 = 2.0 * lorentz_product(cong.Yzzb, nu0.astype(complex)).real / cong.e2L
     if interior_max(h_nu0) / scale > tol:
         raise ValueError("not integrable: H_nu does not vanish")
-    return nu0[..., :4] / nu0[..., 4:5]
+    num, den = dehomogenize(nu0, "s3")
+    return num / den[..., None]

@@ -266,12 +266,10 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
     du, dv = grid.jet.du, grid.jet.dv
     if grid.model == "r3":
         return np.cross(du, dv) * (2.0 / grid.metric_trace)[..., None]
-    if grid.model == "s3":
-        w = _cross4(grid.pos, du, dv)
-        return w / np.sqrt(dot(w, w))[..., None]
     w = _cross4(grid.pos, du, dv)
-    w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
-    norm2 = _ambient_dot("h3", w, w)
+    if grid.model == "h3":
+        w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
+    norm2 = grid._dot(w, w)
     if np.any(norm2 <= 0.0):
         raise ValueError("degenerate jet: normal is not spacelike")
     return w / np.sqrt(norm2)[..., None]

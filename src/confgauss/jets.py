@@ -5,9 +5,9 @@ a planar chart (u, v) into an ambient R^d.  Every map between the model
 spaces, and every inversion acting on R^3 ∪ {∞}, is pushed by the same
 three steps:
 
-1. lift the 2-jet to the light cone of R^{4,1}; the lift is quadratic for
-   R^3, (x, (|x|^2-1)/2, (|x|^2+1)/2), and affine for S^3, (X, 1), and for
-   H^3, (Z_h, -1, Z_4), so the lifted jet is exact;
+1. lift the 2-jet to the light cone of R^{4,1} through ``lorentz.CHARTS``;
+   the lift is quadratic for R^3, (x, (|x|^2-1)/2, (|x|^2+1)/2), and affine
+   for S^3, (X, 1), and for H^3, (Z_h, -1, Z_4), so the lifted jet is exact;
 2. multiply by the generator's SO(4,1) matrix (nothing for a projection);
 3. dehomogenize once into the target model by the quotient rule, dividing
    by Y5 - Y4 for R^3, by Y5 for S^3 and by -Y4 for H^3.
@@ -25,7 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .lorentz import V_L, dot, generator_matrix
+from .lorentz import CHARTS, V_L, dot, generator_matrix
 
 __all__ = [
     "Jet2",
@@ -48,32 +48,17 @@ class Jet2:
     duv: np.ndarray
     dvv: np.ndarray
 
-    def copy(self) -> "Jet2":
-        return Jet2(*(a.copy() for a in
-                      (self.pos, self.du, self.dv, self.duu, self.duv, self.dvv)))
-
-
-_E = np.eye(5)
-
-# model -> (K, c, w): a point x lifts to K x + c (plus |x|^2/2 V_L on R^3),
-# and a cone vector Y dehomogenizes to K^T Y / <w, Y>
-_CHARTS = {
-    "r3": (_E[:, :3], (_E[4] - _E[3]) / 2.0, _E[4] - _E[3]),
-    "s3": (_E[:, :4], _E[4], _E[4]),
-    "h3": (_E[:, [0, 1, 2, 4]], -_E[3], -_E[3]),
-}
-
 
 def _rows(source: str, target: str, matrix=None):
     """``target``'s numerator rows, then its denominator row, times
-    ``matrix``; with their parts ``lin`` and ``const`` on the lift K x + c
+    ``matrix``; with their parts ``lin`` and ``const`` on the lift E_K x + c
     of a ``source`` point."""
-    k_src, c_src, _ = _CHARTS[source]
-    k_dst, _, w_dst = _CHARTS[target]
-    rows = np.vstack([k_dst.T, w_dst])
+    cols_src, c_src, _ = CHARTS[source]
+    cols_dst, _, w_dst = CHARTS[target]
+    rows = np.vstack([np.eye(5)[cols_dst], w_dst])
     if matrix is not None:
         rows = rows @ matrix
-    return rows, rows @ k_src, rows @ c_src
+    return rows, rows @ np.eye(5)[:, cols_src], rows @ c_src
 
 
 def _push(jet: Jet2, source: str, target: str, matrix=None,

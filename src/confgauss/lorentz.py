@@ -3,12 +3,17 @@
 The model space is R^5 with the Lorentzian product
 ``<u, v> = u1 v1 + u2 v2 + u3 v3 + u4 v4 - u5 v5``.  Conformal
 diffeomorphisms of R^3 (and of S^3) are represented by SO(4,1) matrices
-acting on isotropic lifts of points; the generator matrices below realise
-dilations, rotations, the inversion at the origin and translations.
+acting on isotropic lifts of points.  ``CHARTS`` is the one table of how
+R^3, S^3 and H^3 sit in the light cone: every lift and projection of a
+point, a field or a jet reads it.  ``GENERATOR_KINDS`` is the one table of
+Moebius generator kinds (dilations, rotations, the inversion at the origin
+and translations): parameter count, SO(4,1) matrix and seeded draw.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,9 @@ __all__ = [
     "INFINITY",
     "dot",
     "lorentz_product",
-    "lift_r3",
+    "CHARTS",
+    "lift",
+    "dehomogenize",
     "classify_vector",
     "dilation_matrix",
     "rotation_matrix",
@@ -32,6 +39,8 @@ __all__ = [
     "act_on_r3",
     "act_on_s3",
     "Generator",
+    "GeneratorKind",
+    "GENERATOR_KINDS",
     "generator_matrix",
     "word_matrix",
     "parse_word",
@@ -103,10 +112,7 @@ def dilation_matrix(lam: float) -> np.ndarray:
     """SO(4,1) matrix of the dilation x -> e^lam x."""
     m = np.eye(5)
     c, s = np.cosh(lam), np.sinh(lam)
-    m[3, 3] = c
-    m[3, 4] = s
-    m[4, 3] = s
-    m[4, 4] = c
+    m[3:, 3:] = [[c, s], [s, c]]
     return m
 
 
@@ -149,10 +155,7 @@ def translation_matrix(a) -> np.ndarray:
     m[:3, 4] = a
     m[3, :3] = a
     m[4, :3] = a
-    m[3, 3] = 1.0 - half
-    m[3, 4] = half
-    m[4, 3] = -half
-    m[4, 4] = 1.0 + half
+    m[3:, 3:] = [[1.0 - half, half], [-half, 1.0 + half]]
     return m
 
 
@@ -166,15 +169,49 @@ def is_so41(m, tol: float = 1e-12) -> bool:
     return abs(np.linalg.det(m) - 1.0) <= tol
 
 
-def lift_r3(phi) -> np.ndarray:
-    """Isotropic lift of R^3 points: (phi, (|phi|^2-1)/2, (|phi|^2+1)/2)."""
-    if phi is INFINITY:
+_E = np.eye(5)
+
+# model -> (K, c, w): the cone components K that hold a point's coordinates,
+# the constant c and the dehomogenizing row w.  A point x lifts to
+# Y = E_K x + c (plus |x|^2/2 V_L on R^3), and a cone vector Y projects to
+# Y_K / <w, Y>.
+CHARTS = {
+    "r3": ([0, 1, 2], (_E[4] - _E[3]) / 2.0, _E[4] - _E[3]),
+    "s3": ([0, 1, 2, 3], _E[4], _E[4]),
+    "h3": ([0, 1, 2, 4], -_E[3], -_E[3]),
+}
+
+
+def lift(x, model: str, tangent=None) -> np.ndarray:
+    """Isotropic lift p(x) of ``model`` points x (..., d) into the cone.
+
+    With ``tangent`` vectors v at x, the derivative of the lift along v
+    instead: E_K v, plus <x, v> V_L on R^3.  R^3's INFINITY lifts to V_L.
+    """
+    if x is INFINITY:
         return V_L.copy()
-    phi = np.asarray(phi, dtype=float)
-    r2 = dot(phi, phi)
-    return np.concatenate(
-        [phi, ((r2 - 1.0) / 2.0)[..., None], ((r2 + 1.0) / 2.0)[..., None]], axis=-1
-    )
+    cols, c, _ = CHARTS[model]
+    x = np.asarray(x, dtype=float)
+    v = x if tangent is None else np.asarray(tangent, dtype=float)
+    # every chart keeps its first three coordinates in place: one block write
+    y = np.empty(v.shape[:-1] + (5,))
+    y[..., :3] = v[..., :3]
+    for k, col in enumerate(cols[3:], start=3):
+        y[..., col] = v[..., k]
+    quad = 0.0
+    if model == "r3":  # the |x|^2/2 V_L term, or its derivative <x, v> V_L
+        quad = 0.5 * dot(x, x) if tangent is None else dot(x, v)
+    for k in np.flatnonzero(c):  # c is nonzero exactly off the coordinates
+        y[..., k] = c[k] + quad if tangent is None else quad
+    return y
+
+
+def dehomogenize(y, model: str):
+    """Numerator Y_K and denominator <w, Y> of cone vectors y in ``model``;
+    the caller divides, after guarding the denominator."""
+    cols, _, w = CHARTS[model]
+    y = np.asarray(y, dtype=float)
+    return y[..., cols], dot(y, w)
 
 
 def act_on_r3(m, x, tol: float = 1e-12, so41_tol: float = 1e-9):
@@ -186,11 +223,11 @@ def act_on_r3(m, x, tol: float = 1e-12, so41_tol: float = 1e-9):
     m = np.asarray(m, dtype=float)
     if not is_so41(m, so41_tol):
         raise ValueError("matrix is not in SO(4,1)")
-    y = m @ lift_r3(x)
-    denom = y[4] - y[3]
+    y = m @ lift(x, "r3")
+    num, denom = dehomogenize(y, "r3")
     if abs(denom) <= tol * max(1.0, float(np.linalg.norm(y))):
         return INFINITY
-    return y[:3] / denom
+    return num / denom
 
 
 def act_on_s3(m, x, tol: float = 1e-9):
@@ -201,8 +238,8 @@ def act_on_s3(m, x, tol: float = 1e-9):
     x = np.asarray(x, dtype=float).reshape(4)
     if abs(np.dot(x, x) - 1.0) > tol:
         raise ValueError("point is not on S^3")
-    v = m @ np.concatenate([x, [1.0]])
-    return v[:4] / v[4]
+    num, denom = dehomogenize(m @ lift(x, "s3"), "s3")
+    return num / denom
 
 
 @dataclass(frozen=True)
@@ -212,18 +249,41 @@ class Generator:
     kind: str
     param: tuple = ()
 
+    def __post_init__(self):
+        spec = GENERATOR_KINDS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if len(self.param) != spec.nparams:
+            raise ValueError(f"{self.kind} needs {spec.nparams} parameters,"
+                             f" got {len(self.param)}")
+        if not all(math.isfinite(p) for p in self.param):
+            raise ValueError(f"{self.kind} parameters must be finite, got {self.param}")
+
+
+# parameter count, SO(4,1) matrix of a parameter tuple, seeded parameter draw
+GeneratorKind = namedtuple("GeneratorKind", "nparams matrix draw")
+
+
+def _draw_rotation(rng: np.random.Generator) -> tuple:
+    axis = rng.normal(size=3)
+    axis = axis / np.linalg.norm(axis)
+    return tuple(axis) + (float(rng.uniform(-np.pi, np.pi)),)
+
+
+# random_word picks kinds by index into this order: seeded words depend on it
+GENERATOR_KINDS = {
+    "dil": GeneratorKind(1, lambda p: dilation_matrix(p[0]),
+                         lambda rng: (float(rng.uniform(-1.0, 1.0)),)),
+    "rot": GeneratorKind(4, lambda p: rotation_matrix(axis_angle_matrix(p[:3], p[3])),
+                         _draw_rotation),
+    "tra": GeneratorKind(3, translation_matrix,
+                         lambda rng: tuple(rng.uniform(-1.0, 1.0, size=3))),
+    "inv": GeneratorKind(0, lambda p: inversion_matrix(), lambda rng: ()),
+}
+
 
 def generator_matrix(gen: Generator) -> np.ndarray:
-    if gen.kind == "dil":
-        return dilation_matrix(gen.param[0])
-    if gen.kind == "rot":
-        axis, angle = gen.param[:3], gen.param[3]
-        return rotation_matrix(axis_angle_matrix(axis, angle))
-    if gen.kind == "inv":
-        return inversion_matrix()
-    if gen.kind == "tra":
-        return translation_matrix(gen.param)
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    return GENERATOR_KINDS[gen.kind].matrix(gen.param)
 
 
 def word_matrix(word) -> np.ndarray:
@@ -245,35 +305,14 @@ def parse_word(text: str) -> list:
     """
     word = []
     for token in text.split():
-        if ":" in token:
-            kind, raw = token.split(":", 1)
-            parts = raw.split(",")
-        else:
-            kind, parts = token, []
-        if kind == "dil":
-            if len(parts) != 1:
-                raise ValueError(f"dil takes one parameter, got {token!r}")
-            word.append(Generator("dil", (float(parts[0]),)))
-        elif kind == "rot":
-            if len(parts) == 2 and parts[0] in _AXIS_NAMES:
-                axis = _AXIS_NAMES[parts[0]]
-                angle = float(parts[1])
-            elif len(parts) == 4:
-                axis = tuple(float(p) for p in parts[:3])
-                angle = float(parts[3])
-            else:
-                raise ValueError(f"rot takes axis,angle, got {token!r}")
-            word.append(Generator("rot", axis + (angle,)))
-        elif kind == "inv":
-            if parts:
-                raise ValueError("inv takes no parameter")
-            word.append(Generator("inv"))
-        elif kind == "tra":
-            if len(parts) != 3:
-                raise ValueError(f"tra takes three parameters, got {token!r}")
-            word.append(Generator("tra", tuple(float(p) for p in parts)))
-        else:
-            raise ValueError(f"unknown generator {kind!r}")
+        kind, colon, raw = token.partition(":")
+        parts = raw.split(",") if colon else []
+        if len(parts) == 2 and parts[0] in _AXIS_NAMES:
+            parts = [*_AXIS_NAMES[parts[0]], parts[1]]
+        try:
+            word.append(Generator(kind, tuple(float(p) for p in parts)))
+        except ValueError as exc:
+            raise ValueError(f"bad generator {token!r}: {exc}") from None
     return word
 
 
@@ -281,18 +320,9 @@ def random_word(rng: np.random.Generator, min_len: int = 3, max_len: int = 6,
                 allow_inversion: bool = True) -> list:
     """Random generator word with benign parameters (|lam| <= 1, |a| <= 1)."""
     length = int(rng.integers(min_len, max_len + 1))
-    kinds = ["dil", "rot", "tra"] + (["inv"] if allow_inversion else [])
+    kinds = [k for k in GENERATOR_KINDS if allow_inversion or k != "inv"]
     word = []
     for _ in range(length):
         kind = kinds[int(rng.integers(0, len(kinds)))]
-        if kind == "dil":
-            word.append(Generator("dil", (float(rng.uniform(-1.0, 1.0)),)))
-        elif kind == "rot":
-            axis = rng.normal(size=3)
-            axis = axis / np.linalg.norm(axis)
-            word.append(Generator("rot", tuple(axis) + (float(rng.uniform(-np.pi, np.pi)),)))
-        elif kind == "tra":
-            word.append(Generator("tra", tuple(rng.uniform(-1.0, 1.0, size=3))))
-        else:
-            word.append(Generator("inv"))
+        word.append(Generator(kind, GENERATOR_KINDS[kind].draw(rng)))
     return word

@@ -1,10 +1,10 @@
 """The three model spaces and their couplings.
 
-Stereographic and hyperbolic projections between R^3, S^3 and H^3, the
-isotropic lifts p(.) into the cone of R^{4,1}, and the transfer formulas
-for (conformal factor, mean curvature, tracefree curvature) between the
-R^3 gauge and the S^3 / H^3 gauges.  All field-level functions broadcast
-over leading axes.
+Stereographic and hyperbolic projections between R^3, S^3 and H^3, each
+a lift into the cone of R^{4,1} dehomogenized in the other model through
+``lorentz.CHARTS``, and the transfer formulas for (conformal factor, mean
+curvature, tracefree curvature) between the R^3 gauge and the S^3 / H^3
+gauges.  All field-level functions broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jets as _jets
 from .grid import ChartGrid, FundamentalData, fundamental_data
-from .lorentz import INFINITY, dot, lift_r3
+from .lorentz import INFINITY, dehomogenize, dot, lift
 
 __all__ = [
     "ModelPoint",
@@ -24,11 +24,6 @@ __all__ = [
     "stereo_inv",
     "hyper",
     "hyper_inv",
-    "lift",
-    "LIFTS",
-    "lift_r3",
-    "lift_s3",
-    "lift_h3",
     "transfer_r3_to_s3",
     "transfer_r3_to_h3",
     "oriented_r3_data",
@@ -78,19 +73,18 @@ class TransferredScalars:
 def stereo(x, tol: float = NORTH_POLE_TOL):
     """Stereographic projection S^3 -> R^3 ∪ {INFINITY} from the north pole."""
     x = np.asarray(x, dtype=float).reshape(4)
-    denom = 1.0 - x[3]
+    num, denom = dehomogenize(lift(x, "s3"), "r3")
     if denom <= tol:
         return INFINITY
-    return x[:3] / denom
+    return num / denom
 
 
 def stereo_inv(x):
     """Inverse stereographic projection R^3 ∪ {INFINITY} -> S^3."""
-    if x is INFINITY:
-        return np.array([0.0, 0.0, 0.0, 1.0])
-    x = np.asarray(x, dtype=float).reshape(3)
-    r2 = float(np.dot(x, x))
-    return np.concatenate([2.0 * x, [r2 - 1.0]]) / (1.0 + r2)
+    if x is not INFINITY:
+        x = np.asarray(x, dtype=float).reshape(3)
+    num, denom = dehomogenize(lift(x, "r3"), "s3")
+    return num / denom
 
 
 def hyper(z):
@@ -99,38 +93,17 @@ def hyper(z):
     q = z[0] ** 2 + z[1] ** 2 + z[2] ** 2 - z[3] ** 2
     if abs(q + 1.0) > 1e-10 or z[3] < 1.0 - 1e-10:
         raise ValueError("point is not on the upper hyperboloid")
-    return z[:3] / (1.0 + z[3])
+    num, denom = dehomogenize(lift(z, "h3"), "r3")
+    return num / denom
 
 
 def hyper_inv(x):
     """Inverse projection B_1(0) -> H^3."""
     x = np.asarray(x, dtype=float).reshape(3)
-    r2 = float(np.dot(x, x))
-    if r2 >= 1.0:
+    if float(np.dot(x, x)) >= 1.0:
         raise ValueError("outside Poincare ball")
-    return np.concatenate([2.0 * x, [r2 + 1.0]]) / (1.0 - r2)
-
-
-def lift_s3(x) -> np.ndarray:
-    """Isotropic lift of S^3 points: (X, 1)."""
-    x = np.asarray(x, dtype=float)
-    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-
-
-def lift_h3(z) -> np.ndarray:
-    """Isotropic lift of H^3 points: (Z_h, -1, Z_4)."""
-    z = np.asarray(z, dtype=float)
-    return np.concatenate(
-        [z[..., :3], -np.ones(z.shape[:-1] + (1,)), z[..., 3:4]], axis=-1
-    )
-
-
-LIFTS = {"r3": lift_r3, "s3": lift_s3, "h3": lift_h3}
-
-
-def lift(p: ModelPoint) -> np.ndarray:
-    """Isotropic lift of a tagged model point into the cone of R^{4,1}."""
-    return LIFTS[p.model](p.coords)
+    num, denom = dehomogenize(lift(x, "r3"), "h3")
+    return num / denom
 
 
 def _conformal_factor(phi, sign):

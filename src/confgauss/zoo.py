@@ -308,6 +308,9 @@ def _revolution_jets(u, v, profile: _RevolutionProfile):
 
 def make_surface(name: str, **params) -> SurfaceSpec:
     """Build a catalog surface spec; raises on unknown names or bad params."""
+    for key, value in params.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"surface parameter {key} must be finite, got {value!r}")
     if name == "plane":
         return SurfaceSpec(
             name, "r3", {}, ((-1.0, 1.0), (-1.0, 1.0)), _plane_jets,

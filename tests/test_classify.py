@@ -150,6 +150,15 @@ def test_classify_rejects_umbilic():
         CL.classify(make_surface("sphere", R=1.0), n=64)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_classify_rejects_bad_holomorphy_tol(tol):
+    # max(nan, noise) is nan, a gate that no residual exceeds: a NaN
+    # tolerance used to pass every surface as holomorphic
+    data = data_for("revolution_profile", n=65)
+    with pytest.raises(ValueError, match="holomorphy tolerance must be finite and positive"):
+        CL.classify_data(data, holomorphy_tol=tol)
+
+
 def test_classify_grid_minimum():
     spec = make_surface("cylinder")
     with pytest.raises(ValueError, match="at least 17 nodes per side.*2h restriction"):

@@ -90,6 +90,28 @@ def test_transform_bad_word_exits_1(capsys):
     assert "unknown generator" in err
 
 
+def test_transform_non_finite_word_exits_1(capsys):
+    for word in ("dil:nan", "tra:inf,0,0"):
+        code, _, err = run_cli(capsys, "transform", "catenoid", "--grid", "33",
+                               "--word", word)
+        assert code == 1
+        assert repr(word) in err and "finite" in err
+
+
+def test_analyze_nan_holomorphy_tol_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "revolution_profile", "--grid", "65",
+                             "--tol-holomorphy", "nan")
+    assert code == 1
+    assert out == ""
+    assert "holomorphy tolerance" in err and "nan" in err
+
+
+def test_holomorphy_tol_default_is_the_library_default():
+    from confgauss.classify import HOLOMORPHY_TOL
+    args = cli.build_parser().parse_args(["analyze", "cylinder"])
+    assert args.tol_holomorphy == HOLOMORPHY_TOL
+
+
 def test_analyze_csv_export(tmp_path, capsys):
     out_dir = tmp_path / "fields"
     code, _, _ = run_cli(capsys, "analyze", "cylinder", "--grid", "64",

@@ -4,7 +4,7 @@ import pytest
 from confgauss import congruence as C
 from confgauss import grid as G
 from confgauss import models
-from confgauss.lorentz import V_S, lorentz_product, random_word, word_matrix
+from confgauss.lorentz import V_S, lift, lorentz_product, random_word, word_matrix
 from conftest import data_for
 
 
@@ -40,19 +40,16 @@ def test_envelope_residuals_zoo():
     for name in ("cylinder", "catenoid", "enneper", "clifford_torus",
                  "hyperbolic_cylinder", "torus_revolution"):
         data, cong = _cong(name)
-        lift = {"r3": models.lift_r3, "s3": models.lift_s3,
-                "h3": models.lift_h3}[data.model](data.grid.pos)
-        r1, r2 = C.envelope_residuals(cong, lift)
+        r1, r2 = C.envelope_residuals(cong, lift(data.grid.pos, data.model))
         assert r1 <= 1e-9, name
         assert r2 <= 1e-7, name
 
 
 def test_envelope_espects_wrong_congruence():
     data, cong = _cong("plane", n=17)
-    lift = models.lift_r3(data.grid.pos)
     vs_field = np.broadcast_to(V_S, cong.Y.shape)
     bad = C.CongruenceGrid(data.grid, np.array(vs_field))
-    r1, _ = C.envelope_residuals(bad, lift)
+    r1, _ = C.envelope_residuals(bad, lift(data.grid.pos, "r3"))
     r2 = (data.grid.pos ** 2).sum(axis=-1)
     expected = np.max(np.abs((r2 - 1.0) / 2.0)[2:-2, 2:-2])
     assert r1 == pytest.approx(expected, rel=1e-12)
@@ -60,9 +57,9 @@ def test_envelope_espects_wrong_congruence():
 
 def test_envelope_sign_flip_invariant():
     data, cong = _cong("catenoid", n=33)
-    lift = models.lift_r3(data.grid.pos)
+    p = lift(data.grid.pos, "r3")
     flipped = C.CongruenceGrid(data.grid, -cong.Y)
-    assert C.envelope_residuals(cong, lift) == C.envelope_residuals(flipped, lift)
+    assert C.envelope_residuals(cong, p) == C.envelope_residuals(flipped, p)
 
 
 def test_metric_law():
@@ -97,7 +94,7 @@ def test_dual_catenoid_undefined():
 def test_dual_inverted_catenoid_enveloped():
     data, cong = _cong("inverted_catenoid", n=128)
     dual = C.dual_surface_r3(data)
-    r1, r2 = C.envelope_residuals(cong, models.lift_r3(dual))
+    r1, r2 = C.envelope_residuals(cong, lift(dual, "r3"))
     assert r1 <= 1e-6
     assert r2 <= 1e-6
 
@@ -184,7 +181,7 @@ def test_frame_nuz_nustar_identity():
 def test_reconstruct_round_trip():
     data = data_for("clifford_torus", n=65)
     cong = C.conformal_gauss_map(data)
-    nu0 = models.lift_s3(data.grid.pos)
+    nu0 = lift(data.grid.pos, "s3")
     out = C.reconstruct_from_congruence(cong, nu0)
     assert np.max(np.abs(out - data.grid.pos)) <= 1e-8
 
@@ -213,12 +210,12 @@ def test_uniqueness_perturbation():
     # adding lambda p(Phi) keeps the envelope but destroys conformality
     data = data_for("catenoid", n=65)
     cong = C.conformal_gauss_map(data)
-    lift = models.lift_r3(data.grid.pos)
+    p = lift(data.grid.pos, "r3")
     conf_before = G.interior_max(lorentz_product(cong.Yz, cong.Yz))
-    perturbed = C.CongruenceGrid(data.grid, cong.Y + 0.1 * lift)
+    perturbed = C.CongruenceGrid(data.grid, cong.Y + 0.1 * p)
     conf_after = G.interior_max(lorentz_product(perturbed.Yz, perturbed.Yz))
     assert conf_after >= 1e3 * conf_before
-    r1, r2 = C.envelope_residuals(perturbed, lift)
+    r1, r2 = C.envelope_residuals(perturbed, p)
     assert r1 <= 1e-6 and r2 <= 1e-6
 
 

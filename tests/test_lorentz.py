@@ -166,3 +166,79 @@ def test_word_matrix_composes_left_to_right():
     x = np.array([0.2, 0.0, 0.0])
     expected = np.exp(0.5) * x + np.array([1.0, 0.0, 0.0])
     assert np.allclose(lz.act_on_r3(m, x), expected)
+
+
+# first words of seeded draws, recorded as literals: the kind table must
+# consume the generator's stream in the same order as the words were drawn
+RANDOM_WORDS = {
+    (2024, True): [
+        ("tra", (-0.5713535975234847, -0.3810959382366166, 0.5989321935496663)),
+        ("inv", ()),
+        ("inv", ()),
+    ],
+    (2024, False): [
+        ("tra", (-0.5713535975234847, -0.3810959382366166, 0.5989321935496663)),
+        ("tra", (-0.7155363694398964, -0.842548932476002, -0.6383523726062907)),
+        ("tra", (-0.28070621662129813, -0.6607615005859033, 0.1775186310794603)),
+    ],
+    (7, True): [
+        ("tra", (0.794427601939151, 0.551371380490387, -0.5495856200188163)),
+        ("dil", (0.7471068907925238,)),
+        ("rot", (0.042087685075105526, 0.9378646231969613, -0.3444395089426308,
+                 -0.20147063316635405)),
+        ("inv", ()),
+        ("rot", (0.35613080465054037, 0.10519088803708176, -0.9284964873670383,
+                 0.028577553857860316)),
+        ("tra", (0.9910005668687853, 0.5853238384275061, 0.24435845888232532)),
+    ],
+    (7, False): [
+        ("rot", (0.3052950235405569, -0.2801478599619021, -0.9101165448227702,
+                 -1.2555922625248999)),
+        ("dil", (-0.9894693908688506,)),
+        ("tra", (0.6424568367655326, 0.5941388575040925, -0.06413009431255845)),
+        ("tra", (-0.44314877579845335, -0.4902608246917508, -0.10984738823470686)),
+        ("dil", (0.009096517915906599,)),
+        ("rot", (-0.566469947842618, -0.19284538826928463, -0.8012006330591924,
+                 3.0722272157111794)),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, allow_inversion", sorted(RANDOM_WORDS))
+def test_random_word_pinned(seed, allow_inversion):
+    word = lz.random_word(np.random.default_rng(seed), allow_inversion=allow_inversion)
+    assert [(g.kind, g.param) for g in word] == RANDOM_WORDS[seed, allow_inversion]
+
+
+def test_generator_kinds_table():
+    assert list(lz.GENERATOR_KINDS) == ["dil", "rot", "tra", "inv"]
+    for kind, spec in lz.GENERATOR_KINDS.items():
+        gen = lz.Generator(kind, spec.draw(np.random.default_rng(0)))
+        assert len(gen.param) == spec.nparams
+        assert lz.is_so41(lz.generator_matrix(gen), tol=1e-12)
+
+
+@pytest.mark.parametrize("kind, param, match", [
+    ("boost", (1.0,), "unknown generator kind 'boost'"),
+    ("rot", (), "rot needs 4 parameters, got 0"),
+    ("tra", (1.0, 2.0), "tra needs 3 parameters, got 2"),
+    ("inv", (1.0,), "inv needs 0 parameters, got 1"),
+    ("dil", (float("nan"),), "dil parameters must be finite"),
+    ("tra", (float("inf"), 0.0, 0.0), "tra parameters must be finite"),
+    ("rot", (0.0, 0.0, 1.0, float("-inf")), "rot parameters must be finite"),
+])
+def test_generator_validates_itself(kind, param, match):
+    with pytest.raises(ValueError, match=match):
+        lz.Generator(kind, param)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("dil:nan", "'dil:nan'.*finite"),
+    ("tra:inf,0,0", "'tra:inf,0,0'.*finite"),
+    ("dil:0.1 rot:1,2", "'rot:1,2'.*rot needs 4 parameters, got 2"),
+    ("inv:1", "'inv:1'.*inv needs 0 parameters"),
+    ("dil:x", "'dil:x'"),
+])
+def test_parse_word_names_the_bad_token(text, match):
+    with pytest.raises(ValueError, match=match):
+        lz.parse_word(text)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from confgauss import jets as J
 from confgauss import models
-from confgauss.lorentz import INFINITY, V_L, lorentz_product
+from confgauss.lorentz import INFINITY, V_L, dehomogenize, lift, lorentz_product
 from conftest import data_for
 
 
@@ -54,21 +55,21 @@ def test_hyper_round_trip(rng):
 
 
 def test_lift_examples():
-    assert np.allclose(models.lift_r3(np.zeros(3)), [0, 0, 0, -0.5, 0.5])
-    assert np.array_equal(models.lift_r3(INFINITY), V_L)
+    assert np.allclose(lift(np.zeros(3), "r3"), [0, 0, 0, -0.5, 0.5])
+    assert np.array_equal(lift(INFINITY, "r3"), V_L)
     x = np.array([0.3, -0.2, 0.1])
     big_x = models.stereo_inv(x)
-    assert lorentz_product(models.lift_s3(big_x), models.lift_s3(big_x)) == pytest.approx(0.0, abs=1e-12)
-    assert lorentz_product(models.lift_r3(x), models.lift_r3(x)) == pytest.approx(0.0, abs=1e-12)
+    assert lorentz_product(lift(big_x, "s3"), lift(big_x, "s3")) == pytest.approx(0.0, abs=1e-12)
+    assert lorentz_product(lift(x, "r3"), lift(x, "r3")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lift_colinearity(rng):
     # lifts of pi / pi-tilde related points are positively proportional
     for _ in range(100):
         x = rng.uniform(-0.6, 0.6, size=3)
-        p_r3 = models.lift_r3(x)
-        p_s3 = models.lift_s3(models.stereo_inv(x))
-        p_h3 = models.lift_h3(models.hyper_inv(x))
+        p_r3 = lift(x, "r3")
+        p_s3 = lift(models.stereo_inv(x), "s3")
+        p_h3 = lift(models.hyper_inv(x), "h3")
         for other in (p_s3, p_h3):
             a = p_r3 / np.linalg.norm(p_r3)
             b = other / np.linalg.norm(other)
@@ -78,7 +79,7 @@ def test_lift_colinearity(rng):
 
 def test_lift_tagged_points():
     p = models.ModelPoint("r3", np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(models.lift(p), [1, 0, 0, 0, 1])
+    assert np.allclose(lift(p.coords, p.model), [1, 0, 0, 0, 1])
     with pytest.raises(ValueError):
         models.ModelPoint("s3", np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
@@ -142,3 +143,47 @@ def test_representation_round_trip():
     assert np.max(np.abs(back.H - data.H)) <= 1e-10
     assert np.max(np.abs(back.Omega - data.Omega)) <= 1e-10
     assert np.max(np.abs(back.grid.pos - data.grid.pos)) <= 1e-12
+
+
+def _point_map(source, target):
+    """The point map of an ordered model pair: a named projection, or the
+    lift of a source point dehomogenized in the target."""
+    named = {("r3", "s3"): models.stereo_inv, ("s3", "r3"): models.stereo,
+             ("h3", "r3"): models.hyper, ("r3", "h3"): models.hyper_inv}
+    if (source, target) in named:
+        return named[source, target]
+
+    def through_cone(x):
+        num, den = dehomogenize(lift(x, source), target)
+        return num / den
+
+    return through_cone
+
+
+@pytest.mark.parametrize("source, target", [
+    ("r3", "s3"), ("s3", "r3"), ("r3", "h3"), ("h3", "r3"), ("s3", "h3"), ("h3", "s3"),
+])
+def test_point_maps_match_jet_pushforward(rng, source, target):
+    # points of the Poincare ball, and their images on S^3 (southern
+    # hemisphere) and H^3: every ordered pair is defined on all of them
+    ball = rng.normal(size=(256, 3))
+    ball *= (rng.uniform(0.0, 0.95, size=256) / np.linalg.norm(ball, axis=1))[:, None]
+    points = {"r3": ball,
+              "s3": np.array([models.stereo_inv(x) for x in ball]),
+              "h3": np.array([models.hyper_inv(x) for x in ball])}[source]
+    tangent = rng.normal(size=points.shape)
+    jet = J.Jet2(points, tangent, tangent, tangent, tangent, tangent)
+    pushed = J._push(jet, source, target).pos
+    point_map = _point_map(source, target)
+    mapped = np.array([point_map(x) for x in points])
+    err = np.linalg.norm(mapped - pushed, axis=1)
+    assert np.all(err <= 1e-15 * np.linalg.norm(pushed, axis=1))
+
+
+def test_lift_tangent_form_is_the_derivative(rng):
+    # dp_x(v) by central differences of the quadratic lift is exact up to
+    # round-off: the second difference of |x|^2 cancels
+    for model, dim in (("r3", 3), ("s3", 4), ("h3", 4)):
+        x, v = rng.normal(size=(2, 16, dim))
+        fd = (lift(x + 1e-3 * v, model) - lift(x - 1e-3 * v, model)) / 2e-3
+        assert np.max(np.abs(lift(x, model, tangent=v) - fd)) <= 1e-9, model

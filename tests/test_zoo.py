@@ -112,3 +112,21 @@ def test_expected_tables_hold():
             assert np.max(np.abs(data.H - spec.expected["H_const"])) <= 1e-12
         if spec.expected.get("Omega_const") is not None:
             assert np.max(np.abs(data.Omega - spec.expected["Omega_const"])) <= 1e-12
+
+
+@pytest.mark.parametrize("name, params, bad", [
+    ("revolution_profile", {"rho0": float("nan")}, "rho0"),
+    ("revolution_profile", {"cos1": float("nan")}, "cos1"),
+    ("revolution_profile", {"sin2": float("nan")}, "sin2"),
+    ("revolution_profile", {"zslope": float("nan")}, "zslope"),
+    ("cylinder", {"rho": float("inf")}, "rho"),
+    ("sphere", {"R": float("nan")}, "R"),
+    ("torus_revolution", {"R": float("inf"), "r": 1.0}, "R"),
+    ("hyperbolic_cylinder", {"d": float("-inf")}, "d"),
+    ("inverted_catenoid", {"offset": (3.0, float("nan"), 0.0)}, "offset"),
+])
+def test_non_finite_parameters_rejected_up_front(name, params, bad):
+    # a NaN profile parameter used to send the adaptive quadrature into
+    # ~2^50 recursion leaves; other surfaces failed later, misleadingly
+    with pytest.raises(ValueError, match=f"surface parameter {bad} must be finite"):
+        make_surface(name, **params)
