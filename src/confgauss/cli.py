@@ -80,8 +80,12 @@ def _sanitize(obj):
 
 
 def _collect_params(args) -> dict:
-    return {flag: getattr(args, flag) for flag in _PARAM_FLAGS
-            if getattr(args, flag, None) is not None}
+    params = {}
+    for flag in _PARAM_FLAGS:
+        val = getattr(args, flag, None)
+        if val is not None:
+            params[flag] = val
+    return params
 
 
 def _parse_domain(text):

@@ -271,7 +271,7 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
         w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
     norm2 = grid._dot(w, w)
     if np.any(norm2 <= 0.0):
-        raise ValueError("degenerate jet: normal is not spacelike")
+        raise ValueError("degenerate jet: normal has no positive length")
     return w / np.sqrt(norm2)[..., None]
 
 

@@ -25,7 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .lorentz import CHARTS, V_L, dot, generator_matrix
+from .lorentz import CHARTS, dot, generator_matrix
 
 __all__ = [
     "Jet2",
@@ -51,14 +51,13 @@ class Jet2:
 
 def _rows(source: str, target: str, matrix=None):
     """``target``'s numerator rows, then its denominator row, times
-    ``matrix``; with their parts ``lin`` and ``const`` on the lift E_K x + c
-    of a ``source`` point."""
-    cols_src, c_src, _ = CHARTS[source]
-    cols_dst, _, w_dst = CHARTS[target]
-    rows = np.vstack([np.eye(5)[cols_dst], w_dst])
+    ``matrix``; with their parts ``lin``, ``const`` and ``cone`` on the lift
+    E_K x + c + |x|^2/2 q of a ``source`` point."""
+    src, dst = CHARTS[source], CHARTS[target]
+    rows = np.vstack([np.eye(5)[dst.cols], dst.w])
     if matrix is not None:
         rows = rows @ matrix
-    return rows, rows @ np.eye(5)[:, cols_src], rows @ c_src
+    return rows @ np.eye(5)[:, src.cols], rows @ src.c, rows @ src.q
 
 
 def _push(jet: Jet2, source: str, target: str, matrix=None,
@@ -68,12 +67,11 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
     Raises ``ValueError(message)`` where the denominator is at most ``tol``
     (in absolute value on R^3, where both signs of a lift are valid).
     """
-    rows, lin, const = _rows(source, target, matrix)
+    lin, const, cone = _rows(source, target, matrix)
     num_lin, den_lin = np.ascontiguousarray(lin[:-1].T), lin[-1]
-    # the R^3 lift's |x|^2/2 V_L term drops out where the rows annihilate V_L
-    cone = rows @ V_L if source == "r3" else np.zeros(len(rows))
+    # the lift's |x|^2/2 q term drops out where the rows annihilate q
     quadratic = bool(cone.any())
-    # at most one numerator row meets V_L (none for an inversion)
+    # at most one numerator row meets q (none for an inversion)
     cone_num = [(k, cone[k]) for k in np.flatnonzero(cone[:-1])]
 
     def image(t, quad):
@@ -153,7 +151,7 @@ def _push_similarities(jet: Jet2, run) -> Jet2:
     """
     a, t = np.eye(3), np.zeros(3)
     for gen in run:
-        _, lin, const = _rows("r3", "r3", generator_matrix(gen))
+        lin, const, _ = _rows("r3", "r3", generator_matrix(gen))
         a_gen = lin[:-1] / const[-1]
         a, t = a_gen @ a, a_gen @ t + const[:-1] / const[-1]
     a_t = np.ascontiguousarray(a.T)

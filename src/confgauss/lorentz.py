@@ -112,7 +112,10 @@ def dilation_matrix(lam: float) -> np.ndarray:
     """SO(4,1) matrix of the dilation x -> e^lam x."""
     m = np.eye(5)
     c, s = np.cosh(lam), np.sinh(lam)
-    m[3:, 3:] = [[c, s], [s, c]]
+    m[3, 3] = c
+    m[3, 4] = s
+    m[4, 3] = s
+    m[4, 4] = c
     return m
 
 
@@ -155,7 +158,10 @@ def translation_matrix(a) -> np.ndarray:
     m[:3, 4] = a
     m[3, :3] = a
     m[4, :3] = a
-    m[3:, 3:] = [[1.0 - half, half], [-half, 1.0 + half]]
+    m[3, 3] = 1.0 - half
+    m[3, 4] = half
+    m[4, 3] = -half
+    m[4, 4] = 1.0 + half
     return m
 
 
@@ -171,14 +177,17 @@ def is_so41(m, tol: float = 1e-12) -> bool:
 
 _E = np.eye(5)
 
-# model -> (K, c, w): the cone components K that hold a point's coordinates,
-# the constant c and the dehomogenizing row w.  A point x lifts to
-# Y = E_K x + c (plus |x|^2/2 V_L on R^3), and a cone vector Y projects to
-# Y_K / <w, Y>.
+# The chart of a model space in the light cone: the cone components ``cols``
+# (K) that hold a point's coordinates, the constant ``c``, the dehomogenizing
+# row ``w`` and the coefficient ``q`` of |x|^2/2.  A point x lifts to
+# Y = E_K x + c + |x|^2/2 q, and a cone vector Y projects to Y_K / <w, Y>;
+# c and q vanish on K.
+Chart = namedtuple("Chart", "cols c w q")
+
 CHARTS = {
-    "r3": ([0, 1, 2], (_E[4] - _E[3]) / 2.0, _E[4] - _E[3]),
-    "s3": ([0, 1, 2, 3], _E[4], _E[4]),
-    "h3": ([0, 1, 2, 4], -_E[3], -_E[3]),
+    "r3": Chart([0, 1, 2], (_E[4] - _E[3]) / 2.0, _E[4] - _E[3], V_L),
+    "s3": Chart([0, 1, 2, 3], _E[4], _E[4], np.zeros(5)),
+    "h3": Chart([0, 1, 2, 4], -_E[3], -_E[3], np.zeros(5)),
 }
 
 
@@ -186,32 +195,31 @@ def lift(x, model: str, tangent=None) -> np.ndarray:
     """Isotropic lift p(x) of ``model`` points x (..., d) into the cone.
 
     With ``tangent`` vectors v at x, the derivative of the lift along v
-    instead: E_K v, plus <x, v> V_L on R^3.  R^3's INFINITY lifts to V_L.
+    instead: E_K v + <x, v> q.  R^3's INFINITY lifts to V_L.
     """
     if x is INFINITY:
         return V_L.copy()
-    cols, c, _ = CHARTS[model]
+    chart = CHARTS[model]
     x = np.asarray(x, dtype=float)
     v = x if tangent is None else np.asarray(tangent, dtype=float)
-    # every chart keeps its first three coordinates in place: one block write
+    off = [k for k in range(5) if k not in chart.cols]
     y = np.empty(v.shape[:-1] + (5,))
-    y[..., :3] = v[..., :3]
-    for k, col in enumerate(cols[3:], start=3):
-        y[..., col] = v[..., k]
-    quad = 0.0
-    if model == "r3":  # the |x|^2/2 V_L term, or its derivative <x, v> V_L
-        quad = 0.5 * dot(x, x) if tangent is None else dot(x, v)
-    for k in np.flatnonzero(c):  # c is nonzero exactly off the coordinates
-        y[..., k] = c[k] + quad if tangent is None else quad
+    y[..., chart.cols] = v
+    if not chart.q.any():
+        y[..., off] = chart.c[off] if tangent is None else 0.0
+    elif tangent is None:
+        y[..., off] = chart.c[off] + (0.5 * dot(x, x))[..., None] * chart.q[off]
+    else:
+        y[..., off] = dot(x, v)[..., None] * chart.q[off]
     return y
 
 
 def dehomogenize(y, model: str):
     """Numerator Y_K and denominator <w, Y> of cone vectors y in ``model``;
     the caller divides, after guarding the denominator."""
-    cols, _, w = CHARTS[model]
+    chart = CHARTS[model]
     y = np.asarray(y, dtype=float)
-    return y[..., cols], dot(y, w)
+    return y[..., chart.cols], dot(y, chart.w)
 
 
 def act_on_r3(m, x, tol: float = 1e-12, so41_tol: float = 1e-9):
@@ -307,7 +315,8 @@ def parse_word(text: str) -> list:
     for token in text.split():
         kind, colon, raw = token.partition(":")
         parts = raw.split(",") if colon else []
-        if len(parts) == 2 and parts[0] in _AXIS_NAMES:
+        spec = GENERATOR_KINDS.get(kind)
+        if spec and spec.nparams == 4 and len(parts) == 2 and parts[0] in _AXIS_NAMES:
             parts = [*_AXIS_NAMES[parts[0]], parts[1]]
         try:
             word.append(Generator(kind, tuple(float(p) for p in parts)))

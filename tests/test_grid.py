@@ -240,6 +240,19 @@ def test_degenerate_jet_rejected():
         G.ChartGrid("r3", u, u, jet)
 
 
+def test_degenerate_s3_normal_rejected():
+    # p_u along the position vector: a conformal 1-jet, but p, p_u and p_v
+    # span only a plane, so the cross product of S^3 vanishes
+    n = 9
+    u = np.linspace(-1, 1, n)
+    e = np.eye(4)
+    pos, du, dv = (np.broadcast_to(e[i], (n, n, 4)) for i in (0, 0, 1))
+    zero = np.zeros((n, n, 4))
+    grid = G.ChartGrid("s3", u, u, Jet2(pos, du, dv, zero, zero, zero))
+    with pytest.raises(ValueError, match="degenerate jet: normal has no positive length"):
+        G.chart_normal(grid)
+
+
 def _plane_jet(u, v):
     uu, vv = np.meshgrid(u, v, indexing="ij")
     return make_surface("plane").jet_fn(uu, vv)

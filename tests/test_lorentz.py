@@ -210,6 +210,24 @@ def test_random_word_pinned(seed, allow_inversion):
     assert [(g.kind, g.param) for g in word] == RANDOM_WORDS[seed, allow_inversion]
 
 
+@pytest.mark.parametrize("model", sorted(lz.CHARTS))
+def test_lift_reads_its_chart(model):
+    # lift writes the coordinates on K and c + |x|^2/2 q off K, so the
+    # table must keep c and q off the coordinate components
+    chart = lz.CHARTS[model]
+    assert not chart.c[chart.cols].any() and not chart.q[chart.cols].any()
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, len(chart.cols)))
+    v = rng.normal(size=x.shape)
+    e_k = np.eye(5)[:, chart.cols]
+    quad = 0.5 * np.sum(x * x, axis=-1)[:, None]
+    assert np.allclose(lz.lift(x, model), x @ e_k.T + chart.c + quad * chart.q,
+                       rtol=1e-15, atol=1e-15)
+    assert np.allclose(lz.lift(x, model, tangent=v),
+                       v @ e_k.T + np.sum(x * v, axis=-1)[:, None] * chart.q,
+                       rtol=1e-15, atol=1e-15)
+
+
 def test_generator_kinds_table():
     assert list(lz.GENERATOR_KINDS) == ["dil", "rot", "tra", "inv"]
     for kind, spec in lz.GENERATOR_KINDS.items():
@@ -237,6 +255,9 @@ def test_generator_validates_itself(kind, param, match):
     ("tra:inf,0,0", "'tra:inf,0,0'.*finite"),
     ("dil:0.1 rot:1,2", "'rot:1,2'.*rot needs 4 parameters, got 2"),
     ("inv:1", "'inv:1'.*inv needs 0 parameters"),
+    # an axis name expands only for rot; elsewhere it is a bad number
+    ("tra:x,1", "'tra:x,1'.*float: 'x'"),
+    ("dil:x,1", "'dil:x,1'.*float: 'x'"),
     ("dil:x", "'dil:x'"),
 ])
 def test_parse_word_names_the_bad_token(text, match):
