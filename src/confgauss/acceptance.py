@@ -60,6 +60,10 @@ ALL_SURFACES = [
     ("hyperbolic_cylinder", {}),
     ("revolution_profile", {}),
 ]
+SPHERE_LAW_MAX_GRID = 64
+EQUIVARIANCE_GRID = 65  # the catenoid that criterion 4's random words move
+EQUIVARIANCE_WORDS = 20
+CONVERGENCE_GRIDS = (65, 129)  # criterion 11: a grid and its half step
 
 
 @dataclass
@@ -120,12 +124,12 @@ def criterion_structure_equations(n: int = 128):
 
 
 @_criterion("geodesic sphere law")
-def criterion_sphere_law(n: int = 64):
+def criterion_sphere_law(n: int = 128):
     """2. Geodesic spheres: h = (1-R^2)/(2R) within 1e-8."""
     details = {}
     passed = True
     for radius in (0.3, 0.5, 0.9):
-        data = _data("sphere", {"R": radius}, n)
+        data = _data("sphere", {"R": radius}, min(n, SPHERE_LAW_MAX_GRID))
         ts = transfer_r3_to_s3(data.lam, data.n, data.H, data.Omega, data.grid.pos)
         expected = (1.0 - radius ** 2) / (2.0 * radius)
         err = float(np.max(np.abs(ts.H - expected)))
@@ -173,18 +177,17 @@ def criterion_gauss_map(n: int = 128):
 
 
 @_criterion("Moebius equivariance")
-def criterion_moebius_equivariance(n: int = 65, n_classify: int = 128,
-                                   words: int = 20):
-    """4. Y_phi = M Y, mu_phi = M mu M^T, verdict invariance."""
+def criterion_moebius_equivariance(n: int = 128):
+    """4. Y_phi = M Y, mu_phi = M mu M^T, verdict invariance at n nodes."""
     rng = np.random.default_rng(2024)
-    data = _data("catenoid", {}, n)
+    data = _data("catenoid", {}, EQUIVARIANCE_GRID)
     cong = cg.conformal_gauss_map(data)
     mu = wl.conserved_matrix(cong)
     details = {"worst_y": 0.0, "worst_mu": 0.0, "verdict_mismatches": 0}
     passed = True
     applied = []
     tries = 0
-    while len(applied) < words and tries < 20 * words:
+    while len(applied) < EQUIVARIANCE_WORDS and tries < 20 * EQUIVARIANCE_WORDS:
         tries += 1
         word = random_word(rng)
         try:
@@ -203,10 +206,10 @@ def criterion_moebius_equivariance(n: int = 65, n_classify: int = 128,
         details["worst_y"] = max(details["worst_y"], y_err)
         details["worst_mu"] = max(details["worst_mu"], mu_err)
     passed &= details["worst_y"] <= 1e-5 and details["worst_mu"] <= 1e-5
-    passed &= len(applied) == words
+    passed &= len(applied) == EQUIVARIANCE_WORDS
 
     for base_name in ("cylinder", "clifford_torus"):
-        base_data = _data(base_name, {}, n_classify)
+        base_data = _data(base_name, {}, n)
         base = classify_data(base_data, base_name)
         base_r3 = representation(base_data, "r3")  # once, not once per word
         for word in applied:
@@ -385,10 +388,11 @@ def criterion_duals(n: int = 128):
 
 
 @_criterion("stencil convergence")
-def criterion_convergence(n_coarse: int = 65, n_fine: int = 129):
+def criterion_convergence():
     """11. Halving the step cuts stencil residuals by >= 10x."""
     details = {}
     passed = True
+    n_coarse, n_fine = CONVERGENCE_GRIDS
 
     def ratio(fn):
         return fn(n_coarse) / max(fn(n_fine), 1e-300)
@@ -451,14 +455,8 @@ def run_all(n: int = 128, echo: bool = False) -> list:
     results = []
     for idx, crit in enumerate(CRITERIA, start=1):
         try:
-            if crit is criterion_convergence:
-                res = crit()
-            elif crit is criterion_moebius_equivariance:
-                res = crit(n_classify=n)
-            elif crit is criterion_sphere_law:
-                res = crit(min(n, 64))
-            else:
-                res = crit(n)
+            # the convergence criterion fixes its own pair of grids
+            res = crit() if crit is criterion_convergence else crit(n)
         except ValueError as exc:
             res = CriterionResult(crit.title, False, {"error": str(exc)})
         res.name = f"{idx}. {res.name}"

@@ -42,6 +42,7 @@ IMAG_REL_TOL = 1e-6
 WILLMORE_RESIDUAL_TOL = 1e-4
 LINEAR_ETA_TOL = 1e-6
 NORMAL_TYPE_TOL = 1e-6
+Q_AGREEMENT_TOL = 1e-5
 # the 2h restriction (every other node) must itself be a valid grid
 MIN_CLASSIFY_GRID = 2 * MIN_GRID - 1
 
@@ -92,8 +93,7 @@ class _S3Fields(FundamentalData):
         jet = g.jet
         coarse_jet = Jet2(*(a[::2, ::2] for a in
                             (jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)))
-        coarse_grid = ChartGrid(g.model, g.u[::2], g.v[::2], coarse_jet,
-                                conf_tol=g.conf_tol)
+        coarse_grid = ChartGrid(g.model, g.u[::2], g.v[::2], coarse_jet)
         return _S3Fields(self.model, coarse_grid, self.lam[::2, ::2],
                          self.n[::2, ::2], self.H[::2, ::2],
                          self.Omega[::2, ::2])
@@ -114,13 +114,12 @@ def _s3_fields(data: FundamentalData) -> _S3Fields:
     return _S3Fields(data.model, data.grid, data.lam, data.n, data.H, data.Omega)
 
 
-def bryant_q(data: FundamentalData, cong: CongruenceGrid,
-             atol: float = 1e-5) -> QResult:
+def bryant_q(data: FundamentalData, cong: CongruenceGrid) -> QResult:
     """Q two ways on S^3 data: direct <Y_zz,Y_zz> and the closed form.
 
     Closed form: omega^2 e^{-2Lam} (omega_z/omega)_zbar
     + omega^2 (h^2+1)/4.  Umbilic charts fall back to the direct route.
-    When the disagreement exceeds atol, the check is repeated on the 2h
+    When the disagreement exceeds Q_AGREEMENT_TOL, the check is repeated on the 2h
     subgrid: a fine disagreement at most a quarter of the coarse one means
     the two routes converge to each other and the pair is accepted.
     """
@@ -132,7 +131,7 @@ def bryant_q(data: FundamentalData, cong: CongruenceGrid,
     fields = _s3_fields(data)
     agreement = interior_max(fields.q - q_direct)
     scale = max(1.0, interior_max(fields.q))
-    if agreement > atol * scale:
+    if agreement > Q_AGREEMENT_TOL * scale:
         coarse = fields.coarse
         cong_c = conformal_gauss_map(coarse)
         agreement_c = interior_max(
@@ -140,7 +139,7 @@ def bryant_q(data: FundamentalData, cong: CongruenceGrid,
         )
         if agreement > agreement_c / 4.0:
             raise ValueError(
-                f"closed-form and direct Q disagree: {agreement:.3e} > {atol:.1e}"
+                f"closed-form and direct Q disagree: {agreement:.3e} > {Q_AGREEMENT_TOL:.1e}"
                 " and do not converge to each other"
             )
     return QResult(fields.q, q_direct, agreement)
@@ -257,7 +256,7 @@ class HyperplaneFit:
     linear: bool
 
 
-def hyperplane_fit(samples: np.ndarray, type_tol: float = NORMAL_TYPE_TOL) -> HyperplaneFit:
+def hyperplane_fit(samples: np.ndarray) -> HyperplaneFit:
     """Fit the best affine hyperplane through congruence samples (..., 5).
 
     Smallest eigenvector of the 6x6 second-moment matrix of the stacked
@@ -292,7 +291,7 @@ def hyperplane_fit(samples: np.ndarray, type_tol: float = NORMAL_TYPE_TOL) -> Hy
     if v[lead] < 0:
         v, eta = -v, -eta
     rms = float(np.sqrt(np.mean((z @ np.append(EPSILON @ v, eta)) ** 2)))
-    return HyperplaneFit(v, eta, rms, classify_vector(v, type_tol),
+    return HyperplaneFit(v, eta, rms, classify_vector(v, NORMAL_TYPE_TOL),
                          abs(eta) <= LINEAR_ETA_TOL)
 
 

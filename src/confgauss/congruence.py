@@ -32,6 +32,9 @@ __all__ = [
     "transform_immersion",
 ]
 
+BRANCH_REL_TOL = 1e-6
+RECONSTRUCT_TOL = 1e-6
+
 
 @dataclass
 class CongruenceGrid:
@@ -147,8 +150,7 @@ def dual_surface_s3(data: FundamentalData) -> np.ndarray:
     )
 
 
-def dual_branch_mask(data: FundamentalData, xstar: np.ndarray,
-                     rel_tol: float = 1e-6) -> np.ndarray:
+def dual_branch_mask(data: FundamentalData, xstar: np.ndarray) -> np.ndarray:
     """Nodes where the dual stops immersing: |X*_z|^2 below threshold.
 
     The dual of a Willmore immersion may be branched; branch points are
@@ -157,7 +159,7 @@ def dual_branch_mask(data: FundamentalData, xstar: np.ndarray,
     g = data.grid
     xstar_z = g.dz(xstar)
     speed2 = dot(xstar_z, np.conj(xstar_z)).real
-    return speed2 <= rel_tol * float(np.max(speed2))
+    return speed2 <= BRANCH_REL_TOL * float(np.max(speed2))
 
 
 @dataclass
@@ -204,11 +206,10 @@ def transform_immersion(data: FundamentalData, word) -> FundamentalData:
         data = representation(data, "r3")
     g = data.grid
     jet = push_word(g.jet, word)
-    return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol), data)
+    return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet), data)
 
 
-def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray,
-                                tol: float = 1e-6) -> np.ndarray:
+def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray) -> np.ndarray:
     """Recover the enveloped S^3 immersion from Y and an isotropic normal.
 
     nu0 must be isotropic, normal to Y and Y_z, and of vanishing mean
@@ -217,14 +218,14 @@ def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray,
     nu0 = np.asarray(nu0, dtype=float)
     scale = float(np.max(np.abs(nu0)))
     iso = interior_max(lorentz_product(nu0, nu0)) / scale ** 2
-    if iso > tol:
+    if iso > RECONSTRUCT_TOL:
         raise ValueError("normal direction is not isotropic")
-    if interior_max(lorentz_product(cong.Y, nu0)) / scale > tol:
+    if interior_max(lorentz_product(cong.Y, nu0)) / scale > RECONSTRUCT_TOL:
         raise ValueError("direction is not normal to Y")
-    if interior_max(lorentz_product(cong.Yz, nu0.astype(complex))) / scale > tol:
+    if interior_max(lorentz_product(cong.Yz, nu0.astype(complex))) / scale > RECONSTRUCT_TOL:
         raise ValueError("direction is not normal to the tangent of Y")
     h_nu0 = 2.0 * lorentz_product(cong.Yzzb, nu0.astype(complex)).real / cong.e2L
-    if interior_max(h_nu0) / scale > tol:
+    if interior_max(h_nu0) / scale > RECONSTRUCT_TOL:
         raise ValueError("not integrable: H_nu does not vanish")
     num, den = dehomogenize(nu0, "s3")
     return num / den[..., None]

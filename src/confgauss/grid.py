@@ -32,6 +32,8 @@ __all__ = [
 MIN_GRID = 9
 UMBILIC_REL_TOL = 1e-7
 SPACING_REL_TOL = 1e-6
+CONF_TOL = 1e-8
+IMM_EPS = 1e-12
 
 
 def _onesided_weights(pos: int, nodes: int = 7) -> np.ndarray:
@@ -130,8 +132,6 @@ class ChartGrid:
     u: np.ndarray
     v: np.ndarray
     jet: Jet2
-    conf_tol: float = 1e-8
-    imm_eps: float = 1e-12
 
     def __post_init__(self):
         if len(self.u) < MIN_GRID or len(self.v) < MIN_GRID:
@@ -150,9 +150,9 @@ class ChartGrid:
         du, dv = self.jet.du, self.jet.dv
         e, f, g = self._dot(du, du), self._dot(du, dv), self._dot(dv, dv)
         trace = e + g
-        if np.any(trace <= 4.0 * self.imm_eps):
+        if np.any(trace <= 4.0 * IMM_EPS):
             raise ValueError("degenerate jet: immersion condition fails")
-        if np.any(np.hypot(e - g, 2.0 * f) > self.conf_tol * trace):
+        if np.any(np.hypot(e - g, 2.0 * f) > CONF_TOL * trace):
             raise ValueError("chart is not conformal within tolerance")
 
     # -- chart data -----------------------------------------------------
@@ -241,8 +241,8 @@ class FundamentalData:
     def umbilic_mask(self):
         return np.abs(self.Omega) <= UMBILIC_REL_TOL * self.e2lam
 
-    def has_umbilic(self, band: int = 2) -> bool:
-        return bool(np.any(self.umbilic_mask[band:-band, band:-band]))
+    def has_umbilic(self) -> bool:
+        return bool(np.any(self.umbilic_mask[2:-2, 2:-2]))
 
     @cached_property
     def orientation(self) -> int:

@@ -55,6 +55,11 @@ V_S = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
 V_T = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 V_L = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
 
+ORTHOGONALITY_TOL = 1e-10
+INFINITY_TOL = 1e-12
+MIN_WORD_LENGTH = 3
+MAX_WORD_LENGTH = 6
+
 SPACELIKE = "spacelike"
 LIGHTLIKE = "lightlike"
 TIMELIKE = "timelike"
@@ -119,12 +124,12 @@ def dilation_matrix(lam: float) -> np.ndarray:
     return m
 
 
-def rotation_matrix(theta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def rotation_matrix(theta: np.ndarray) -> np.ndarray:
     """SO(4,1) matrix of the rotation x -> theta x, theta in SO(3)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3, 3):
         raise ValueError("rotation parameter must be a 3x3 matrix")
-    if np.max(np.abs(theta.T @ theta - np.eye(3))) > tol:
+    if np.max(np.abs(theta.T @ theta - np.eye(3))) > ORTHOGONALITY_TOL:
         raise ValueError("rotation parameter is not orthogonal")
     if np.linalg.det(theta) < 0.0:
         raise ValueError("orientation-reversing rotation not supported")
@@ -222,18 +227,18 @@ def dehomogenize(y, model: str):
     return y[..., chart.cols], dot(y, chart.w)
 
 
-def act_on_r3(m, x, tol: float = 1e-12, so41_tol: float = 1e-9):
+def act_on_r3(m, x, so41_tol: float = 1e-9):
     """Conformal action of m in SO(4,1) on x in R^3 ∪ {INFINITY}.
 
     Computes y = m p(x) and returns y[:3] / (y5 - y4), routing to INFINITY
-    when |y5 - y4| <= tol * max(1, |y|).
+    when |y5 - y4| <= INFINITY_TOL * max(1, |y|).
     """
     m = np.asarray(m, dtype=float)
     if not is_so41(m, so41_tol):
         raise ValueError("matrix is not in SO(4,1)")
     y = m @ lift(x, "r3")
     num, denom = dehomogenize(y, "r3")
-    if abs(denom) <= tol * max(1.0, float(np.linalg.norm(y))):
+    if abs(denom) <= INFINITY_TOL * max(1.0, float(np.linalg.norm(y))):
         return INFINITY
     return num / denom
 
@@ -266,6 +271,8 @@ class Generator:
                              f" got {len(self.param)}")
         if not all(math.isfinite(p) for p in self.param):
             raise ValueError(f"{self.kind} parameters must be finite, got {self.param}")
+        # the kind's matrix raises on parameters it cannot use (a zero rotation axis)
+        spec.matrix(self.param)
 
 
 # parameter count, SO(4,1) matrix of a parameter tuple, seeded parameter draw
@@ -325,10 +332,9 @@ def parse_word(text: str) -> list:
     return word
 
 
-def random_word(rng: np.random.Generator, min_len: int = 3, max_len: int = 6,
-                allow_inversion: bool = True) -> list:
+def random_word(rng: np.random.Generator, allow_inversion: bool = True) -> list:
     """Random generator word with benign parameters (|lam| <= 1, |a| <= 1)."""
-    length = int(rng.integers(min_len, max_len + 1))
+    length = int(rng.integers(MIN_WORD_LENGTH, MAX_WORD_LENGTH + 1))
     kinds = [k for k in GENERATOR_KINDS if allow_inversion or k != "inv"]
     word = []
     for _ in range(length):

@@ -18,7 +18,6 @@ from .grid import ChartGrid, FundamentalData, fundamental_data
 from .lorentz import INFINITY, dehomogenize, dot, lift
 
 __all__ = [
-    "ModelPoint",
     "TransferredScalars",
     "stereo",
     "stereo_inv",
@@ -32,34 +31,6 @@ __all__ = [
 NORTH_POLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModelPoint:
-    """Tagged point of one of the three model spaces.
-
-    model 'r3': coords is a 3-vector or INFINITY; 's3': unit 4-vector;
-    'h3': 4-vector on the upper hyperboloid of R^{3,1}.
-    """
-
-    model: str
-    coords: object
-
-    def __post_init__(self):
-        if self.model not in ("r3", "s3", "h3"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "r3":
-            return
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (4,):
-            raise ValueError("model point needs 4 components")
-        if self.model == "s3":
-            if abs(np.dot(c, c) - 1.0) > 1e-12:
-                raise ValueError("point is not on S^3")
-        else:
-            q = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 - c[3] ** 2
-            if abs(q + 1.0) > 1e-10 or c[3] < 1.0 - 1e-10:
-                raise ValueError("point is not on the upper hyperboloid")
-
-
 @dataclass
 class TransferredScalars:
     """(conformal factor exponent, mean curvature, tracefree curvature)."""
@@ -70,11 +41,11 @@ class TransferredScalars:
     Omega: np.ndarray
 
 
-def stereo(x, tol: float = NORTH_POLE_TOL):
+def stereo(x):
     """Stereographic projection S^3 -> R^3 ∪ {INFINITY} from the north pole."""
     x = np.asarray(x, dtype=float).reshape(4)
     num, denom = dehomogenize(lift(x, "s3"), "r3")
-    if denom <= tol:
+    if denom <= NORTH_POLE_TOL:
         return INFINITY
     return num / denom
 
@@ -188,12 +159,12 @@ def representation(data, target: str):
     if data.model == "r3":
         push, sign = {"s3": (_jets.push_stereo_inv, 1.0),
                       "h3": (_jets.push_hyper_inv, -1.0)}[target]
-        new_grid = ChartGrid(target, g.u, g.v, push(g.jet), conf_tol=g.conf_tol)
+        new_grid = ChartGrid(target, g.u, g.v, push(g.jet))
         scal = _transfer(target, sign, data.lam, data.n, data.H, data.Omega, g.pos)
         return FundamentalData(target, new_grid, scal.lam,
                                _normal_from_r3(data.n, g.pos, sign), scal.H, scal.Omega)
     if target == "r3":
         jet = _jets.push_stereo(g.jet) if data.model == "s3" else _jets.push_hyper(g.jet)
-        return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet, conf_tol=g.conf_tol), data)
+        return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet), data)
     # s3 <-> h3 goes through r3
     return representation(representation(data, "r3"), target)

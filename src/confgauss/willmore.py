@@ -137,7 +137,7 @@ def inversion_exchange_check(data: FundamentalData) -> dict:
         raise ValueError("inversion exchange needs R^3 data")
     g = data.grid
     jet_inv = push_word(g.jet, [Generator("inv")])  # raises when the surface meets 0
-    g_inv = ChartGrid("r3", g.u, g.v, jet_inv, conf_tol=g.conf_tol)
+    g_inv = ChartGrid("r3", g.u, g.v, jet_inv)
     data_inv = fundamental_data(g_inv)
 
     cur = direct_currents(data)

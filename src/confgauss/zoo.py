@@ -29,7 +29,6 @@ class SurfaceSpec:
     domain: tuple  # ((u0, u1), (v0, v1))
     jet_fn: callable
     expected: dict = field(default_factory=dict)
-    conf_tol: float = 1e-8
 
     def describe(self) -> dict:
         return {
@@ -48,7 +47,7 @@ def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
     v = np.linspace(v0, v1, n)
     uu, vv = np.meshgrid(u, v, indexing="ij")
     jet = spec.jet_fn(uu, vv)
-    return ChartGrid(spec.model, u, v, jet, conf_tol=spec.conf_tol)
+    return ChartGrid(spec.model, u, v, jet)
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +310,16 @@ def make_surface(name: str, **params) -> SurfaceSpec:
     for key, value in params.items():
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"surface parameter {key} must be finite, got {value!r}")
+    spec = _catalog_spec(name, params)
+    # spec.params names every parameter the surface reads
+    for key in params:
+        if key not in spec.params:
+            raise ValueError(f"surface {name} has no parameter {key}; it takes "
+                             f"{', '.join(spec.params) or 'none'}")
+    return spec
+
+
+def _catalog_spec(name: str, params: dict) -> SurfaceSpec:
     if name == "plane":
         return SurfaceSpec(
             name, "r3", {}, ((-1.0, 1.0), (-1.0, 1.0)), _plane_jets,

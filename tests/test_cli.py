@@ -51,6 +51,12 @@ def test_unknown_flag_exits_1(capsys):
     assert code == 1
 
 
+def test_parameter_the_surface_lacks_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "cylinder", "--R", "3")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: surface cylinder has no parameter R; it takes rho"]
+
+
 def test_json_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "catenoid", "--grid", "64")
     _, out2, _ = run_cli(capsys, "analyze", "catenoid", "--grid", "64")

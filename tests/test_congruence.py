@@ -194,7 +194,7 @@ def test_reconstruct_second_null_direction():
     fr = C.isotropic_frame(data, cong)
     xstar = C.dual_surface_s3(data)
     nu0 = -fr.l[..., None] * fr.nustar  # = p(X*)
-    out = C.reconstruct_from_congruence(cong, nu0, tol=1e-4)
+    out = C.reconstruct_from_congruence(cong, nu0)
     assert np.max(np.abs(out - xstar)) <= 1e-8
 
 

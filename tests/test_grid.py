@@ -343,17 +343,17 @@ def test_real_chart_data_matches_complex_jets():
 @pytest.mark.parametrize("shear", [False, True])
 def test_conformality_check_threshold(ratio, conformal, shear):
     """A plane chart stretched (E != G) or sheared (F != 0) along v to
-    |<p_z,p_z>| / <p_z,p_zbar> of about ratio * conf_tol."""
+    |<p_z,p_z>| / <p_z,p_zbar> of about ratio * CONF_TOL."""
     u = np.linspace(-1.0, 1.0, 17)
     jet = _plane_jet(u, u)
-    tol = 1e-8
+    tol = G.CONF_TOL
     s = ratio * tol
     jet.dv = jet.dv + s * jet.du if shear else jet.dv * (1.0 + s)
     pz = (jet.du - 1j * jet.dv) / 2.0
     defect = np.max(np.abs((pz * pz).sum(-1)) / (pz * np.conj(pz)).sum(-1).real)
     assert (defect <= tol) == conformal
     if conformal:
-        G.ChartGrid("r3", u, u, jet, conf_tol=tol)
+        G.ChartGrid("r3", u, u, jet)
     else:
         with pytest.raises(ValueError, match="not conformal"):
-            G.ChartGrid("r3", u, u, jet, conf_tol=tol)
+            G.ChartGrid("r3", u, u, jet)

@@ -244,6 +244,7 @@ def test_generator_kinds_table():
     ("dil", (float("nan"),), "dil parameters must be finite"),
     ("tra", (float("inf"), 0.0, 0.0), "tra parameters must be finite"),
     ("rot", (0.0, 0.0, 1.0, float("-inf")), "rot parameters must be finite"),
+    ("rot", (0.0, 0.0, 0.0, 1.0), "zero rotation axis"),
 ])
 def test_generator_validates_itself(kind, param, match):
     with pytest.raises(ValueError, match=match):
@@ -259,6 +260,7 @@ def test_generator_validates_itself(kind, param, match):
     ("tra:x,1", "'tra:x,1'.*float: 'x'"),
     ("dil:x,1", "'dil:x,1'.*float: 'x'"),
     ("dil:x", "'dil:x'"),
+    ("dil:0.2 rot:0,0,0,1", "'rot:0,0,0,1'.*zero rotation axis"),
 ])
 def test_parse_word_names_the_bad_token(text, match):
     with pytest.raises(ValueError, match=match):

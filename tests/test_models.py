@@ -34,6 +34,8 @@ def test_hyper_examples():
     d = 0.8
     out = models.hyper([np.sinh(d), 0, 0, np.cosh(d)])
     assert out[0] == pytest.approx(np.tanh(d / 2.0), abs=1e-14)
+    with pytest.raises(ValueError, match="upper hyperboloid"):
+        models.hyper([0.0, 0.0, 0.0, -1.0])
 
 
 def test_hyper_inv_examples():
@@ -56,6 +58,7 @@ def test_hyper_round_trip(rng):
 
 def test_lift_examples():
     assert np.allclose(lift(np.zeros(3), "r3"), [0, 0, 0, -0.5, 0.5])
+    assert np.allclose(lift(np.array([1.0, 0.0, 0.0]), "r3"), [1, 0, 0, 0, 1])
     assert np.array_equal(lift(INFINITY, "r3"), V_L)
     x = np.array([0.3, -0.2, 0.1])
     big_x = models.stereo_inv(x)
@@ -75,15 +78,6 @@ def test_lift_colinearity(rng):
             b = other / np.linalg.norm(other)
             assert np.linalg.norm(np.cross(a[:3], b[:3])) <= 1e-10
             assert np.max(np.abs(a - b)) <= 1e-10  # positively proportional
-
-
-def test_lift_tagged_points():
-    p = models.ModelPoint("r3", np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(lift(p.coords, p.model), [1, 0, 0, 0, 1])
-    with pytest.raises(ValueError):
-        models.ModelPoint("s3", np.array([1.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        models.ModelPoint("h3", np.array([0.0, 0.0, 0.0, -1.0]))
 
 
 def test_transfer_at_origin():

@@ -27,6 +27,10 @@ def test_bad_parameters():
         make_surface("sphere", R=0.0)
     with pytest.raises(ValueError):
         make_surface("cylinder", rho=-1.0)
+    with pytest.raises(ValueError, match="surface cylinder has no parameter R; it takes rho"):
+        make_surface("cylinder", R=3.0)
+    with pytest.raises(ValueError, match="surface plane has no parameter rho; it takes none"):
+        make_surface("plane", rho=1.0)
 
 
 def test_sample_plane_flat():
