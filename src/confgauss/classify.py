@@ -94,7 +94,7 @@ class _S3Fields(FundamentalData):
         coarse_jet = Jet2(*(a[::2, ::2] for a in
                             (jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)))
         coarse_grid = ChartGrid(g.model, g.u[::2], g.v[::2], coarse_jet)
-        return _S3Fields(self.model, coarse_grid, self.lam[::2, ::2],
+        return _S3Fields(coarse_grid, self.lam[::2, ::2],
                          self.n[::2, ::2], self.H[::2, ::2],
                          self.Omega[::2, ::2])
 
@@ -111,7 +111,7 @@ def _closed_form_q(data: FundamentalData, curvature: float) -> np.ndarray:
 def _s3_fields(data: FundamentalData) -> _S3Fields:
     if isinstance(data, _S3Fields):
         return data
-    return _S3Fields(data.model, data.grid, data.lam, data.n, data.H, data.Omega)
+    return _S3Fields(data.grid, data.lam, data.n, data.H, data.Omega)
 
 
 def bryant_q(data: FundamentalData, cong: CongruenceGrid) -> QResult:

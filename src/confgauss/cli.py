@@ -15,10 +15,10 @@ import numpy as np
 from . import acceptance
 from .classify import HOLOMORPHY_TOL, classify_data
 from .congruence import conformal_gauss_map, isotropic_frame, transform_immersion
-from .grid import export_csv, fundamental_data, interior_max
+from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
 from .models import representation
-from .willmore import conserved_matrix, direct_currents, willmore_scalar
+from .willmore import direct_currents, equivariance_residuals, willmore_scalar
 from .zoo import list_surfaces, make_surface, sample
 
 DETERMINATE_VERDICT_PREFIXES = (
@@ -171,13 +171,8 @@ def cmd_transform(args) -> int:
     moved = transform_immersion(data, word)
     rep = classify_data(moved, surface=f"{spec.name} (transformed)",
                         params=spec.params, holomorphy_tol=args.tol_holomorphy)
-    m = word_matrix(word)
-    cong_base = conformal_gauss_map(data)
-    cong_moved = conformal_gauss_map(moved)
-    y_err = float(np.max(np.abs(cong_moved.Y - cong_base.Y @ m.T)))
-    mu_base = conserved_matrix(cong_base)
-    mu_moved = conserved_matrix(cong_moved)
-    mu_err = max(interior_max(mu_moved[k] - m @ mu_base[k] @ m.T) for k in range(2))
+    y_err, mu_err = equivariance_residuals(
+        conformal_gauss_map(data), conformal_gauss_map(moved), word_matrix(word))
     payload = {
         "surface": spec.name,
         "word": args.word,
@@ -186,7 +181,7 @@ def cmd_transform(args) -> int:
         "verdict_unchanged": (base.kappa == rep.kappa
                               and base.hyperplane.vtype == rep.hyperplane.vtype),
         "gauss_map_equivariance": y_err,
-        "mu_transport": float(mu_err),
+        "mu_transport": mu_err,
     }
     if args.format == "pretty":
         print(f"word:               {args.word or '(identity)'}")

@@ -111,20 +111,16 @@ def dual_surface_r3(data: FundamentalData) -> np.ndarray:
     _require_no_umbilic(data, "dual")
     g = data.grid
     hz = g.dz(data.H)
-    e2l = data.e2lam
     em2l = np.exp(-2.0 * data.lam)
     om2 = np.abs(data.Omega) ** 2
     t_phi = 4.0 * np.abs(hz) ** 2 + data.H ** 2 * om2 * em2l
     floor = 1e-10 * float(np.max(om2 * em2l))
     if float(np.min(t_phi[2:-2, 2:-2])) <= floor:
         raise ValueError("dual undefined: T vanishes on the chart")
-    phi_z, phi_zb = g.pos_z, g.pos_zb
-    correction = (
-        -4.0 * (hz * np.conj(data.Omega) * em2l / t_phi)[..., None] * phi_z
-        - 4.0 * (np.conj(hz) * data.Omega * em2l / t_phi)[..., None] * phi_zb
-    )
+    # the phi_zbar term is the conjugate of the phi_z term
+    tangent = -8.0 * ((hz * np.conj(data.Omega) * em2l / t_phi)[..., None] * g.pos_z).real
     normal_part = (2.0 * data.H * om2 * em2l / t_phi)[..., None] * data.n
-    return g.pos + correction.real + normal_part
+    return g.pos + tangent + normal_part
 
 
 def dual_surface_s3(data: FundamentalData) -> np.ndarray:
@@ -138,14 +134,11 @@ def dual_surface_s3(data: FundamentalData) -> np.ndarray:
     om2 = np.abs(data.Omega) ** 2
     t_x = om2 * (1.0 + data.H ** 2) + 4.0 * np.abs(hz) ** 2 * e2lam
     alpha = (data.H ** 2 * om2 + 4.0 * np.abs(hz) ** 2 * e2lam - om2) / t_x
-    x_z, x_zb = g.pos_z, g.pos_zb
-    tangent = (
-        -4.0 * (hz * np.conj(data.Omega) / t_x)[..., None] * x_z
-        - 4.0 * (np.conj(hz) * data.Omega / t_x)[..., None] * x_zb
-    )
+    # the x_zbar term is the conjugate of the x_z term
+    tangent = -8.0 * ((hz * np.conj(data.Omega) / t_x)[..., None] * g.pos_z).real
     return (
         alpha[..., None] * g.pos
-        + tangent.real
+        + tangent
         + (2.0 * om2 * data.H / t_x)[..., None] * data.n
     )
 
@@ -202,8 +195,7 @@ def transform_immersion(data: FundamentalData, word) -> FundamentalData:
     matrices on the lifted jets, keeping analytic jets (never re-sampling),
     and the normal is the one induced by the source's orientation.
     """
-    if data.model != "r3":
-        data = representation(data, "r3")
+    data = representation(data, "r3")
     g = data.grid
     jet = push_word(g.jet, word)
     return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet), data)

@@ -226,12 +226,15 @@ def interior_max(f, band: int = 2) -> float:
 class FundamentalData:
     """Per-node (lam, n, H, Omega) of a chart grid in its tagged model."""
 
-    model: str
     grid: ChartGrid
     lam: np.ndarray
     n: np.ndarray
     H: np.ndarray
     Omega: np.ndarray
+
+    @property
+    def model(self) -> str:
+        return self.grid.model
 
     @property
     def e2lam(self):
@@ -288,7 +291,7 @@ def fundamental_data(grid: ChartGrid) -> FundamentalData:
     n = chart_normal(grid)
     h_field = grid._dot(jet.duu + jet.dvv, n) / trace
     omega = 0.5 * grid._dot(jet.duu - jet.dvv, n) - 1j * grid._dot(jet.duv, n)
-    return FundamentalData(grid.model, grid, lam, n, h_field, omega)
+    return FundamentalData(grid, lam, n, h_field, omega)
 
 
 def gauss_codazzi_residual(data: FundamentalData) -> np.ndarray:
@@ -297,13 +300,14 @@ def gauss_codazzi_residual(data: FundamentalData) -> np.ndarray:
     return g.dzbar(data.Omega) * np.exp(-2.0 * data.lam) - g.dz(data.H)
 
 
-def structure_residuals(grid: ChartGrid, data: FundamentalData) -> float:
+def structure_residuals(data: FundamentalData) -> float:
     """Max interior residual of the three structure equations.
 
     n_z = -H p_z - Omega e^{-2lam} p_zbar,
     p_zzbar = H (e^{2lam}/2) n  (+/- the ambient term on S^3 / H^3),
     p_zz = 2 lam_z p_z + (Omega/2) n.
     """
+    grid = data.grid
     pz, pzb = grid.pos_z, grid.pos_zb
     e2l = data.e2lam
     nc = data.n.astype(complex)

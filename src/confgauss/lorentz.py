@@ -141,7 +141,7 @@ def rotation_matrix(theta: np.ndarray) -> np.ndarray:
 def axis_angle_matrix(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about ``axis`` by ``angle``, as a 3x3 matrix."""
     a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
+    norm = math.hypot(*a)  # no overflow or underflow at any finite scale
     if norm == 0.0:
         raise ValueError("zero rotation axis")
     a = a / norm

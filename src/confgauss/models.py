@@ -142,7 +142,7 @@ def oriented_r3_data(grid: ChartGrid, source: FundamentalData) -> FundamentalDat
     """
     data = fundamental_data(grid)
     if source.orientation * _CHART_ORIENTATION[source.model] < 0:
-        data = FundamentalData("r3", grid, data.lam, -data.n, -data.H, -data.Omega)
+        data = FundamentalData(grid, data.lam, -data.n, -data.H, -data.Omega)
     return data
 
 
@@ -161,7 +161,7 @@ def representation(data, target: str):
                       "h3": (_jets.push_hyper_inv, -1.0)}[target]
         new_grid = ChartGrid(target, g.u, g.v, push(g.jet))
         scal = _transfer(target, sign, data.lam, data.n, data.H, data.Omega, g.pos)
-        return FundamentalData(target, new_grid, scal.lam,
+        return FundamentalData(new_grid, scal.lam,
                                _normal_from_r3(data.n, g.pos, sign), scal.H, scal.Omega)
     if target == "r3":
         jet = _jets.push_stereo(g.jet) if data.model == "s3" else _jets.push_hyper(g.jet)

@@ -3,7 +3,7 @@
 The Willmore scalar in the data's own gauge, the harmonic-map residual
 of Y, the conserved currents attached to translations, dilations, rotations
 and inversions, their block extraction from the antisymmetric matrix
-mu = grad(Y) Y^T - Y grad(Y)^T, and the inversion exchange law.
+mu = grad(Y) Y^T - Y grad(Y)^T, Moebius equivariance and inversion exchange.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import CongruenceGrid, conformal_gauss_map
-from .grid import FundamentalData, fundamental_data, interior_max, ChartGrid
-from .jets import push_word
+from .congruence import CongruenceGrid, conformal_gauss_map, transform_immersion
+from .grid import FundamentalData, interior_max, ChartGrid
 from .lorentz import Generator, dot, inversion_matrix, lorentz_product
 
 __all__ = [
@@ -22,6 +21,7 @@ __all__ = [
     "willmore_scalar",
     "harmonicity_residual",
     "conserved_matrix",
+    "equivariance_residuals",
     "direct_currents",
     "extract_from_mu",
     "divergence_residual",
@@ -50,6 +50,20 @@ def conserved_matrix(cong: CongruenceGrid):
     mu_x = np.einsum("...i,...j->...ij", y_u, y) - np.einsum("...i,...j->...ij", y, y_u)
     mu_y = np.einsum("...i,...j->...ij", y_v, y) - np.einsum("...i,...j->...ij", y, y_v)
     return mu_x, mu_y
+
+
+def equivariance_residuals(cong: CongruenceGrid, moved: CongruenceGrid, m: np.ndarray):
+    """Residuals (Y, mu) of Y_phi = M Y and mu_phi = M mu M^T.
+
+    ``moved`` is the congruence of the surface moved by the Moebius
+    transformation whose SO(4,1) matrix is ``m``.  The Y residual is the
+    max over the whole grid, the mu residual the interior max over both
+    coordinate directions.
+    """
+    y_err = float(np.max(np.abs(moved.Y - cong.Y @ m.T)))
+    mu, mu_moved = conserved_matrix(cong), conserved_matrix(moved)
+    mu_err = max(interior_max(mu_moved[k] - m @ mu[k] @ m.T) for k in range(2))
+    return y_err, mu_err
 
 
 @dataclass
@@ -135,25 +149,15 @@ def inversion_exchange_check(data: FundamentalData) -> dict:
     """
     if data.model != "r3":
         raise ValueError("inversion exchange needs R^3 data")
-    g = data.grid
-    jet_inv = push_word(g.jet, [Generator("inv")])  # raises when the surface meets 0
-    g_inv = ChartGrid("r3", g.u, g.v, jet_inv)
-    data_inv = fundamental_data(g_inv)
-
+    data_inv = transform_immersion(data, [Generator("inv")])  # raises when the surface meets 0
     cur = direct_currents(data)
     cur_inv = direct_currents(data_inv)
     res = {
         "tra_vs_inv": _max_current_diff(cur_inv.v_tra, cur.v_inv),
         "inv_vs_tra": _max_current_diff(cur_inv.v_inv, cur.v_tra),
-        "dil_flip": interior_max(np.moveaxis(cur_inv.v_dil + cur.v_dil, 0, 2)),
+        "dil_flip": _max_current_diff(cur_inv.v_dil, -cur.v_dil),
         "rot_tilde_fixed": _max_current_diff(cur_inv.v_rot_tilde, cur.v_rot_tilde),
     }
-
-    m_iota = inversion_matrix()
-    mu = conserved_matrix(conformal_gauss_map(data))
-    mu_inv = conserved_matrix(conformal_gauss_map(data_inv))
-    transported = [m_iota @ m @ m_iota.T for m in mu]
-    res["mu_transport"] = max(
-        interior_max(mu_inv[k] - transported[k]) for k in range(2)
-    )
+    res["mu_transport"] = equivariance_residuals(
+        conformal_gauss_map(data), conformal_gauss_map(data_inv), inversion_matrix())[1]
     return res

@@ -152,11 +152,11 @@ def test_gauss_codazzi_residuals():
 
 def test_structure_residuals_examples():
     plane = data_for("plane", n=33)
-    assert G.structure_residuals(plane.grid, plane) <= 1e-12
+    assert G.structure_residuals(plane) <= 1e-12
     cat = data_for("catenoid", n=128)
-    assert G.structure_residuals(cat.grid, cat) <= 1e-7
+    assert G.structure_residuals(cat) <= 1e-7
     sph = data_for("sphere", n=128, R=1.0)
-    assert G.structure_residuals(sph.grid, sph) <= 1e-8
+    assert G.structure_residuals(sph) <= 1e-8
     assert np.max(np.abs(sph.Omega)) <= 1e-12  # umbilic: the Omega term vanishes
 
 

@@ -158,6 +158,10 @@ def test_parse_word():
         lz.parse_word("boost:1")
     with pytest.raises(ValueError):
         lz.parse_word("tra:1,2")
+    # the axis is normalized at any finite, nonzero scale
+    ref = lz.word_matrix(lz.parse_word("rot:1,1,0,1"))
+    for text in ("rot:1e300,1e300,0,1", "rot:1e-200,1e-200,0,1"):
+        assert np.max(np.abs(lz.word_matrix(lz.parse_word(text)) - ref)) <= 1e-15
 
 
 def test_word_matrix_composes_left_to_right():

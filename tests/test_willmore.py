@@ -164,6 +164,9 @@ def test_mu_equivariance_random_words(rng):
             for k in range(2)
         )
         assert err <= 1e-5
+        residuals = W.equivariance_residuals(
+            C.conformal_gauss_map(data), C.conformal_gauss_map(moved), m)
+        assert abs(residuals[1] - err) <= 1e-12
     assert done == 10
 
 
@@ -178,3 +181,6 @@ def test_mu_transport_under_inversion():
         for k in range(2)
     )
     assert err <= 1e-5
+    residuals = W.equivariance_residuals(
+        C.conformal_gauss_map(data), C.conformal_gauss_map(moved), m)
+    assert abs(residuals[1] - err) <= 1e-12
