@@ -269,34 +269,26 @@ def criterion_inversion_exchange(n: int = 128):
 
 @_criterion("classification matrix")
 def criterion_classification(n: int = 128):
-    """8. The classification matrix over the zoo."""
-    cases = [
-        ("cylinder", {}, 0, "lightlike", False),
-        ("catenoid", {}, 0, "lightlike", True),
-        ("clifford_torus", {}, -1, "timelike", True),
-        ("torus_revolution", {"R": 3.0, "r": 1.0}, -1, "timelike", False),
-        ("hyperbolic_cylinder", {"d": 0.5}, 1, "spacelike", False),
-    ]
+    """8. The classification matrix over the zoo, against each expected table."""
+    cases = [("cylinder", {}), ("catenoid", {}), ("clifford_torus", {}),
+             ("torus_revolution", {"R": 3.0, "r": 1.0}),
+             ("hyperbolic_cylinder", {"d": 0.5}), ("revolution_profile", {})]
     details = {}
     passed = True
-    for name, params, want_kappa, want_type, want_linear in cases:
-        rep = classify(make_surface(name, **params), n=n)
-        ok = (rep.kappa == want_kappa
-              and rep.hyperplane.vtype == want_type
-              and rep.hyperplane.linear == want_linear
-              and rep.hyperplane.rms <= 1e-6)
-        details[_key(name, params)] = {
-            "kappa": rep.kappa, "type": rep.hyperplane.vtype,
-            "linear": rep.hyperplane.linear, "rms": rep.hyperplane.rms,
-            "verdict": rep.verdict, "ok": ok,
-        }
+    for name, params in cases:
+        spec = make_surface(name, **params)
+        rep, want = classify(spec, n=n), spec.expected
+        if want.get("not_cmc"):
+            ok = rep.verdict == "not conformally CMC" and rep.q_holomorphy >= 1e-2
+            row = {"verdict": rep.verdict, "q_holomorphy": rep.q_holomorphy}
+        else:
+            hp = rep.hyperplane
+            ok = (rep.kappa == want["kappa"] and hp.vtype == want["normal_type"]
+                  and hp.linear == want["linear"] and hp.rms <= 1e-6)
+            row = {"kappa": rep.kappa, "type": hp.vtype, "linear": hp.linear,
+                   "rms": hp.rms, "verdict": rep.verdict}
+        details[_key(name, params)] = {**row, "ok": ok}
         passed &= ok
-    rep = classify(make_surface("revolution_profile"), n=n)
-    ok = rep.verdict == "not conformally CMC" and rep.q_holomorphy >= 1e-2
-    details["revolution_profile"] = {
-        "verdict": rep.verdict, "q_holomorphy": rep.q_holomorphy, "ok": ok,
-    }
-    passed &= ok
     return passed, details
 
 

@@ -19,7 +19,7 @@ from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
 from .models import representation
 from .willmore import direct_currents, equivariance_residuals, willmore_scalar
-from .zoo import list_surfaces, make_surface, sample
+from .zoo import SURFACES, list_surfaces, make_surface, sample
 
 DETERMINATE_VERDICT_PREFIXES = (
     "conformally CMC in",
@@ -27,7 +27,10 @@ DETERMINATE_VERDICT_PREFIXES = (
     "not conformally CMC",
 )
 
-_PARAM_FLAGS = ["R", "r", "rho", "d", "rho0", "cos1", "sin2", "zslope"]
+# one flag per float parameter of the catalog; offset (a 3-vector) is library-only
+_PARAM_FLAGS = list(dict.fromkeys(
+    key for kind in SURFACES.values()
+    for key, default in kind.defaults.items() if isinstance(default, float)))
 
 
 def _fmt(value) -> str:

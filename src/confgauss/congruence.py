@@ -132,8 +132,9 @@ def dual_surface_s3(data: FundamentalData) -> np.ndarray:
     hz = g.dz(data.H)
     e2lam = data.e2lam
     om2 = np.abs(data.Omega) ** 2
-    t_x = om2 * (1.0 + data.H ** 2) + 4.0 * np.abs(hz) ** 2 * e2lam
-    alpha = (data.H ** 2 * om2 + 4.0 * np.abs(hz) ** 2 * e2lam - om2) / t_x
+    grad2 = 4.0 * np.abs(hz) ** 2 * e2lam
+    t_x = om2 * (1.0 + data.H ** 2) + grad2
+    alpha = (data.H ** 2 * om2 + grad2 - om2) / t_x
     # the x_zbar term is the conjugate of the x_z term
     tangent = -8.0 * ((hz * np.conj(data.Omega) / t_x)[..., None] * g.pos_z).real
     return (

@@ -95,20 +95,17 @@ def _ambient_dot(model: str, a, b):
 
 def _cross4(a, b, c):
     """Euclidean generalized cross product of R^4: <w,t> = det[a,b,c,t]."""
-    w = np.zeros(a.shape)
-    idx = [0, 1, 2, 3]
+    a, b, c = (np.moveaxis(x, -1, 0) for x in (a, b, c))  # component views
+    # 2x2 minors of rows b, c on columns j < k, each shared by two 3x3 minors
+    bc = {(j, k): b[j] * c[k] - b[k] * c[j]
+          for j in range(4) for k in range(j + 1, 4)}
+    w = np.empty(a.shape[1:] + (4,))
     for i in range(4):
-        rest = idx[:i] + idx[i + 1 :]
-        m = np.stack(
-            [a[..., rest], b[..., rest], c[..., rest]], axis=-2
-        )  # rows a,b,c with column i removed -> minor of column block
-        det3 = (
-            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-        )
-        # cofactor of entry (i, 3) in the matrix with columns [a, b, c, t]
-        w[..., i] = ((-1) ** (i + 3)) * det3
+        # rows a, b, c with column i removed: the minor of entry (i, 3)
+        p, q, s = (k for k in range(4) if k != i)
+        det3 = a[p] * bc[q, s] - a[q] * bc[p, s] + a[s] * bc[p, q]
+        # cofactor sign (-1)^(i + 3) in the matrix with columns [a, b, c, t]
+        w[..., i] = det3 if i % 2 else -det3
     return w
 
 

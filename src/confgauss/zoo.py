@@ -8,7 +8,9 @@ included as the non-conformally-CMC control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +18,8 @@ from .grid import ChartGrid
 from .jets import Jet2, push_word
 from .lorentz import Generator
 
-__all__ = ["SurfaceSpec", "make_surface", "sample", "list_surfaces", "CATALOG"]
+__all__ = ["SurfaceKind", "SurfaceSpec", "SURFACES", "CATALOG", "make_surface",
+           "sample", "list_surfaces"]
 
 
 @dataclass
@@ -28,7 +31,7 @@ class SurfaceSpec:
     params: dict
     domain: tuple  # ((u0, u1), (v0, v1))
     jet_fn: callable
-    expected: dict = field(default_factory=dict)
+    expected: dict
 
     def describe(self) -> dict:
         return {
@@ -36,7 +39,7 @@ class SurfaceSpec:
             "model": self.model,
             "params": dict(self.params),
             "domain": [list(self.domain[0]), list(self.domain[1])],
-            "expected": {k: v for k, v in self.expected.items()},
+            "expected": dict(self.expected),
         }
 
 
@@ -245,7 +248,11 @@ class _RevolutionProfile:
         return np.sqrt(self.rho(t, 1) ** 2 + self.zeta(t, 1) ** 2)
 
     def _rate(self, t):
-        return float(self.speed(t) / self.rho(t))
+        rate = float(self.speed(t) / self.rho(t))
+        if not rate > 0.0:
+            raise ValueError(f"profile speed vanishes at t = {t:.6g}; "
+                             "the revolved chart is not immersed there")
+        return rate
 
     def iso_coord(self, t):
         """Isothermal coordinate u(t) = int_0^t speed/rho, to 1e-12."""
@@ -305,165 +312,134 @@ def _revolution_jets(u, v, profile: _RevolutionProfile):
 # catalog
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SurfaceKind:
+    """One catalog surface, declared once.
+
+    ``defaults`` names every parameter the surface takes and ``ranges``
+    states where each is valid.  ``build(**params)`` raises ``ValueError``
+    outside those ranges, or returns ``(domain, jet_fn, expected)``; the
+    inverted catenoid's band is checked on the sampled chart instead.
+    """
+
+    model: str
+    defaults: dict
+    ranges: dict
+    build: callable
+
+
+def _sphere(R):
+    if R <= 0.0:
+        raise ValueError("sphere radius must be positive")
+    return ((-0.35, 0.35), (-0.35, 0.35)), partial(_sphere_jets, radius=R), {
+        "H_const": 1.0 / R, "Omega_const": 0.0, "willmore": True,
+        "kappa": None, "umbilic": True}
+
+
+def _cylinder(rho):
+    if rho <= 0.0:
+        raise ValueError("cylinder radius must be positive")
+    domain = ((-0.45, 0.45), (-0.85 * np.pi * rho, 0.85 * np.pi * rho))
+    return domain, partial(_cylinder_jets, rho=rho), {
+        "H_const": -1.0 / (2.0 * rho), "Omega_const": 1.0 / (2.0 * rho),
+        "willmore": False, "kappa": 0, "normal_type": "lightlike",
+        "linear": False, "umbilic": False}
+
+
+def _torus(R, r):
+    if r <= 0.0 or R <= r:
+        raise ValueError("torus needs R > r > 0")
+    uhalf = 0.15 * np.pi * r / math.sqrt(R ** 2 - r ** 2)
+    willmore = abs(R / r - math.sqrt(2.0)) < 1e-12
+    domain = ((-uhalf, uhalf), (-np.pi / 2.0, np.pi / 2.0))
+    return domain, partial(_torus_jets, big_r=R, small_r=r), {
+        "willmore": willmore, "kappa": -1, "normal_type": "timelike",
+        "linear": willmore, "umbilic": False}
+
+
+def _hyperbolic_cylinder(d):
+    if d <= 0.0:
+        raise ValueError("hyperbolic cylinder needs d > 0")
+    t = float(np.tanh(d))
+    domain = ((-1.0, 1.0), (-0.85 * np.pi, 0.85 * np.pi))
+    return domain, partial(_hyperbolic_cylinder_jets, d=d), {
+        "H_abs": (t + 1.0 / t) / 2.0, "willmore": False, "kappa": 1,
+        "normal_type": "spacelike", "linear": False, "umbilic": False}
+
+
+def _revolution(rho0, cos1, sin2, zslope):
+    profile = _RevolutionProfile(rho0, cos1, sin2, zslope)
+    if np.min(profile.rho(np.linspace(-1.5, 1.5, 301))) < 0.1:
+        raise ValueError("profile radius too close to the axis")
+    domain = ((0.6 * profile.iso_coord(-1.0), 0.6 * profile.iso_coord(1.0)),
+              (-np.pi / 2.0, np.pi / 2.0))
+    return domain, partial(_revolution_jets, profile=profile), {
+        "willmore": False, "kappa": None, "umbilic": False, "not_cmc": True}
+
+
+_MIN_RHO = "min rho >= 0.1 on |t| <= 1.5"
+
+# every catalog surface in listing order; the lambdas build a fresh
+# expected table per call
+SURFACES = {
+    "plane": SurfaceKind("r3", {}, {}, lambda: (
+        ((-1.0, 1.0), (-1.0, 1.0)), _plane_jets,
+        {"H_const": 0.0, "Omega_const": 0.0, "willmore": True,
+         "kappa": None, "umbilic": True})),
+    "sphere": SurfaceKind("r3", {"R": 1.0}, {"R": "R > 0"}, _sphere),
+    "cylinder": SurfaceKind("r3", {"rho": 1.0}, {"rho": "rho > 0"}, _cylinder),
+    "catenoid": SurfaceKind("r3", {}, {}, lambda: (
+        ((-0.4, 0.4), (-0.85 * np.pi, 0.85 * np.pi)), _catenoid_jets,
+        {"H_const": 0.0, "Omega_const": -1.0, "willmore": True, "kappa": 0,
+         "normal_type": "lightlike", "linear": True, "umbilic": False})),
+    "enneper": SurfaceKind("r3", {}, {}, lambda: (
+        ((-0.55, 0.55), (-0.55, 0.55)), _enneper_jets,
+        {"H_const": 0.0, "Omega_const": 2.0, "willmore": True, "kappa": 0,
+         "normal_type": "lightlike", "linear": True, "umbilic": False})),
+    "inverted_catenoid": SurfaceKind(
+        "r3", {"offset": (3.0, 0.0, 0.0)},
+        {"offset": "|offset| > cosh(1) + 0.5"}, lambda offset: (
+            ((-0.3, 0.3), (-0.75, 0.75)),
+            partial(_inverted_catenoid_jets, offset=offset),
+            {"willmore": True, "kappa": 0, "normal_type": "lightlike",
+             "linear": True, "umbilic": False})),
+    "torus_revolution": SurfaceKind(
+        "r3", {"R": math.sqrt(2.0), "r": 1.0}, {"R": "R > r", "r": "r > 0"},
+        _torus),
+    "clifford_torus": SurfaceKind("s3", {}, {}, lambda: (
+        ((-1.25, 1.25), (-1.25, 1.25)), _clifford_jets,
+        {"H_const": 0.0, "Omega_const": -1.0, "willmore": True, "kappa": -1,
+         "normal_type": "timelike", "linear": True, "umbilic": False})),
+    "hyperbolic_cylinder": SurfaceKind(
+        "h3", {"d": 0.5}, {"d": "d > 0"}, _hyperbolic_cylinder),
+    "revolution_profile": SurfaceKind(
+        "r3", {"rho0": 1.5, "cos1": 0.3, "sin2": 0.1, "zslope": 1.5},
+        {"rho0": _MIN_RHO, "cos1": _MIN_RHO, "sin2": _MIN_RHO,
+         "zslope": "speed sqrt(rho'^2 + zslope^2) > 0"}, _revolution),
+}
+
+CATALOG = list(SURFACES)
+
+
 def make_surface(name: str, **params) -> SurfaceSpec:
     """Build a catalog surface spec; raises on unknown names or bad params."""
     for key, value in params.items():
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"surface parameter {key} must be finite, got {value!r}")
-    spec = _catalog_spec(name, params)
-    # spec.params names every parameter the surface reads
+    if name not in SURFACES:
+        raise ValueError(f"unknown surface {name!r}")
+    kind = SURFACES[name]
     for key in params:
-        if key not in spec.params:
+        if key not in kind.defaults:
             raise ValueError(f"surface {name} has no parameter {key}; it takes "
-                             f"{', '.join(spec.params) or 'none'}")
-    return spec
-
-
-def _catalog_spec(name: str, params: dict) -> SurfaceSpec:
-    if name == "plane":
-        return SurfaceSpec(
-            name, "r3", {}, ((-1.0, 1.0), (-1.0, 1.0)), _plane_jets,
-            expected={"H_const": 0.0, "Omega_const": 0.0, "willmore": True,
-                      "kappa": None, "umbilic": True},
-        )
-
-    if name == "sphere":
-        radius = float(params.get("R", 1.0))
-        if radius <= 0.0:
-            raise ValueError("sphere radius must be positive")
-        return SurfaceSpec(
-            name, "r3", {"R": radius}, ((-0.35, 0.35), (-0.35, 0.35)),
-            lambda u, v: _sphere_jets(u, v, radius),
-            expected={"H_const": 1.0 / radius, "Omega_const": 0.0,
-                      "willmore": True, "kappa": None, "umbilic": True},
-        )
-
-    if name == "cylinder":
-        rho = float(params.get("rho", 1.0))
-        if rho <= 0.0:
-            raise ValueError("cylinder radius must be positive")
-        return SurfaceSpec(
-            name, "r3", {"rho": rho},
-            ((-0.45, 0.45), (-0.85 * np.pi * rho, 0.85 * np.pi * rho)),
-            lambda u, v: _cylinder_jets(u, v, rho),
-            expected={"H_const": -1.0 / (2.0 * rho), "Omega_const": 1.0 / (2.0 * rho),
-                      "willmore": False, "kappa": 0, "normal_type": "lightlike",
-                      "linear": False, "umbilic": False},
-        )
-
-    if name == "catenoid":
-        return SurfaceSpec(
-            name, "r3", {}, ((-0.4, 0.4), (-0.85 * np.pi, 0.85 * np.pi)), _catenoid_jets,
-            expected={"H_const": 0.0, "Omega_const": -1.0, "willmore": True,
-                      "kappa": 0, "normal_type": "lightlike", "linear": True,
-                      "umbilic": False},
-        )
-
-    if name == "enneper":
-        return SurfaceSpec(
-            name, "r3", {}, ((-0.55, 0.55), (-0.55, 0.55)), _enneper_jets,
-            expected={"H_const": 0.0, "Omega_const": 2.0, "willmore": True,
-                      "kappa": 0, "normal_type": "lightlike", "linear": True,
-                      "umbilic": False},
-        )
-
-    if name == "inverted_catenoid":
-        offset = tuple(params.get("offset", (3.0, 0.0, 0.0)))
-        return SurfaceSpec(
-            name, "r3", {"offset": offset}, ((-0.3, 0.3), (-0.75, 0.75)),
-            lambda u, v: _inverted_catenoid_jets(u, v, offset),
-            expected={"willmore": True, "kappa": 0, "normal_type": "lightlike",
-                      "linear": True, "umbilic": False},
-        )
-
-    if name == "torus_revolution":
-        big_r = float(params.get("R", np.sqrt(2.0)))
-        small_r = float(params.get("r", 1.0))
-        if small_r <= 0.0 or big_r <= small_r:
-            raise ValueError("torus needs R > r > 0")
-        c = np.sqrt(big_r ** 2 - small_r ** 2)
-        uhalf = 0.15 * np.pi * small_r / c
-        willmore = abs(big_r / small_r - np.sqrt(2.0)) < 1e-12
-        return SurfaceSpec(
-            name, "r3", {"R": big_r, "r": small_r},
-            ((-uhalf, uhalf), (-np.pi / 2.0, np.pi / 2.0)),
-            lambda u, v: _torus_jets(u, v, big_r, small_r),
-            expected={"willmore": willmore, "kappa": -1, "normal_type": "timelike",
-                      "linear": willmore, "umbilic": False},
-        )
-
-    if name == "clifford_torus":
-        half = 1.25
-        return SurfaceSpec(
-            name, "s3", {}, ((-half, half), (-half, half)), _clifford_jets,
-            expected={"H_const": 0.0, "Omega_const": -1.0, "willmore": True,
-                      "kappa": -1, "normal_type": "timelike", "linear": True,
-                      "umbilic": False},
-        )
-
-    if name == "hyperbolic_cylinder":
-        d = float(params.get("d", 0.5))
-        if d <= 0.0:
-            raise ValueError("hyperbolic cylinder needs d > 0")
-        h_mag = (np.tanh(d) + 1.0 / np.tanh(d)) / 2.0
-        return SurfaceSpec(
-            name, "h3", {"d": d}, ((-1.0, 1.0), (-0.85 * np.pi, 0.85 * np.pi)),
-            lambda u, v: _hyperbolic_cylinder_jets(u, v, d),
-            expected={"H_abs": h_mag, "willmore": False, "kappa": 1,
-                      "normal_type": "spacelike", "linear": False,
-                      "umbilic": False},
-        )
-
-    if name == "revolution_profile":
-        rho0 = float(params.get("rho0", 1.5))
-        cos1 = float(params.get("cos1", 0.3))
-        sin2 = float(params.get("sin2", 0.1))
-        zslope = float(params.get("zslope", 1.5))
-        profile = _RevolutionProfile(rho0, cos1, sin2, zslope)
-        tt = np.linspace(-1.5, 1.5, 301)
-        if np.min(profile.rho(tt)) < 0.1:
-            raise ValueError("profile radius too close to the axis")
-        u_lo = 0.6 * profile.iso_coord(-1.0)
-        u_hi = 0.6 * profile.iso_coord(1.0)
-        return SurfaceSpec(
-            name, "r3",
-            {"rho0": rho0, "cos1": cos1, "sin2": sin2, "zslope": zslope},
-            ((u_lo, u_hi), (-np.pi / 2.0, np.pi / 2.0)),
-            lambda u, v: _revolution_jets(u, v, profile),
-            expected={"willmore": False, "kappa": None, "umbilic": False,
-                      "not_cmc": True},
-        )
-
-    raise ValueError(f"unknown surface {name!r}")
-
-
-CATALOG = [
-    "plane",
-    "sphere",
-    "cylinder",
-    "catenoid",
-    "enneper",
-    "inverted_catenoid",
-    "torus_revolution",
-    "clifford_torus",
-    "hyperbolic_cylinder",
-    "revolution_profile",
-]
+                             f"{', '.join(kind.defaults) or 'none'}")
+    values = {key: type(default)(params.get(key, default))
+              for key, default in kind.defaults.items()}
+    domain, jet_fn, expected = kind.build(**values)
+    return SurfaceSpec(name, kind.model, values, domain, jet_fn, expected)
 
 
 def list_surfaces() -> list:
     """Catalog entries with parameter ranges and expected-invariant tables."""
-    entries = []
-    for name in CATALOG:
-        spec = make_surface(name)
-        entry = spec.describe()
-        entry["param_ranges"] = {
-            "sphere": {"R": "R > 0"},
-            "cylinder": {"rho": "rho > 0"},
-            "torus_revolution": {"R": "R > r", "r": "r > 0"},
-            "hyperbolic_cylinder": {"d": "d > 0"},
-            "inverted_catenoid": {"offset": "|offset| > cosh(1) + 0.5"},
-            "revolution_profile": {"rho0": "min rho > 0.1"},
-        }.get(name, {})
-        entries.append(entry)
-    return entries
+    return [{**make_surface(name).describe(), "param_ranges": dict(kind.ranges)}
+            for name, kind in SURFACES.items()]

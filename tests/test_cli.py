@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from confgauss import cli
 from confgauss.cli import main
+from confgauss.zoo import SURFACES, make_surface
 
 
 def run_cli(capsys, *argv):
@@ -164,3 +167,29 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "745. TiB" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--zslope", "0", "--sin2", "0"],
+    # the speed sqrt(0 + 1e-600) underflows to 0 on the constant radius
+    ["--zslope", "1e-300", "--sin2", "0", "--cos1", "0"],
+])
+def test_degenerate_profile_speed_exits_1(capsys, flags):
+    code, out, err = run_cli(capsys, "analyze", "revolution_profile", *flags,
+                             "--grid", "33")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: profile speed vanishes")
+
+
+def test_catalog_parameters_are_analyze_flags():
+    parser = cli.build_parser()
+    for name, kind in SURFACES.items():
+        for key, default in kind.defaults.items():
+            if isinstance(default, float):
+                args = parser.parse_args(["analyze", name, f"--{key}", repr(default)])
+                assert cli._collect_params(args) == {key: default}, (name, key)
+        given, implied = make_surface(name, **kind.defaults), make_surface(name)
+        assert given.params == implied.params, name
+        assert given.domain == implied.domain, name
+        assert given.expected == implied.expected, name

@@ -82,6 +82,13 @@ def test_axis_derivative_rejects_mismatched_field():
         g.d_v(np.zeros((9, 9)))
 
 
+def test_cross4_is_the_determinant_cofactor(rng):
+    a, b, c, t = rng.normal(size=(4, 50, 4))
+    got = np.sum(G._cross4(a, b, c) * t, axis=-1)
+    want = np.linalg.det(np.stack([a, b, c, t], axis=-2))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_grid_too_small():
     with pytest.raises(ValueError, match="too small"):
         sample(make_surface("plane"), 8)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ def test_catalog_listing():
     entries = list_surfaces()
     assert [e["name"] for e in entries] == CATALOG
     assert all("domain" in e and "expected" in e for e in entries)
+    # plain Python data: json.dumps raises TypeError on an np.bool_
+    assert [e["name"] for e in json.loads(json.dumps(entries))] == CATALOG
 
 
 def test_unknown_surface():
