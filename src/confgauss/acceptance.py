@@ -96,7 +96,7 @@ def _criterion(title: str):
 
 def _key(name, params) -> str:
     """Details key of a catalog surface: its name, then any parameters."""
-    return name if not params else f"{name}{tuple(params.values())}"
+    return name if not params else f"{name}{tuple(map(float, params.values()))}"
 
 
 def _data(name, params, n, domain=None):

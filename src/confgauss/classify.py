@@ -42,7 +42,6 @@ IMAG_REL_TOL = 1e-6
 WILLMORE_RESIDUAL_TOL = 1e-4
 LINEAR_ETA_TOL = 1e-6
 NORMAL_TYPE_TOL = 1e-6
-Q_AGREEMENT_TOL = 1e-5
 # the 2h restriction (every other node) must itself be a valid grid
 MIN_CLASSIFY_GRID = 2 * MIN_GRID - 1
 
@@ -52,7 +51,7 @@ _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
 
 @dataclass
 class QResult:
-    """Bryant functional: closed form, direct form, and their agreement."""
+    """Bryant functional: closed form, direct form, and their difference."""
 
     q: np.ndarray
     q_direct: np.ndarray
@@ -63,10 +62,14 @@ class QResult:
 class _S3Fields(FundamentalData):
     """S^3 data with the classifier's derivative fields, each taken once.
 
-    W_{S3}, the closed-form Q, Q_zbar, the sign field of that Q and the 2h
-    restriction are computed on first use and kept on this object, so they
-    live as long as it does.
+    The congruence, W_{S3}, Q = <Y_zz, Y_zz>, Q_zbar, the sign field of that
+    Q and the 2h restriction are computed on first use and kept on this
+    object, so they live as long as it does.
     """
+
+    @cached_property
+    def cong(self) -> CongruenceGrid:
+        return conformal_gauss_map(self)
 
     @cached_property
     def willmore(self) -> np.ndarray:
@@ -74,8 +77,8 @@ class _S3Fields(FundamentalData):
 
     @cached_property
     def q(self) -> np.ndarray:
-        """Closed form omega^2 e^{-2Lam} (omega_z/omega)_zbar + omega^2 (h^2+1)/4."""
-        return _closed_form_q(self, 1.0)
+        """Bryant's quartic <Y_zz, Y_zz>, as smooth as Y."""
+        return lorentz_product(self.cong.Yzz, self.cong.Yzz)
 
     @cached_property
     def q_zbar(self) -> np.ndarray:
@@ -83,20 +86,21 @@ class _S3Fields(FundamentalData):
 
     @cached_property
     def sign_field(self):
-        """``_field_and_scale`` of the closed-form Q."""
+        """``_field_and_scale`` of Q."""
         return _field_and_scale(self, self.q)
 
     @cached_property
     def coarse(self) -> "_S3Fields":
         """Pointwise restriction to the every-other-node subgrid."""
         g = self.grid
-        jet = g.jet
-        coarse_jet = Jet2(*(a[::2, ::2] for a in
-                            (jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)))
-        coarse_grid = ChartGrid(g.model, g.u[::2], g.v[::2], coarse_jet)
-        return _S3Fields(coarse_grid, self.lam[::2, ::2],
-                         self.n[::2, ::2], self.H[::2, ::2],
-                         self.Omega[::2, ::2])
+        jet = Jet2(*(a[::2, ::2] for a in vars(g.jet).values()))
+        grid = ChartGrid(g.model, g.u[::2], g.v[::2], jet)
+        coarse = _S3Fields(grid, *(f[::2, ::2] for f in
+                                   (self.lam, self.n, self.H, self.Omega)))
+        # Y is pointwise: the restricted Y is the coarse one; only Q is kept
+        yzz = grid.dz(grid.dz(self.cong.Y[::2, ::2]))
+        coarse.q = lorentz_product(yzz, yzz)
+        return coarse
 
 
 def _closed_form_q(data: FundamentalData, curvature: float) -> np.ndarray:
@@ -118,31 +122,17 @@ def bryant_q(data: FundamentalData, cong: CongruenceGrid) -> QResult:
     """Q two ways on S^3 data: direct <Y_zz,Y_zz> and the closed form.
 
     Closed form: omega^2 e^{-2Lam} (omega_z/omega)_zbar
-    + omega^2 (h^2+1)/4.  Umbilic charts fall back to the direct route.
-    When the disagreement exceeds Q_AGREEMENT_TOL, the check is repeated on the 2h
-    subgrid: a fine disagreement at most a quarter of the coarse one means
-    the two routes converge to each other and the pair is accepted.
+    + omega^2 (h^2+1)/4, a reference for the direct Q the classifier reads;
+    ``agreement`` is their interior max difference.  The closed form divides
+    by omega, so umbilic charts report the direct Q for both.
     """
     if data.model != "s3":
         raise ValueError("bryant_q expects S^3 data")
     q_direct = lorentz_product(cong.Yzz, cong.Yzz)
     if data.has_umbilic():
         return QResult(q_direct, q_direct, 0.0, umbilic_flagged=True)
-    fields = _s3_fields(data)
-    agreement = interior_max(fields.q - q_direct)
-    scale = max(1.0, interior_max(fields.q))
-    if agreement > Q_AGREEMENT_TOL * scale:
-        coarse = fields.coarse
-        cong_c = conformal_gauss_map(coarse)
-        agreement_c = interior_max(
-            coarse.q - lorentz_product(cong_c.Yzz, cong_c.Yzz)
-        )
-        if agreement > agreement_c / 4.0:
-            raise ValueError(
-                f"closed-form and direct Q disagree: {agreement:.3e} > {Q_AGREEMENT_TOL:.1e}"
-                " and do not converge to each other"
-            )
-    return QResult(fields.q, q_direct, agreement)
+    q = _closed_form_q(data, 1.0)
+    return QResult(q, q_direct, interior_max(q - q_direct))
 
 
 def bryant_q_r3(data: FundamentalData) -> np.ndarray:
@@ -223,7 +213,7 @@ def classification_value(data: FundamentalData, q: np.ndarray,
     if data.model != "s3":
         raise ValueError("needs S^3 data")
     fields = _s3_fields(data)
-    # reuse the kept field when q is the closed form already taken on data
+    # reuse the kept field when q is the Q already taken on data
     fieldc, scale = (fields.sign_field if q is fields.__dict__.get("q")
                      else _field_and_scale(fields, q))
     # the field carries two stencil passes, whose edge effects reach 4
@@ -304,7 +294,6 @@ class ClassificationReport:
     grid_n: int
     willmore_residual: float
     q_holomorphy: float
-    q_agreement: float
     isothermic_witness: float
     kappa: object
     hyperplane: HyperplaneFit
@@ -348,24 +337,20 @@ def classify_data(data: FundamentalData, surface: str = "custom",
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
     data_s3 = _s3_fields(representation(data, "s3"))
-    cong = conformal_gauss_map(data_s3)
-    qres = bryant_q(data_s3, cong)
-    # bryant_q returns the direct Q on charts umbilic in the S^3 gauge
-    q_zbar = (data_s3.q_zbar if qres.q is data_s3.q
-              else data_s3.grid.dzbar(qres.q))
-    holo = interior_max(q_zbar)
-    witness = isothermic_witness(data_s3, qres.q)
+    holo = interior_max(data_s3.q_zbar)
+    witness = isothermic_witness(data_s3, data_s3.q)
     noise = estimate_classification_noise(data_s3)
-    fld, kappa, diag = classification_value(data_s3, qres.q,
+    fld, kappa, diag = classification_value(data_s3, data_s3.q,
                                             noise_floor=10.0 * noise["field"])
     diag["noise_estimate"] = noise
+    cong = data_s3.cong
     willmore_res = interior_max(harmonicity_residual(cong))
     plane = hyperplane_fit(cong.Y[2:-2, 2:-2])
 
     diag["field_interior_max"] = interior_max(fld)
     # gate on the band-4 residual to stay commensurate with the noise
     # estimate; the reported residual keeps the band-2 convention
-    holo_inner = interior_max(q_zbar, band=4)
+    holo_inner = interior_max(data_s3.q_zbar, band=4)
     holo_gate = max(holomorphy_tol, 10.0 * noise["holomorphy"])
     imag_gate = max(IMAG_REL_TOL, 10.0 * noise["field_imag"] / diag["scale"])
     not_cmc = holo_inner > holo_gate or diag["imag_rel"] > imag_gate
@@ -388,8 +373,8 @@ def classify_data(data: FundamentalData, surface: str = "custom",
 
     n_grid = data.grid.pos.shape[0]
     return ClassificationReport(
-        surface, params or {}, n_grid, willmore_res, holo, qres.agreement,
-        witness, kappa, plane, verdict, diag,
+        surface, params or {}, n_grid, willmore_res, holo, witness, kappa,
+        plane, verdict, diag,
     )
 
 

@@ -221,6 +221,9 @@ def _adaptive_simpson(f, a, b, tol):
     return recurse(a, b, fa, fm, fb, whole, tol, 50)
 
 
+PROFILE_T = 1.5  # the profile range on which the radius is checked
+
+
 class _RevolutionProfile:
     """Trig-polynomial profile (rho(t), zeta(t)) revolved about the z axis."""
 
@@ -261,7 +264,9 @@ class _RevolutionProfile:
         return _adaptive_simpson(self._rate, 0.0, t, 1e-12)
 
     def invert_many(self, u_targets):
-        """Solve u(t_i) = u_i by warm-started Newton, caching the quadrature."""
+        """Solve u(t_i) = u_i by warm-started Newton on |t| <= PROFILE_T,
+        caching the quadrature; a solve that leaves it or does not converge
+        in 60 steps rejects the chart."""
         order = np.argsort(u_targets)
         out = np.empty(len(u_targets))
         t_ref, u_ref = 0.0, 0.0
@@ -269,11 +274,18 @@ class _RevolutionProfile:
             u_t = float(u_targets[idx])
             t = t_ref + (u_t - u_ref) / self._rate(t_ref)
             for _ in range(60):
+                if not abs(t) <= PROFILE_T:
+                    break
                 val = u_ref + _adaptive_simpson(self._rate, t_ref, t, 1e-13)
                 step = (val - u_t) / self._rate(t)
                 t -= step
                 if abs(step) < 1e-13:
                     break
+            else:
+                t = math.nan
+            if not abs(t) <= PROFILE_T:
+                raise ValueError(f"isothermal coordinate u = {u_t:.6g} not inverted"
+                                 f" on |t| <= {PROFILE_T}: the profile speed nearly vanishes")
             out[idx] = t
             t_ref, u_ref = t, u_t
         return out
@@ -369,7 +381,7 @@ def _hyperbolic_cylinder(d):
 
 def _revolution(rho0, cos1, sin2, zslope):
     profile = _RevolutionProfile(rho0, cos1, sin2, zslope)
-    if np.min(profile.rho(np.linspace(-1.5, 1.5, 301))) < 0.1:
+    if np.min(profile.rho(np.linspace(-PROFILE_T, PROFILE_T, 301))) < 0.1:
         raise ValueError("profile radius too close to the axis")
     domain = ((0.6 * profile.iso_coord(-1.0), 0.6 * profile.iso_coord(1.0)),
               (-np.pi / 2.0, np.pi / 2.0))
@@ -377,7 +389,7 @@ def _revolution(rho0, cos1, sin2, zslope):
         "willmore": False, "kappa": None, "umbilic": False, "not_cmc": True}
 
 
-_MIN_RHO = "min rho >= 0.1 on |t| <= 1.5"
+_MIN_RHO = f"min rho >= 0.1 on |t| <= {PROFILE_T}"
 
 # every catalog surface in listing order; the lambdas build a fresh
 # expected table per call
@@ -398,7 +410,8 @@ SURFACES = {
          "normal_type": "lightlike", "linear": True, "umbilic": False})),
     "inverted_catenoid": SurfaceKind(
         "r3", {"offset": (3.0, 0.0, 0.0)},
-        {"offset": "|offset| > cosh(1) + 0.5"}, lambda offset: (
+        {"offset": "0.5 <= |x + offset| <= 10 on the domain, checked when sampled"},
+        lambda offset: (
             ((-0.3, 0.3), (-0.75, 0.75)),
             partial(_inverted_catenoid_jets, offset=offset),
             {"willmore": True, "kappa": 0, "normal_type": "lightlike",

@@ -72,3 +72,14 @@ def test_raising_criterion_keeps_its_name(monkeypatch):
     assert failing.name == passing.name == "1. geodesic sphere law"
     assert not failing.passed
     assert failing.details == {"error": "transfer failed"}
+
+
+def test_detail_keys_carry_plain_floats(results):
+    def keys(details):
+        for key, value in details.items():
+            yield key
+            if isinstance(value, dict):
+                yield from keys(value)
+
+    for name, res in results.items():
+        assert not [k for k in keys(res.details) if "np." in k], name

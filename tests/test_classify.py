@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confgauss import classify as CL
 from confgauss import congruence as C
 from confgauss import grid as G
 from confgauss import models
 from confgauss.lorentz import lorentz_product, random_word, word_matrix
-from confgauss.zoo import make_surface
+from confgauss.zoo import make_surface, sample
 from conftest import data_for
 
 
@@ -238,3 +241,70 @@ def test_classify_builds_each_sign_field_once(monkeypatch):
     monkeypatch.setattr(CL, "_field_and_scale", counted)
     CL.classify_data(data_for("torus_revolution", n=33, R=3.0, r=1.0), "torus")
     assert sorted(shapes) == [(17, 17), (33, 33)]
+
+
+def test_q_holomorphy_reads_the_direct_q():
+    data = data_for("torus_revolution", n=65, R=3.0, r=1.0)
+    rep = CL.classify_data(data)
+    cong = C.conformal_gauss_map(models.representation(data, "s3"))
+    q = lorentz_product(cong.Yzz, cong.Yzz)
+    assert rep.q_holomorphy == G.interior_max(cong.grid.dzbar(q))
+
+
+def test_classify_builds_one_congruence(monkeypatch):
+    # the 2h Q comes from the restricted fine Y, not from a second Gauss map
+    built = []
+
+    def counted(data, _orig=CL.conformal_gauss_map):
+        built.append(data.grid.shape)
+        return _orig(data)
+
+    monkeypatch.setattr(CL, "conformal_gauss_map", counted)
+    CL.classify_data(data_for("revolution_profile", n=33), "profile")
+    assert built == [(33, 33)]
+
+
+def test_near_umbilic_profile_gets_a_verdict():
+    # min |Omega| e^{-2lam} is 3.6e-4 on this in-range chart; the closed
+    # form of Q divides by Omega, <Y_zz, Y_zz> does not
+    spec = make_surface("revolution_profile", rho0=1.2618, cos1=0.3839,
+                        sin2=0.1114, zslope=1.0026)
+    assert CL.classify(spec, n=128).verdict == "not conformally CMC"
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_inverted_clifford_torus_gets_its_verdict(n):
+    data = G.fundamental_data(sample(make_surface("clifford_torus"), n))
+    moved = C.transform_immersion(data, random_word(np.random.default_rng(0)))
+    assert CL.classify_data(moved).verdict == "conformally minimal in S³"
+
+
+# the ValueErrors a moved catalog chart may meet in transform and
+# classify_data, as listed in README
+MOVED_CHART_ERRORS = re.compile(
+    "inversion center on surface|image meets the point at infinity"
+    "|chart meets the north pole|chart leaves the Poincare ball"
+    "|degenerate jet|chart is not conformal within tolerance"
+    "|jet has non-finite values|umbilic surface|degenerate congruence")
+
+
+@pytest.fixture(scope="module")
+def moved_bases():
+    data = {name: data_for(name, n=65)
+            for name in ("cylinder", "clifford_torus", "hyperbolic_cylinder")}
+    return {name: (d, CL.classify_data(d, name)) for name, d in data.items()}
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_random_words_keep_the_verdict_or_name_the_error(moved_bases, seed):
+    word = random_word(np.random.default_rng(seed))
+    for name, (data, base) in moved_bases.items():
+        # a RuntimeWarning fails the test too (filterwarnings in pyproject.toml)
+        try:
+            rep = CL.classify_data(C.transform_immersion(data, word), name)
+        except ValueError as exc:
+            assert MOVED_CHART_ERRORS.match(str(exc)), (name, str(exc))
+            continue
+        assert rep.kappa == base.kappa, (name, rep.verdict)
+        assert rep.hyperplane.vtype == base.hyperplane.vtype, name

@@ -182,6 +182,14 @@ def test_degenerate_profile_speed_exits_1(capsys, flags):
     assert err.startswith("error: profile speed vanishes")
 
 
+def test_nearly_vanishing_profile_speed_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "revolution_profile",
+                             "--zslope", "1e-8", "--sin2", "0", "--grid", "65")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: isothermal coordinate u = ")
+
+
 def test_catalog_parameters_are_analyze_flags():
     parser = cli.build_parser()
     for name, kind in SURFACES.items():

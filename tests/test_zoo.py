@@ -112,6 +112,14 @@ def test_inverted_catenoid_stays_in_band():
         sample(make_surface("inverted_catenoid", offset=(9.8, 0.0, 0.0)), 17)
 
 
+def test_revolution_profile_inversion_is_bounded():
+    # the speed sqrt(0.09 sin^2 t + 1e-16) nearly vanishes at t = 0, where
+    # Newton's first step would land near t = -8.6e6
+    spec = make_surface("revolution_profile", zslope=1e-8, sin2=0.0)
+    with pytest.raises(ValueError, match="not inverted on .t. <= 1.5"):
+        sample(spec, 65)
+
+
 def test_expected_tables_hold():
     for name in ("cylinder", "catenoid", "enneper", "clifford_torus"):
         spec = make_surface(name)
