@@ -21,6 +21,7 @@ from .classify import (
     classify,
     classify_data,
     holomorphy_identity_residual,
+    s3_fields,
 )
 from .grid import (
     fundamental_data,
@@ -303,9 +304,8 @@ def criterion_q_consistency(n: int = 128):
                          ("inverted_catenoid", {}), ("clifford_torus", {}),
                          ("hyperbolic_cylinder", {})]:
         data = _data(name, params, n)
-        data_s3 = representation(data, "s3")
-        cong = cg.conformal_gauss_map(data_s3)
-        qres = bryant_q(data_s3, cong)
+        data_s3 = s3_fields(data)
+        qres = bryant_q(data_s3, data_s3.cong)
         entry = {"qx_vs_direct": qres.agreement}
         if data.model == "r3":
             q_phi = bryant_q_r3(data)
@@ -385,9 +385,8 @@ def criterion_convergence():
         )
 
     def q_agreement_inverted(n):
-        data_s3 = representation(_data("inverted_catenoid", {}, n), "s3")
-        cong = cg.conformal_gauss_map(data_s3)
-        qres = bryant_q(data_s3, cong)
+        data_s3 = s3_fields(_data("inverted_catenoid", {}, n))
+        qres = bryant_q(data_s3, data_s3.cong)
         return interior_max(qres.q - qres.q_direct, band=4)
 
     for label, fn in [("structure(catenoid)", structure_catenoid),

@@ -33,6 +33,7 @@ __all__ = [
     "hyperplane_fit",
     "classify",
     "classify_data",
+    "s3_fields",
 ]
 
 KAPPA_NOISE_FLOOR = 1e-7
@@ -60,7 +61,7 @@ class QResult:
 
 
 class _S3Fields(FundamentalData):
-    """S^3 data with the classifier's derivative fields, each taken once.
+    """S^3 data with the derivative fields of an analysis, each taken once.
 
     The congruence, W_{S3}, Q = <Y_zz, Y_zz>, Q_zbar, the sign field of that
     Q and the 2h restriction are computed on first use and kept on this
@@ -112,9 +113,12 @@ def _closed_form_q(data: FundamentalData, curvature: float) -> np.ndarray:
             + data.Omega ** 2 * ((data.H ** 2 + curvature) / 4.0))
 
 
-def _s3_fields(data: FundamentalData) -> _S3Fields:
+def s3_fields(data: FundamentalData) -> _S3Fields:
+    """The S^3 view of a chart in any model, the one place where its S^3
+    representation and Gauss map ``.cong`` are built; a view is kept as is."""
     if isinstance(data, _S3Fields):
         return data
+    data = representation(data, "s3")
     return _S3Fields(data.grid, data.lam, data.n, data.H, data.Omega)
 
 
@@ -186,7 +190,7 @@ def estimate_classification_noise(data: FundamentalData) -> dict:
     on the 2h subgrid; for 4th-order stencils the fine-grid error is
     about the fine/coarse difference divided by 15.
     """
-    fine = _s3_fields(data)
+    fine = s3_fields(data)
     coarse = fine.coarse
     fld_fine, _ = fine.sign_field
     fld_coarse, _ = coarse.sign_field
@@ -212,7 +216,7 @@ def classification_value(data: FundamentalData, q: np.ndarray,
     """
     if data.model != "s3":
         raise ValueError("needs S^3 data")
-    fields = _s3_fields(data)
+    fields = s3_fields(data)
     # reuse the kept field when q is the Q already taken on data
     fieldc, scale = (fields.sign_field if q is fields.__dict__.get("q")
                      else _field_and_scale(fields, q))
@@ -323,7 +327,7 @@ class ClassificationReport:
 def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None,
                   holomorphy_tol: float = HOLOMORPHY_TOL) -> ClassificationReport:
-    """Classification pipeline on prepared fundamental data (any model)."""
+    """Classification pipeline on any model's data, run on its S^3 view."""
     if not (np.isfinite(holomorphy_tol) and holomorphy_tol > 0.0):
         raise ValueError(f"holomorphy tolerance must be finite and positive,"
                          f" got {holomorphy_tol!r}")
@@ -332,11 +336,12 @@ def classify_data(data: FundamentalData, surface: str = "custom",
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
             " so that its 2h restriction is still a grid"
         )
-    if data.has_umbilic():
+    data_s3 = s3_fields(data)
+    # umbilicity is conformally invariant: one flag in every model's gauge
+    if data_s3.has_umbilic():
         raise ValueError(
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
-    data_s3 = _s3_fields(representation(data, "s3"))
     holo = interior_max(data_s3.q_zbar)
     witness = isothermic_witness(data_s3, data_s3.q)
     noise = estimate_classification_noise(data_s3)

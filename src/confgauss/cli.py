@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .classify import HOLOMORPHY_TOL, classify_data
-from .congruence import conformal_gauss_map, isotropic_frame, transform_immersion
+from .classify import HOLOMORPHY_TOL, classify_data, s3_fields
+from .congruence import isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
-from .models import representation
 from .willmore import direct_currents, equivariance_residuals, willmore_scalar
 from .zoo import SURFACES, list_surfaces, make_surface, sample
 
@@ -83,12 +82,8 @@ def _sanitize(obj):
 
 
 def _collect_params(args) -> dict:
-    params = {}
-    for flag in _PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[flag] = val
-    return params
+    given = {flag: getattr(args, flag) for flag in _PARAM_FLAGS}
+    return {flag: value for flag, value in given.items() if value is not None}
 
 
 def _parse_domain(text):
@@ -114,15 +109,14 @@ def _emit_report(report, args):
         print(to_json(_sanitize(payload)))
 
 
-def _export_fields(args, data, cong, report):
-    out = Path(args.out)
+def _export_fields(out, data, view):
+    """CSV fields of ``data``; Y, W_{S3} and the isotropic frame are read
+    off its S^3 view ``view``, which has the same u and v."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    g = data.grid
     fields = {"lam": data.lam, "H": data.H, "Omega": data.Omega, "n": data.n,
-              "Y": cong.Y}
-    data_s3 = representation(data, "s3")
-    fields["W"] = willmore_scalar(data)
-    fields["W_s3"] = fields["W"] if data_s3 is data else willmore_scalar(data_s3)
+              "Y": view.cong.Y, "W_s3": view.willmore,
+              "W": view.willmore if data.model == "s3" else willmore_scalar(data)}
     if data.model == "r3":
         # block extraction of the currents is off-shell when the surface
         # is not Willmore; the report's willmore_residual says which
@@ -133,16 +127,11 @@ def _export_fields(args, data, cong, report):
             "Vrot_x": cur.v_rot[0], "Vrot_y": cur.v_rot[1],
             "Vinv_x": cur.v_inv[0], "Vinv_y": cur.v_inv[1],
         })
+    frame = isotropic_frame(view, view.cong)
+    fields.update({name: getattr(frame, name) for name in (
+        "nu", "nustar", "l", "H_nu", "H_nustar", "Omega_nu", "Omega_nustar")})
     for name, value in fields.items():
-        export_csv(out / f"{name}.csv", g, {name: value})
-
-    frame = isotropic_frame(data_s3, conformal_gauss_map(data_s3))
-    frame_fields = {"nu": frame.nu, "nustar": frame.nustar, "l": frame.l,
-                    "H_nu": frame.H_nu, "H_nustar": frame.H_nustar,
-                    "Omega_nu": frame.Omega_nu,
-                    "Omega_nustar": frame.Omega_nustar}
-    for name, value in frame_fields.items():
-        export_csv(out / f"{name}.csv", data_s3.grid, {name: value})
+        export_csv(out / f"{name}.csv", data.grid, {name: value})
 
 
 def _exit_code_for(report) -> int:
@@ -155,11 +144,12 @@ def cmd_analyze(args) -> int:
     spec = make_surface(args.surface, **_collect_params(args))
     domain = _parse_domain(args.domain) if args.domain else None
     data = fundamental_data(sample(spec, args.grid, domain=domain))
-    report = classify_data(data, surface=spec.name, params=spec.params,
+    view = s3_fields(data)
+    report = classify_data(view, surface=spec.name, params=spec.params,
                            holomorphy_tol=args.tol_holomorphy)
     _emit_report(report, args)
     if args.out:
-        _export_fields(args, data, conformal_gauss_map(data), report)
+        _export_fields(args.out, data, view)
     return _exit_code_for(report)
 
 
@@ -167,15 +157,15 @@ def cmd_transform(args) -> int:
     spec = make_surface(args.surface, **_collect_params(args))
     domain = _parse_domain(args.domain) if args.domain else None
     word = parse_word(args.word)
-    grid = sample(spec, args.grid, domain=domain)
-    data = representation(fundamental_data(grid), "r3")
-    base = classify_data(data, surface=spec.name, params=spec.params,
+    data = fundamental_data(sample(spec, args.grid, domain=domain))
+    view = s3_fields(data)
+    base = classify_data(view, surface=spec.name, params=spec.params,
                          holomorphy_tol=args.tol_holomorphy)
-    moved = transform_immersion(data, word)
+    moved = s3_fields(transform_immersion(data, word))
     rep = classify_data(moved, surface=f"{spec.name} (transformed)",
                         params=spec.params, holomorphy_tol=args.tol_holomorphy)
-    y_err, mu_err = equivariance_residuals(
-        conformal_gauss_map(data), conformal_gauss_map(moved), word_matrix(word))
+    y_err, mu_err = equivariance_residuals(view.cong, moved.cong,
+                                           word_matrix(word))
     payload = {
         "surface": spec.name,
         "word": args.word,
@@ -239,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_surface=True):
+    def command(name, func, help, with_surface=False, with_grid=True):
+        """A subcommand with only the flags its handler reads."""
+        p = sub.add_parser(name, help=help)
         if with_surface:
             p.add_argument("surface", help="catalog surface name")
             for flag in _PARAM_FLAGS:
@@ -250,29 +242,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol-holomorphy", type=float, default=HOLOMORPHY_TOL,
                            dest="tol_holomorphy",
                            help="holomorphy gate for the CMC verdict")
-            p.add_argument("--out", default=None, help="directory for CSV fields")
-        p.add_argument("--grid", type=int, default=128, help="nodes per side")
+        if with_grid:
+            p.add_argument("--grid", type=int, default=128, help="nodes per side")
         p.add_argument("--format", choices=["json", "pretty"], default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p_analyze = sub.add_parser("analyze", help="classify a surface patch")
-    common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_transform = sub.add_parser(
-        "transform", help="apply a Moebius word and re-run the analysis")
-    common(p_transform)
+    p_analyze = command("analyze", cmd_analyze, "classify a surface patch",
+                        with_surface=True)
+    p_analyze.add_argument("--out", default=None, help="directory for CSV fields")
+    p_transform = command("transform", cmd_transform,
+                          "apply a Moebius word and re-run the analysis",
+                          with_surface=True)
     p_transform.add_argument(
         "--word", default="",
         help="generators, e.g. 'dil:0.5 rot:z,1.2 inv tra:1,0,0'")
-    p_transform.set_defaults(func=cmd_transform)
-
-    p_check = sub.add_parser("check-invariants", help="run the acceptance suite")
-    common(p_check, with_surface=False)
-    p_check.set_defaults(func=cmd_check_invariants)
-
-    p_list = sub.add_parser("list-surfaces", help="print the surface catalog")
-    common(p_list, with_surface=False)
-    p_list.set_defaults(func=cmd_list_surfaces)
+    command("check-invariants", cmd_check_invariants, "run the acceptance suite")
+    command("list-surfaces", cmd_list_surfaces, "print the surface catalog",
+            with_grid=False)
     return parser
 
 

@@ -110,7 +110,7 @@ def dual_surface_r3(data: FundamentalData) -> np.ndarray:
         raise ValueError("dual_surface_r3 needs R^3 data")
     _require_no_umbilic(data, "dual")
     g = data.grid
-    hz = g.dz(data.H)
+    hz = data.H_z
     em2l = np.exp(-2.0 * data.lam)
     om2 = np.abs(data.Omega) ** 2
     t_phi = 4.0 * np.abs(hz) ** 2 + data.H ** 2 * om2 * em2l
@@ -129,7 +129,7 @@ def dual_surface_s3(data: FundamentalData) -> np.ndarray:
         raise ValueError("dual_surface_s3 needs S^3 data")
     _require_no_umbilic(data, "dual")
     g = data.grid
-    hz = g.dz(data.H)
+    hz = data.H_z
     e2lam = data.e2lam
     om2 = np.abs(data.Omega) ** 2
     grad2 = 4.0 * np.abs(hz) ** 2 * e2lam

@@ -245,6 +245,15 @@ class FundamentalData:
         return bool(np.any(self.umbilic_mask[2:-2, 2:-2]))
 
     @cached_property
+    def grad_H(self):
+        """(H_u, H_v), one stencil pass per axis, kept; ``H_z`` reads it."""
+        return self.grid.d_u(self.H), self.grid.d_v(self.H)
+
+    @property
+    def H_z(self):
+        return (self.grad_H[0] - 1j * self.grad_H[1]) / 2.0  # as ChartGrid.dz
+
+    @cached_property
     def orientation(self) -> int:
         """+1 when n is the chart's own normal (``chart_normal``), else -1."""
         dots = self.grid._dot(self.n, chart_normal(self.grid))
@@ -294,7 +303,7 @@ def fundamental_data(grid: ChartGrid) -> FundamentalData:
 def gauss_codazzi_residual(data: FundamentalData) -> np.ndarray:
     """Residual field of Omega_zbar e^{-2 lam} - H_z."""
     g = data.grid
-    return g.dzbar(data.Omega) * np.exp(-2.0 * data.lam) - g.dz(data.H)
+    return g.dzbar(data.Omega) * np.exp(-2.0 * data.lam) - data.H_z
 
 
 def structure_residuals(data: FundamentalData) -> float:

@@ -32,7 +32,7 @@ __all__ = [
 def willmore_scalar(data: FundamentalData) -> np.ndarray:
     """W = H_zzbar + (|Omega|^2 e^{-2lam} / 2) H in the data's own gauge."""
     g = data.grid
-    h_zzb = g.dzbar(g.dz(data.H)).real
+    h_zzb = g.dzbar(data.H_z).real
     return h_zzb + 0.5 * np.abs(data.Omega) ** 2 * np.exp(-2.0 * data.lam) * data.H
 
 
@@ -93,7 +93,7 @@ def direct_currents(data: FundamentalData) -> ConservedSet:
     phi = g.pos
     phi_x, phi_y = g.jet.du, g.jet.dv
     n = data.n
-    h_x, h_y = g.d_u(data.H), g.d_v(data.H)
+    h_x, h_y = data.grad_H
     a11, a12 = data.tracefree_form()
     a_grad = np.stack(
         [

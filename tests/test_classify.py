@@ -151,6 +151,12 @@ def test_classify_reports():
 def test_classify_rejects_umbilic():
     with pytest.raises(ValueError, match="umbilic"):
         CL.classify(make_surface("sphere", R=1.0), n=64)
+    # the check runs on the S^3 view: one answer in whichever model
+    for name in ("plane", "sphere"):
+        data = data_for(name, n=33)
+        for chart in (data, models.representation(data, "s3")):
+            with pytest.raises(ValueError, match="^umbilic surface"):
+                CL.classify_data(chart, name)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])

@@ -1,10 +1,18 @@
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from confgauss import cli
 from confgauss.cli import main
-from confgauss.zoo import SURFACES, make_surface
+from confgauss.congruence import conformal_gauss_map
+from confgauss.grid import ChartGrid, fundamental_data
+from confgauss.zoo import SURFACES, make_surface, sample
+
+# one catalog chart per model: R^3, S^3, H^3
+MODEL_CHARTS = ["torus_revolution", "clifford_torus", "hyperbolic_cylinder"]
+WORD = "dil:0.3 tra:0.2,0,0 inv"
 
 
 def run_cli(capsys, *argv):
@@ -201,3 +209,80 @@ def test_catalog_parameters_are_analyze_flags():
         assert given.params == implied.params, name
         assert given.domain == implied.domain, name
         assert given.expected == implied.expected, name
+
+
+def test_transform_has_no_out_flag(tmp_path, capsys):
+    target = tmp_path / "t"
+    code, out, err = run_cli(capsys, "transform", "cylinder", "--word", "inv",
+                             "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "unrecognized arguments: --out" in err
+    assert not target.exists()
+
+
+def test_list_surfaces_has_no_grid_flag(capsys):
+    code, out, err = run_cli(capsys, "list-surfaces", "--grid", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "unrecognized arguments: --grid 5" in err
+
+
+def _record_analysis_work(monkeypatch):
+    """Record the model of every Gauss map built and every axis pass input."""
+    maps, passes = [], []
+    orig = conformal_gauss_map
+
+    def counted_map(data):
+        maps.append(data.model)
+        return orig(data)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("confgauss")
+                and vars(mod).get("conformal_gauss_map") is orig):
+            monkeypatch.setattr(mod, "conformal_gauss_map", counted_map)
+    for axis, name in enumerate(("d_u", "d_v")):
+        def counted(self, f, _orig=getattr(ChartGrid, name), _axis=axis):
+            field = np.ascontiguousarray(f)
+            passes.append((_axis, field.shape, field.dtype.str, field.tobytes()))
+            return _orig(self, f)
+
+        monkeypatch.setattr(ChartGrid, name, counted)
+    return maps, passes
+
+
+@pytest.mark.parametrize("name", MODEL_CHARTS)
+def test_analyze_out_builds_one_gauss_map(tmp_path, capsys, monkeypatch, name):
+    maps, passes = _record_analysis_work(monkeypatch)
+    code, _, _ = run_cli(capsys, "analyze", name, "--grid", "33",
+                         "--out", str(tmp_path))
+    assert code == 0
+    assert maps == ["s3"]
+    assert len(set(passes)) == len(passes)
+
+
+@pytest.mark.parametrize("name", MODEL_CHARTS)
+def test_transform_builds_two_gauss_maps(capsys, monkeypatch, name):
+    maps, passes = _record_analysis_work(monkeypatch)
+    code, _, _ = run_cli(capsys, "transform", name, "--grid", "33", "--word", WORD)
+    assert code == 0
+    assert maps == ["s3", "s3"]
+    assert len(set(passes)) == len(passes)
+
+
+@pytest.mark.parametrize("name", ["clifford_torus", "cylinder", "hyperbolic_cylinder"])
+def test_transform_base_is_the_analyze_report(capsys, name):
+    _, analyzed, _ = run_cli(capsys, "analyze", name, "--grid", "33")
+    _, moved, _ = run_cli(capsys, "transform", name, "--grid", "33", "--word", WORD)
+    assert json.loads(moved)["base"] == json.loads(analyzed)
+
+
+@pytest.mark.parametrize("name", MODEL_CHARTS)
+def test_y_csv_is_the_own_model_gauss_map(tmp_path, capsys, name):
+    # the export writes the S^3 view's Y, one point of R^{4,1} per node in
+    # every model (acceptance criterion 3)
+    code, _, _ = run_cli(capsys, "analyze", name, "--grid", "33",
+                         "--out", str(tmp_path))
+    assert code == 0
+    table = np.loadtxt(tmp_path / "Y.csv", delimiter=",", skiprows=1)
+    data = fundamental_data(sample(make_surface(name), 33))
+    y = conformal_gauss_map(data).Y.reshape(-1, 5)
+    assert np.max(np.abs(table[:, 2:] - y)) <= 1e-13
