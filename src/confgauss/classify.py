@@ -99,7 +99,7 @@ class _S3Fields(FundamentalData):
         coarse = _S3Fields(grid, *(f[::2, ::2] for f in
                                    (self.lam, self.n, self.H, self.Omega)))
         # Y is pointwise: the restricted Y is the coarse one; only Q is kept
-        yzz = grid.dz(grid.dz(self.cong.Y[::2, ::2]))
+        yzz = CongruenceGrid(grid, self.cong.Y[::2, ::2]).Yzz
         coarse.q = lorentz_product(yzz, yzz)
         return coarse
 

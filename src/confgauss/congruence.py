@@ -40,24 +40,39 @@ RECONSTRUCT_TOL = 1e-6
 class CongruenceGrid:
     """Sphere congruence Y over a chart, with stencil-derived derivatives.
 
-    Each derivative is taken on first use and kept: Y_z by one dz over all
-    five components, Y_zz and Y_zzbar from one shared d_u and d_v of Y_z.
+    Y is real, and so are its derivatives: (Y_u, Y_v) is one real pass per
+    axis, kept on first use.  Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2 and the real
+    Y_zzbar = (Y_uu + Y_vv)/4 come from three more real passes, Y_uu, Y_vv
+    and Y_uv, taken once and kept.  Y_z = (Y_u - i Y_v)/2 is formed on demand.
     """
 
     grid: ChartGrid
     Y: np.ndarray
 
     @cached_property
-    def Yz(self):
-        return self.grid.dz(self.Y)
+    def grad_Y(self):
+        """(Y_u, Y_v), one stencil pass per axis, kept; ``Yz`` reads it."""
+        return self.grid.d_u(self.Y), self.grid.d_v(self.Y)
 
-    @cached_property
-    def Yzb(self):
-        return np.conj(self.Yz)
+    @property
+    def Yz(self):
+        y_u, y_v = self.grad_Y
+        return (y_u - 1j * y_v) / 2.0  # as ChartGrid.dz
 
     @cached_property
     def _second_derivatives(self):
-        return self.grid.dz_dzbar(self.Yz)
+        """(Y_zz, Y_zzbar) from the three real passes Y_uv, Y_uu and Y_vv."""
+        g = self.grid
+        y_u, y_v = self.grad_Y
+        yzz = np.empty(y_u.shape, complex)
+        yzz.imag = g.d_v(y_u)
+        yzz.imag *= -0.5
+        y_uu, y_vv = g.d_u(y_u), g.d_v(y_v)
+        np.subtract(y_uu, y_vv, out=yzz.real)
+        yzz.real *= 0.25
+        y_uu += y_vv
+        y_uu *= 0.25
+        return yzz, y_uu
 
     @property
     def Yzz(self):
@@ -65,12 +80,15 @@ class CongruenceGrid:
 
     @property
     def Yzzb(self):
+        """Y_zzbar = Delta Y / 4, a real field."""
         return self._second_derivatives[1]
 
     @property
     def e2L(self):
-        """Conformal exponent of Y: e^{2L} = 2 <Y_z, Y_zbar>."""
-        return 2.0 * lorentz_product(self.Yz, self.Yzb).real
+        """Conformal exponent of Y: e^{2L} = 2 <Y_z, Y_zbar>
+        = (<Y_u, Y_u> + <Y_v, Y_v>) / 2."""
+        y_u, y_v = self.grad_Y
+        return 0.5 * (lorentz_product(y_u, y_u) + lorentz_product(y_v, y_v))
 
     def norm_defect(self) -> float:
         return float(np.max(np.abs(lorentz_product(self.Y, self.Y) - 1.0)))
@@ -94,7 +112,7 @@ def envelope_residuals(cong: CongruenceGrid, lift_field: np.ndarray):
 def metric_law_residual(cong: CongruenceGrid, data: FundamentalData) -> float:
     """Residual of <dY,dY> = (|A|^2/2) g in complex form."""
     target = np.abs(data.Omega) ** 2 * np.exp(-2.0 * data.lam)
-    law = np.abs(2.0 * lorentz_product(cong.Yz, cong.Yzb) - target)
+    law = np.abs(cong.e2L - target)
     conf = np.abs(lorentz_product(cong.Yz, cong.Yz))
     return interior_max(law + conf)
 
@@ -183,8 +201,8 @@ def isotropic_frame(data: FundamentalData, cong: CongruenceGrid) -> IsotropicFra
     e2big_l = cong.e2L
     omega_nu = 2.0 * lorentz_product(cong.Yzz, nu)
     omega_nustar = 2.0 * lorentz_product(cong.Yzz, nustar)
-    h_nu = 2.0 * lorentz_product(cong.Yzzb, nu).real / e2big_l
-    h_nustar = 2.0 * lorentz_product(cong.Yzzb, nustar).real / e2big_l
+    h_nu = 2.0 * lorentz_product(cong.Yzzb, nu) / e2big_l
+    h_nustar = 2.0 * lorentz_product(cong.Yzzb, nustar) / e2big_l
     return IsotropicFrame(nu, nustar, l, e2big_l, h_nu, h_nustar, omega_nu, omega_nustar)
 
 
@@ -215,9 +233,9 @@ def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray) -> np.nda
         raise ValueError("normal direction is not isotropic")
     if interior_max(lorentz_product(cong.Y, nu0)) / scale > RECONSTRUCT_TOL:
         raise ValueError("direction is not normal to Y")
-    if interior_max(lorentz_product(cong.Yz, nu0.astype(complex))) / scale > RECONSTRUCT_TOL:
+    if interior_max(lorentz_product(cong.Yz, nu0)) / scale > RECONSTRUCT_TOL:
         raise ValueError("direction is not normal to the tangent of Y")
-    h_nu0 = 2.0 * lorentz_product(cong.Yzzb, nu0.astype(complex)).real / cong.e2L
+    h_nu0 = 2.0 * lorentz_product(cong.Yzzb, nu0) / cong.e2L
     if interior_max(h_nu0) / scale > RECONSTRUCT_TOL:
         raise ValueError("not integrable: H_nu does not vanish")
     num, den = dehomogenize(nu0, "s3")

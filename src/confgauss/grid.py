@@ -202,11 +202,6 @@ class ChartGrid:
         """Discrete d/dzbar = (d/du + i d/dv)/2 of a sampled field."""
         return (self.d_u(f) + 1j * self.d_v(f)) / 2.0
 
-    def dz_dzbar(self, f):
-        """(dz f, dzbar f) from one d_u and one d_v pass."""
-        f_u, i_f_v = self.d_u(f), 1j * self.d_v(f)
-        return (f_u - i_f_v) / 2.0, (f_u + i_f_v) / 2.0
-
 
 def interior_max(f, band: int = 2) -> float:
     """Max norm over the grid interior, excluding the boundary band.
@@ -255,7 +250,11 @@ class FundamentalData:
 
     @cached_property
     def orientation(self) -> int:
-        """+1 when n is the chart's own normal (``chart_normal``), else -1."""
+        """+1 when n is the chart's own normal (``chart_normal``), else -1.
+
+        Data whose n is known to be that normal or its opposite have it
+        recorded (``fundamental_data``, ``models.oriented_r3_data``).
+        """
         dots = self.grid._dot(self.n, chart_normal(self.grid))
         return 1 if float(np.sum(dots)) >= 0.0 else -1
 
@@ -297,7 +296,9 @@ def fundamental_data(grid: ChartGrid) -> FundamentalData:
     n = chart_normal(grid)
     h_field = grid._dot(jet.duu + jet.dvv, n) / trace
     omega = 0.5 * grid._dot(jet.duu - jet.dvv, n) - 1j * grid._dot(jet.duv, n)
-    return FundamentalData(grid, lam, n, h_field, omega)
+    data = FundamentalData(grid, lam, n, h_field, omega)
+    data.orientation = 1  # n is the chart normal itself
+    return data
 
 
 def gauss_codazzi_residual(data: FundamentalData) -> np.ndarray:

@@ -143,6 +143,7 @@ def oriented_r3_data(grid: ChartGrid, source: FundamentalData) -> FundamentalDat
     data = fundamental_data(grid)
     if source.orientation * _CHART_ORIENTATION[source.model] < 0:
         data = FundamentalData(grid, data.lam, -data.n, -data.H, -data.Omega)
+        data.orientation = -1
     return data
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map, transform_immersion
 from .grid import FundamentalData, interior_max, ChartGrid
-from .lorentz import Generator, dot, inversion_matrix, lorentz_product
+from .lorentz import Generator, dot, inversion_matrix
 
 __all__ = [
     "ConservedSet",
@@ -30,23 +30,28 @@ __all__ = [
 
 
 def willmore_scalar(data: FundamentalData) -> np.ndarray:
-    """W = H_zzbar + (|Omega|^2 e^{-2lam} / 2) H in the data's own gauge."""
+    """W = H_zzbar + (|Omega|^2 e^{-2lam} / 2) H in the data's own gauge.
+
+    H_zzbar = (d_u H_u + d_v H_v) / 4 in real arithmetic, one more pass per
+    axis over the kept ``grad_H``.
+    """
     g = data.grid
-    h_zzb = g.dzbar(data.H_z).real
+    h_u, h_v = data.grad_H
+    h_zzb = (g.d_u(h_u) + g.d_v(h_v)) / 4.0
     return h_zzb + 0.5 * np.abs(data.Omega) ** 2 * np.exp(-2.0 * data.lam) * data.H
 
 
 def harmonicity_residual(cong: CongruenceGrid) -> np.ndarray:
-    """Per-node euclidean norm of Delta Y + <grad Y . grad Y> Y."""
-    res = 4.0 * (cong.Yzzb + lorentz_product(cong.Yz, cong.Yzb)[..., None] * cong.Y)
-    return np.sqrt(dot(res.real, res.real) + dot(res.imag, res.imag))
+    """Per-node euclidean norm of Delta Y + |grad Y|^2 Y, a real field:
+    4 Y_zzbar + (<Y_u, Y_u> + <Y_v, Y_v>) Y."""
+    res = 4.0 * cong.Yzzb + (2.0 * cong.e2L)[..., None] * cong.Y
+    return np.sqrt(dot(res, res))
 
 
 def conserved_matrix(cong: CongruenceGrid):
     """mu = grad(Y) Y^T - Y grad(Y)^T, one 5x5 per coordinate direction."""
     y = cong.Y
-    y_u = 2.0 * cong.Yz.real
-    y_v = -2.0 * cong.Yz.imag
+    y_u, y_v = cong.grad_Y
     mu_x = np.einsum("...i,...j->...ij", y_u, y) - np.einsum("...i,...j->...ij", y, y_u)
     mu_y = np.einsum("...i,...j->...ij", y_v, y) - np.einsum("...i,...j->...ij", y, y_v)
     return mu_x, mu_y

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,36 @@ def test_classify_takes_each_derivative_once(monkeypatch):
     CL.classify_data(data_for("cylinder", n=33), "cylinder")
     assert len(passes) <= 24
     assert len(set(passes)) == len(passes)
+
+
+@pytest.mark.parametrize("name, limit", [("torus_revolution", 720),
+                                         ("clifford_torus", 470)])
+def test_classify_bytes_per_node(name, limit):
+    """tracemalloc peak of one classify_data above its input, per node."""
+    n = 129
+    data = G.fundamental_data(sample(make_surface(name), n))
+    tracemalloc.start()
+    try:
+        CL.classify_data(data, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n ** 2 <= limit
+
+
+def test_classify_takes_the_h3_chart_normal_once(monkeypatch):
+    # fundamental_data records that its n is the chart normal, so the
+    # H^3 -> R^3 step reads the source orientation instead of recomputing it
+    data = G.fundamental_data(sample(make_surface("hyperbolic_cylinder"), 33))
+    models_seen = []
+
+    def counted(grid, _orig=G.chart_normal):
+        models_seen.append(grid.model)
+        return _orig(grid)
+
+    monkeypatch.setattr(G, "chart_normal", counted)
+    CL.classify_data(data, "hyperbolic_cylinder")
+    assert models_seen == ["r3"]
 
 
 def test_classify_builds_each_sign_field_once(monkeypatch):

@@ -4,7 +4,9 @@ import pytest
 from confgauss import congruence as C
 from confgauss import grid as G
 from confgauss import models
-from confgauss.lorentz import V_S, lift, lorentz_product, random_word, word_matrix
+from confgauss import willmore as W
+from confgauss.lorentz import V_S, dot, lift, lorentz_product, random_word, word_matrix
+from confgauss.zoo import CATALOG
 from conftest import data_for
 
 
@@ -258,3 +260,43 @@ def test_dual_branch_mask_clean_on_zoo():
     dual = C.dual_surface_s3(data)
     mask = C.dual_branch_mask(data, dual)
     assert not mask[2:-2, 2:-2].any()
+
+
+def _non_umbilic_congruences(n=33):
+    """Gauss maps of every non-umbilic catalog chart, built in R^3 and in S^3."""
+    for name in CATALOG:
+        data = data_for(name, n=n)
+        if data.has_umbilic():
+            continue
+        for target in ("r3", "s3"):
+            rep = models.representation(data, target)
+            yield f"{name}/{target}", C.conformal_gauss_map(rep)
+
+
+def test_real_second_derivatives_match_the_complex_chain():
+    """Y_zz and the real Y_zzbar equal dz(dz Y) and dzbar(dz Y).
+
+    The complex chain averages d_u d_v Y and d_v d_u Y, which agree up to
+    rounding; the one-sided stencils of the boundary band round more.
+    """
+    eps = np.finfo(float).eps
+    for label, cong in _non_umbilic_congruences():
+        g = cong.grid
+        assert cong.Yzzb.dtype == np.float64, label
+        rounding = 1e3 * eps * np.max(np.abs(cong.Y)) / (g.hu * g.hv)
+        yz = g.dz(cong.Y)
+        for new, old in ((cong.Yzz, g.dz(yz)), (cong.Yzzb, g.dzbar(yz))):
+            assert G.interior_max(new - old) <= 1e-12 * np.max(np.abs(old)), label
+            assert np.max(np.abs(new - old)) <= rounding, label
+
+
+def test_harmonicity_residual_is_the_complex_formula():
+    for label, cong in _non_umbilic_congruences():
+        g = cong.grid
+        yz = g.dz(cong.Y)
+        old = 4.0 * (g.dzbar(yz) + lorentz_product(yz, np.conj(yz))[..., None] * cong.Y)
+        old_norm = np.sqrt(dot(old.real, old.real) + dot(old.imag, old.imag))
+        # relative to Delta Y, the size of the two terms that cancel
+        scale = np.max(np.abs(4.0 * cong.Yzzb))
+        diff = W.harmonicity_residual(cong) - old_norm
+        assert np.max(np.abs(diff)) <= 1e-12 * scale, label

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confgauss import grid as G
 from confgauss import jets as J
 from confgauss import models
 from confgauss.lorentz import INFINITY, V_L, dehomogenize, lift, lorentz_product
@@ -181,3 +182,15 @@ def test_lift_tangent_form_is_the_derivative(rng):
         x, v = rng.normal(size=(2, 16, dim))
         fd = (lift(x + 1e-3 * v, model) - lift(x - 1e-3 * v, model)) / 2e-3
         assert np.max(np.abs(lift(x, model, tangent=v) - fd)) <= 1e-9, model
+
+
+@pytest.mark.parametrize("name", ["catenoid", "clifford_torus", "hyperbolic_cylinder"])
+def test_recorded_orientation_is_the_computed_one(name):
+    data = data_for(name, n=33)
+    for rep in (data, models.representation(data, "r3")):
+        recomputed = G.FundamentalData(rep.grid, rep.lam, rep.n, rep.H, rep.Omega)
+        assert "orientation" in vars(rep)
+        assert rep.orientation == recomputed.orientation
+    # the H^3 chart's R^3 image carries the opposite of its chart normal
+    assert models.representation(data, "r3").orientation == (
+        -1 if name == "hyperbolic_cylinder" else 1)
