@@ -30,7 +30,7 @@ from .grid import (
     structure_residuals,
 )
 from .lorentz import Generator, dot, lift, random_word, word_matrix
-from .models import representation, transfer_r3_to_s3
+from .models import representation
 from .zoo import make_surface, sample
 
 WILLMORE_SET = [
@@ -129,9 +129,8 @@ def criterion_sphere_law(n: int = 128):
     passed = True
     for radius in (0.3, 0.5, 0.9):
         data = _data("sphere", {"R": radius}, min(n, SPHERE_LAW_MAX_GRID))
-        ts = transfer_r3_to_s3(data.lam, data.n, data.H, data.Omega, data.grid.pos)
         expected = (1.0 - radius ** 2) / (2.0 * radius)
-        err = float(np.max(np.abs(ts.H - expected)))
+        err = float(np.max(np.abs(representation(data, "s3").H - expected)))
         details[f"R={radius}"] = err
         passed &= err <= 1e-8
     return passed, details

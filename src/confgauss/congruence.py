@@ -16,7 +16,7 @@ import numpy as np
 from .grid import ChartGrid, FundamentalData, interior_max
 from .jets import push_word
 from .lorentz import dehomogenize, dot, lift, lorentz_product
-from .models import oriented_r3_data, representation
+from .models import oriented_data, representation
 
 __all__ = [
     "CongruenceGrid",
@@ -217,7 +217,7 @@ def transform_immersion(data: FundamentalData, word) -> FundamentalData:
     data = representation(data, "r3")
     g = data.grid
     jet = push_word(g.jet, word)
-    return oriented_r3_data(ChartGrid("r3", g.u, g.v, jet), data)
+    return oriented_data(ChartGrid("r3", g.u, g.v, jet), data)
 
 
 def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray) -> np.ndarray:

@@ -253,7 +253,8 @@ class FundamentalData:
         """+1 when n is the chart's own normal (``chart_normal``), else -1.
 
         Data whose n is known to be that normal or its opposite have it
-        recorded (``fundamental_data``, ``models.oriented_r3_data``).
+        recorded: ``fundamental_data`` and ``models.oriented_data``, which
+        every ``models.representation`` and Moebius image goes through.
         """
         dots = self.grid._dot(self.n, chart_normal(self.grid))
         return 1 if float(np.sum(dots)) >= 0.0 else -1

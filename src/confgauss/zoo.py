@@ -198,7 +198,8 @@ def _hyperbolic_cylinder_jets(u, v, d):
 # ----------------------------------------------------------------------
 
 def _adaptive_simpson(f, a, b, tol):
-    """Adaptive Simpson quadrature of a scalar callable."""
+    """Adaptive Simpson quadrature of a scalar callable, to ``tol`` times
+    max(1, |first Simpson estimate|)."""
 
     def simpson(fa, fm, fb, a_, b_):
         return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
@@ -218,7 +219,7 @@ def _adaptive_simpson(f, a, b, tol):
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = simpson(fa, fm, fb, a, b)
-    return recurse(a, b, fa, fm, fb, whole, tol, 50)
+    return recurse(a, b, fa, fm, fb, whole, tol * max(1.0, abs(whole)), 50)
 
 
 PROFILE_T = 1.5  # the profile range on which the radius is checked
@@ -258,7 +259,7 @@ class _RevolutionProfile:
         return rate
 
     def iso_coord(self, t):
-        """Isothermal coordinate u(t) = int_0^t speed/rho, to 1e-12."""
+        """Isothermal coordinate u(t) = int_0^t speed/rho, to 1e-12 relative."""
         if t == 0.0:
             return 0.0
         return _adaptive_simpson(self._rate, 0.0, t, 1e-12)

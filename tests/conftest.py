@@ -22,6 +22,26 @@ def data_for(name, n=128, domain=None, **params):
     return _cached_data(name, n, tuple(sorted(params.items())), key_domain)
 
 
+def transfer_law(data, target):
+    """The gauge-transfer law that moves R^3 data (lam, n, H, Omega) at
+    phi = data.grid.pos to S^3 (s = +1) or H^3 (s = -1, needs |phi| < 1):
+
+    e^{2 Lam} = 4 e^{2 lam} / (1 + s|phi|^2)^2,
+    h = (1 + s|phi|^2) H / 2 + s <n, phi>,
+    omega = 2 Omega / (1 + s|phi|^2),
+    and the induced normal (n, 0) - 2 s <n, phi> / (1 + s|phi|^2) (phi, -s).
+    """
+    s = {"s3": 1.0, "h3": -1.0}[target]
+    phi, n = data.grid.pos, data.n
+    conf = 1.0 + s * np.sum(phi * phi, axis=-1)
+    n_phi = np.sum(n * phi, axis=-1)
+    last = np.full(conf.shape + (1,), -s)
+    normal = (np.concatenate([n, np.zeros_like(last)], axis=-1)
+              - (2.0 * s * n_phi / conf)[..., None] * np.concatenate([phi, last], axis=-1))
+    return (data.lam + np.log(2.0 / conf), normal,
+            conf / 2.0 * data.H + s * n_phi, 2.0 * data.Omega / conf)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -62,16 +62,16 @@ def test_acceptance_11_convergence(results):
 
 def test_raising_criterion_keeps_its_name(monkeypatch):
     def fail(*args, **kwargs):
-        raise ValueError("transfer failed")
+        raise ValueError("representation failed")
 
     monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_sphere_law])
     (passing,) = acceptance.run_all(n=16)
-    monkeypatch.setattr(acceptance, "transfer_r3_to_s3", fail)
+    monkeypatch.setattr(acceptance, "representation", fail)
     (failing,) = acceptance.run_all(n=16)
     assert passing.passed
     assert failing.name == passing.name == "1. geodesic sphere law"
     assert not failing.passed
-    assert failing.details == {"error": "transfer failed"}
+    assert failing.details == {"error": "representation failed"}
 
 
 def test_detail_keys_carry_plain_floats(results):

@@ -254,7 +254,7 @@ def test_classify_bytes_per_node(name, limit):
 
 def test_classify_takes_the_h3_chart_normal_once(monkeypatch):
     # fundamental_data records that its n is the chart normal, so the
-    # H^3 -> R^3 step reads the source orientation instead of recomputing it
+    # one H^3 -> S^3 push reads the source orientation instead of recomputing it
     data = G.fundamental_data(sample(make_surface("hyperbolic_cylinder"), 33))
     models_seen = []
 
@@ -264,7 +264,7 @@ def test_classify_takes_the_h3_chart_normal_once(monkeypatch):
 
     monkeypatch.setattr(G, "chart_normal", counted)
     CL.classify_data(data, "hyperbolic_cylinder")
-    assert models_seen == ["r3"]
+    assert models_seen == ["s3"]
 
 
 def test_classify_builds_each_sign_field_once(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from confgauss import grid as G
 from confgauss import jets as J
 from confgauss import models
 from confgauss.lorentz import INFINITY, V_L, dehomogenize, lift, lorentz_product
-from conftest import data_for
+from confgauss.zoo import SURFACES
+from conftest import data_for, transfer_law
 
 
 def test_stereo_examples():
@@ -81,55 +84,113 @@ def test_lift_colinearity(rng):
             assert np.max(np.abs(a - b)) <= 1e-10  # positively proportional
 
 
+def _assert_transfer_law(data, target, tol=1e-12):
+    """``representation`` obeys the transfer law, each field within ``tol``
+    relative to max(1, its largest law value)."""
+    rep = models.representation(data, target)
+    for name, got, want in zip(("lam", "n", "H", "Omega"),
+                               (rep.lam, rep.n, rep.H, rep.Omega),
+                               transfer_law(data, target)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= tol * scale, (target, name)
+    return rep
+
+
+@pytest.mark.parametrize("name", [k for k, kind in SURFACES.items() if kind.model == "r3"])
+def test_representation_obeys_the_s3_transfer_law(name):
+    _assert_transfer_law(data_for(name, n=33), "s3")
+
+
+# R^3 charts inside the Poincare ball
+BALL_CHARTS = [("cylinder", {"rho": 0.4, "domain": ((-0.4, 0.4), (-0.9, 0.9))}),
+               ("sphere", {"R": 0.5}), ("hyperbolic_cylinder", {})]
+
+
+@pytest.mark.parametrize("name, params", BALL_CHARTS, ids=[c[0] for c in BALL_CHARTS])
+def test_representation_obeys_the_h3_transfer_law(name, params):
+    data = models.representation(data_for(name, n=33, **params), "r3")
+    _assert_transfer_law(data, "h3")
+
+
+def _through_origin(data):
+    """R^3 data of ``data``'s chart translated so that its centre node is 0."""
+    g = data.grid
+    centre = g.pos[len(g.u) // 2, len(g.v) // 2]
+    grid = G.ChartGrid("r3", g.u, g.v, replace(g.jet, pos=g.pos - centre))
+    return G.fundamental_data(grid), (len(g.u) // 2, len(g.v) // 2)
+
+
 def test_transfer_at_origin():
-    lam = np.zeros((1, 1))
-    n = np.zeros((1, 1, 3))
-    n[..., 2] = 1.0
-    H = np.full((1, 1), 0.7)
-    om = np.full((1, 1), 0.3 + 0.1j)
-    phi = np.zeros((1, 1, 3))
-    ts = models.transfer_r3_to_s3(lam, n, H, om, phi)
-    assert ts.H[0, 0] == pytest.approx(0.35)
-    assert ts.Omega[0, 0] == pytest.approx(0.6 + 0.2j)
-    th = models.transfer_r3_to_h3(lam, n, H, om, phi)
-    assert th.H[0, 0] == pytest.approx(0.35)
-    assert th.Omega[0, 0] == pytest.approx(0.6 + 0.2j)
+    # at phi = 0 both gauges halve H, double Omega and double e^{lam}
+    data, node = _through_origin(
+        data_for("cylinder", n=33, rho=0.7, domain=((-0.3, 0.3), (-0.3, 0.3))))
+    assert not np.any(data.grid.pos[node])
+    for target in ("s3", "h3"):
+        rep = models.representation(data, target)
+        assert rep.H[node] == pytest.approx(data.H[node] / 2.0, rel=1e-14)
+        assert rep.Omega[node] == pytest.approx(2.0 * data.Omega[node], rel=1e-14)
+        assert rep.lam[node] == pytest.approx(data.lam[node] + np.log(2.0), abs=1e-14)
 
 
 def test_transfer_plane_through_origin():
     # flat plane with H = 0, Omega = 0: h reduces to <n, phi>
     data = data_for("plane", n=16)
-    g = data.grid
-    ts = models.transfer_r3_to_s3(data.lam, data.n, data.H, data.Omega, g.pos)
-    ndotphi = (data.n * g.pos).sum(axis=-1)
-    assert np.max(np.abs(ts.H - ndotphi)) <= 1e-14
-    assert np.max(np.abs(ts.Omega)) == 0.0
+    rep = models.representation(data, "s3")
+    ndotphi = (data.n * data.grid.pos).sum(axis=-1)
+    assert np.max(np.abs(rep.H - ndotphi)) <= 1e-14
+    assert np.max(np.abs(rep.Omega)) <= 1e-14
 
 
 def test_transfer_h3_requires_ball():
-    data = data_for("catenoid", n=16)
-    with pytest.raises(ValueError, match="ball"):
-        models.transfer_r3_to_h3(data.lam, data.n, data.H, data.Omega, data.grid.pos)
+    with pytest.raises(ValueError, match="chart leaves the Poincare ball"):
+        models.representation(data_for("catenoid", n=16), "h3")
+    with pytest.raises(ValueError, match="chart leaves the Poincare ball"):
+        models.representation(data_for("clifford_torus", n=16), "h3")
 
 
 def test_h3_factor_blows_up_toward_boundary():
-    lam = 0.0
-    vals = []
-    for r in (0.0, 0.5, 0.9, 0.99):
-        phi = np.array([[[r, 0.0, 0.0]]])
-        t = models.transfer_r3_to_h3(np.zeros((1, 1)), np.zeros((1, 1, 3)),
-                                     np.zeros((1, 1)), np.zeros((1, 1)), phi)
-        vals.append(np.exp(2 * t.lam)[0, 0])
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    # a flat strip of R^3 reaching from the centre of the ball towards its
+    # boundary: e^{2 Lam} = 4 / (1 - r^2)^2 grows without bound along it
+    u, v = np.linspace(0.0, 0.99, 100), np.linspace(-0.01, 0.01, 9)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    zero, one = np.zeros_like(uu), np.ones_like(uu)
+    flat = np.zeros(uu.shape + (3,))
+    jet = J.Jet2(np.stack([uu, vv, zero], axis=-1), np.stack([one, zero, zero], axis=-1),
+                 np.stack([zero, one, zero], axis=-1), flat, flat, flat)
+    rep = models.representation(G.fundamental_data(G.ChartGrid("r3", u, v, jet)), "h3")
+    factor = rep.e2lam[:, 4]
+    assert np.all(np.diff(factor) > 0.0)
+    assert np.max(np.abs(factor / (4.0 / (1.0 - u ** 2) ** 2) - 1.0)) <= 1e-12
 
 
 def test_geodesic_sphere_law():
     for radius in (0.3, 0.5, 0.9):
         data = data_for("sphere", n=33, R=radius)
-        ts = models.transfer_r3_to_s3(data.lam, data.n, data.H, data.Omega,
-                                      data.grid.pos)
         expected = (1.0 - radius ** 2) / (2.0 * radius)
-        assert np.max(np.abs(ts.H - expected)) <= 1e-8
+        assert np.max(np.abs(models.representation(data, "s3").H - expected)) <= 1e-8
+
+
+def _close(a, b, tol):
+    return np.max(np.abs(a - b)) <= tol
+
+
+@pytest.mark.parametrize("name, source, target", [
+    ("hyperbolic_cylinder", "h3", "s3"), ("ball_cylinder", "s3", "h3")])
+def test_direct_representation_matches_the_two_hop_one(name, source, target):
+    if name == "ball_cylinder":  # criterion 3's ball-contained cylinder, on S^3
+        data = models.representation(
+            data_for("cylinder", n=65, rho=0.4, domain=((-0.4, 0.4), (-0.9, 0.9))), "s3")
+    else:
+        data = data_for(name, n=65)
+    assert data.model == source
+    direct = models.representation(data, target)
+    two_hop = models.representation(models.representation(data, "r3"), target)
+    for part in ("pos", "du", "dv", "duu", "duv", "dvv"):
+        a, b = getattr(direct.grid.jet, part), getattr(two_hop.grid.jet, part)
+        assert _close(a, b, 1e-12 * np.max(np.abs(b))), part
+    for part in ("n", "H", "Omega"):
+        assert _close(getattr(direct, part), getattr(two_hop, part), 1e-10), part
+    assert direct.orientation == two_hop.orientation
 
 
 def test_representation_round_trip():

@@ -5,8 +5,9 @@ import pytest
 
 from confgauss import grid as G
 from confgauss import models
+from confgauss import zoo
 from confgauss.zoo import CATALOG, list_surfaces, make_surface, sample
-from conftest import data_for
+from conftest import data_for, transfer_law
 
 
 def test_catalog_listing():
@@ -64,6 +65,17 @@ def test_revolution_profile_quadrature_quality():
     assert np.max(num) <= 1e-8
 
 
+def test_steep_profile_quadrature_is_relative(monkeypatch):
+    # u(1) is about 5.5e5 at zslope = 1e6: held to 1e-12 of that, not to
+    # an absolute 1e-12, the quadrature needs a few hundred evaluations
+    profile = zoo._RevolutionProfile(1.5, 0.3, 0.1, 1e6)
+    calls = []
+    rate = profile._rate
+    monkeypatch.setattr(profile, "_rate", lambda t: calls.append(t) or rate(t))
+    assert profile.iso_coord(1.0) == pytest.approx(548573.07044975, rel=1e-12)
+    assert len(calls) <= 2000
+
+
 def test_clifford_native_invariants():
     data = data_for("clifford_torus", n=65)
     g = data.grid
@@ -74,12 +86,15 @@ def test_clifford_native_invariants():
 
 
 def test_clifford_minimality_cross_checked_via_r3():
-    # transfer from the stereographic image back to the S^3 gauge
+    # back from the stereographic image to S^3, by the pushed jets and by
+    # the transfer law
     data = data_for("clifford_torus", n=33)
     r3 = models.representation(data, "r3")
-    ts = models.transfer_r3_to_s3(r3.lam, r3.n, r3.H, r3.Omega, r3.grid.pos)
-    assert np.max(np.abs(ts.H)) <= 1e-10
-    assert np.max(np.abs(np.abs(ts.Omega) - 1.0)) <= 1e-10
+    back = models.representation(r3, "s3")
+    _, _, h, omega = transfer_law(r3, "s3")
+    for H, Omega in ((back.H, back.Omega), (h, omega)):
+        assert np.max(np.abs(H)) <= 1e-10
+        assert np.max(np.abs(np.abs(Omega) - 1.0)) <= 1e-10
 
 
 def test_hyperbolic_cylinder_invariants():
