@@ -87,10 +87,11 @@ def _collect_params(args) -> dict:
 
 
 def _parse_domain(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("domain needs u0,u1,v0,v1")
-    return (parts[0], parts[1]), (parts[2], parts[3])
+    try:  # a part that is not a number, or not four parts
+        u0, u1, v0, v1 = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError("domain needs u0,u1,v0,v1") from None
+    return (u0, u1), (v0, v1)
 
 
 def _emit_report(report, args):

@@ -1,9 +1,8 @@
 """The conformal Gauss map and its frame geometry.
 
 Construction of the sphere congruence Y in the three representations,
-envelope and metric-law residuals, the dual surfaces, the isotropic frame
-(nu, nu*) with its directional curvatures, and the reconstruction of the
-enveloped immersion from a congruence.
+envelope and metric-law residuals, the dual surfaces, and the isotropic
+frame (nu, nu*) with its directional curvatures.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .grid import ChartGrid, FundamentalData, interior_max
 from .jets import push_word
-from .lorentz import dehomogenize, dot, lift, lorentz_product
+from .lorentz import lift, lorentz_product
 from .models import oriented_data, representation
 
 __all__ = [
@@ -26,14 +25,9 @@ __all__ = [
     "metric_law_residual",
     "dual_surface_r3",
     "dual_surface_s3",
-    "dual_branch_mask",
     "isotropic_frame",
-    "reconstruct_from_congruence",
     "transform_immersion",
 ]
-
-BRANCH_REL_TOL = 1e-6
-RECONSTRUCT_TOL = 1e-6
 
 
 @dataclass
@@ -162,18 +156,6 @@ def dual_surface_s3(data: FundamentalData) -> np.ndarray:
     )
 
 
-def dual_branch_mask(data: FundamentalData, xstar: np.ndarray) -> np.ndarray:
-    """Nodes where the dual stops immersing: |X*_z|^2 below threshold.
-
-    The dual of a Willmore immersion may be branched; branch points are
-    reported, not classified.
-    """
-    g = data.grid
-    xstar_z = g.dz(xstar)
-    speed2 = dot(xstar_z, np.conj(xstar_z)).real
-    return speed2 <= BRANCH_REL_TOL * float(np.max(speed2))
-
-
 @dataclass
 class IsotropicFrame:
     """Isotropic normal frame (nu, nu*) of Y with directional curvatures."""
@@ -219,24 +201,3 @@ def transform_immersion(data: FundamentalData, word) -> FundamentalData:
     jet = push_word(g.jet, word)
     return oriented_data(ChartGrid("r3", g.u, g.v, jet), data)
 
-
-def reconstruct_from_congruence(cong: CongruenceGrid, nu0: np.ndarray) -> np.ndarray:
-    """Recover the enveloped S^3 immersion from Y and an isotropic normal.
-
-    nu0 must be isotropic, normal to Y and Y_z, and of vanishing mean
-    curvature H_nu0; the result is nu0 renormalized by its 5th component.
-    """
-    nu0 = np.asarray(nu0, dtype=float)
-    scale = float(np.max(np.abs(nu0)))
-    iso = interior_max(lorentz_product(nu0, nu0)) / scale ** 2
-    if iso > RECONSTRUCT_TOL:
-        raise ValueError("normal direction is not isotropic")
-    if interior_max(lorentz_product(cong.Y, nu0)) / scale > RECONSTRUCT_TOL:
-        raise ValueError("direction is not normal to Y")
-    if interior_max(lorentz_product(cong.Yz, nu0)) / scale > RECONSTRUCT_TOL:
-        raise ValueError("direction is not normal to the tangent of Y")
-    h_nu0 = 2.0 * lorentz_product(cong.Yzzb, nu0) / cong.e2L
-    if interior_max(h_nu0) / scale > RECONSTRUCT_TOL:
-        raise ValueError("not integrable: H_nu does not vanish")
-    num, den = dehomogenize(nu0, "s3")
-    return num / den[..., None]

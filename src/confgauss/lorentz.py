@@ -20,10 +20,7 @@ import numpy as np
 
 __all__ = [
     "EPSILON",
-    "V_S",
-    "V_T",
     "V_L",
-    "INFINITY",
     "dot",
     "lorentz_product",
     "CHARTS",
@@ -36,8 +33,6 @@ __all__ = [
     "inversion_matrix",
     "translation_matrix",
     "is_so41",
-    "act_on_r3",
-    "act_on_s3",
     "Generator",
     "GeneratorKind",
     "GENERATOR_KINDS",
@@ -50,36 +45,16 @@ __all__ = [
 # Metric signature matrix of R^{4,1}.
 EPSILON = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
 
-# Distinguished normals: spacelike, timelike, lightlike.
-V_S = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-V_T = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+# The lightlike direction of R^3's point at infinity.
 V_L = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
 
 ORTHOGONALITY_TOL = 1e-10
-INFINITY_TOL = 1e-12
 MIN_WORD_LENGTH = 3
 MAX_WORD_LENGTH = 6
 
 SPACELIKE = "spacelike"
 LIGHTLIKE = "lightlike"
 TIMELIKE = "timelike"
-
-
-class _Infinity:
-    """Sentinel for the point at infinity of R^3 ∪ {∞}."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
 
 
 def dot(a, b):
@@ -200,10 +175,8 @@ def lift(x, model: str, tangent=None) -> np.ndarray:
     """Isotropic lift p(x) of ``model`` points x (..., d) into the cone.
 
     With ``tangent`` vectors v at x, the derivative of the lift along v
-    instead: E_K v + <x, v> q.  R^3's INFINITY lifts to V_L.
+    instead: E_K v + <x, v> q.
     """
-    if x is INFINITY:
-        return V_L.copy()
     chart = CHARTS[model]
     x = np.asarray(x, dtype=float)
     v = x if tangent is None else np.asarray(tangent, dtype=float)
@@ -225,34 +198,6 @@ def dehomogenize(y, model: str):
     chart = CHARTS[model]
     y = np.asarray(y, dtype=float)
     return y[..., chart.cols], dot(y, chart.w)
-
-
-def act_on_r3(m, x, so41_tol: float = 1e-9):
-    """Conformal action of m in SO(4,1) on x in R^3 ∪ {INFINITY}.
-
-    Computes y = m p(x) and returns y[:3] / (y5 - y4), routing to INFINITY
-    when |y5 - y4| <= INFINITY_TOL * max(1, |y|).
-    """
-    m = np.asarray(m, dtype=float)
-    if not is_so41(m, so41_tol):
-        raise ValueError("matrix is not in SO(4,1)")
-    y = m @ lift(x, "r3")
-    num, denom = dehomogenize(y, "r3")
-    if abs(denom) <= INFINITY_TOL * max(1.0, float(np.linalg.norm(y))):
-        return INFINITY
-    return num / denom
-
-
-def act_on_s3(m, x, tol: float = 1e-9):
-    """Conformal action of m in SO(4,1) on a unit vector x of S^3."""
-    m = np.asarray(m, dtype=float)
-    if not is_so41(m, tol):
-        raise ValueError("matrix is not in SO(4,1)")
-    x = np.asarray(x, dtype=float).reshape(4)
-    if abs(np.dot(x, x) - 1.0) > tol:
-        raise ValueError("point is not on S^3")
-    num, denom = dehomogenize(m @ lift(x, "s3"), "s3")
-    return num / denom
 
 
 @dataclass(frozen=True)

@@ -1,66 +1,19 @@
 """The three model spaces and their couplings.
 
-Stereographic and hyperbolic projections between R^3, S^3 and H^3, each
-a lift into the cone of R^{4,1} dehomogenized in the other model through
-``lorentz.CHARTS``.  A chart changes model by one jet pushforward
-(``representation``); its (lam, n, H, Omega) there are read off the
-pushed jets, so no curvature is transferred by formula.
+A chart changes model by one jet pushforward (``representation``) through
+``lorentz.CHARTS``; its (lam, n, H, Omega) there are read off the pushed
+jets, so no curvature is transferred by formula.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import jets as _jets
 from .grid import ChartGrid, FundamentalData, fundamental_data
-from .lorentz import INFINITY, dehomogenize, lift
 
 __all__ = [
-    "stereo",
-    "stereo_inv",
-    "hyper",
-    "hyper_inv",
     "oriented_data",
     "representation",
 ]
-
-NORTH_POLE_TOL = 1e-12
-
-
-def stereo(x):
-    """Stereographic projection S^3 -> R^3 ∪ {INFINITY} from the north pole."""
-    x = np.asarray(x, dtype=float).reshape(4)
-    num, denom = dehomogenize(lift(x, "s3"), "r3")
-    if denom <= NORTH_POLE_TOL:
-        return INFINITY
-    return num / denom
-
-
-def stereo_inv(x):
-    """Inverse stereographic projection R^3 ∪ {INFINITY} -> S^3."""
-    if x is not INFINITY:
-        x = np.asarray(x, dtype=float).reshape(3)
-    num, denom = dehomogenize(lift(x, "r3"), "s3")
-    return num / denom
-
-
-def hyper(z):
-    """Projection H^3 -> B_1(0) from the hyperboloid model."""
-    z = np.asarray(z, dtype=float).reshape(4)
-    q = z[0] ** 2 + z[1] ** 2 + z[2] ** 2 - z[3] ** 2
-    if abs(q + 1.0) > 1e-10 or z[3] < 1.0 - 1e-10:
-        raise ValueError("point is not on the upper hyperboloid")
-    num, denom = dehomogenize(lift(z, "h3"), "r3")
-    return num / denom
-
-
-def hyper_inv(x):
-    """Inverse projection B_1(0) -> H^3."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    if float(np.dot(x, x)) >= 1.0:
-        raise ValueError("outside Poincare ball")
-    num, denom = dehomogenize(lift(x, "r3"), "h3")
-    return num / denom
 
 
 # Sign of a chart's own normal against the normal that the projection

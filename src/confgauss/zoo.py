@@ -359,9 +359,14 @@ def _cylinder(rho):
         "linear": False, "umbilic": False}
 
 
+TORUS_MAX_R = 1e150  # R^2 - r^2 overflows from R = 1.34e154
+
+
 def _torus(R, r):
     if r <= 0.0 or R <= r:
         raise ValueError("torus needs R > r > 0")
+    if R > TORUS_MAX_R:
+        raise ValueError(f"torus needs R <= {TORUS_MAX_R:g}, got R = {R:g}")
     uhalf = 0.15 * np.pi * r / math.sqrt(R ** 2 - r ** 2)
     willmore = abs(R / r - math.sqrt(2.0)) < 1e-12
     domain = ((-uhalf, uhalf), (-np.pi / 2.0, np.pi / 2.0))
@@ -418,7 +423,8 @@ SURFACES = {
             {"willmore": True, "kappa": 0, "normal_type": "lightlike",
              "linear": True, "umbilic": False})),
     "torus_revolution": SurfaceKind(
-        "r3", {"R": math.sqrt(2.0), "r": 1.0}, {"R": "R > r", "r": "r > 0"},
+        "r3", {"R": math.sqrt(2.0), "r": 1.0},
+        {"R": f"r < R <= {TORUS_MAX_R:g}", "r": "r > 0"},
         _torus),
     "clifford_torus": SurfaceKind("s3", {}, {}, lambda: (
         ((-1.25, 1.25), (-1.25, 1.25)), _clifford_jets,

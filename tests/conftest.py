@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confgauss.grid import fundamental_data
+from confgauss.lorentz import dehomogenize, lift
 from confgauss.zoo import make_surface, sample
 
 
@@ -40,6 +41,43 @@ def transfer_law(data, target):
               - (2.0 * s * n_phi / conf)[..., None] * np.concatenate([phi, last], axis=-1))
     return (data.lam + np.log(2.0 / conf), normal,
             conf / 2.0 * data.H + s * n_phi, 2.0 * data.Omega / conf)
+
+
+def cone_map(x, source, target, m=np.eye(5)):
+    """Points x of ``source`` lifted to the cone, moved by the SO(4,1) matrix
+    m and dehomogenized in ``target``: a Moebius map or a change of model."""
+    num, den = dehomogenize(lift(x, source) @ np.transpose(m), target)
+    return num / np.asarray(den)[..., None]
+
+
+# The point maps between the models in closed form, on the last axis; none
+# reads lorentz.CHARTS.  Stereographic projection is from the north pole
+# (0, 0, 0, 1) of S^3, hyperbolic projection from (0, 0, 0, -1) onto the
+# Poincare ball, with H^3 the upper sheet z4 = sqrt(1 + |z|^2).
+def stereo_inv(x):
+    """R^3 -> S^3: (2x, |x|^2 - 1) / (1 + |x|^2)."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.sum(x * x, axis=-1, keepdims=True)
+    return np.concatenate([2.0 * x, r2 - 1.0], axis=-1) / (1.0 + r2)
+
+
+def stereo(p):
+    """S^3 minus the north pole -> R^3: p[:3] / (1 - p4)."""
+    p = np.asarray(p, dtype=float)
+    return p[..., :3] / (1.0 - p[..., 3:])
+
+
+def hyper_inv(x):
+    """Poincare ball -> H^3: (2x, 1 + |x|^2) / (1 - |x|^2)."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.sum(x * x, axis=-1, keepdims=True)
+    return np.concatenate([2.0 * x, 1.0 + r2], axis=-1) / (1.0 - r2)
+
+
+def hyper(z):
+    """H^3 -> Poincare ball: z[:3] / (1 + z4)."""
+    z = np.asarray(z, dtype=float)
+    return z[..., :3] / (1.0 + z[..., 3:])
 
 
 @pytest.fixture

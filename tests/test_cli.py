@@ -165,6 +165,20 @@ def test_degenerate_domain_exits_1(capsys):
     assert err.splitlines() == ["error: chart axis u is not strictly increasing"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cylinder", "--domain", "a,1,0,1"], "domain needs u0,u1,v0,v1"),
+    (["cylinder", "--domain", "0,1,0"], "domain needs u0,u1,v0,v1"),
+    # R^2 - r^2 would overflow: refused before the chart is sampled
+    (["torus_revolution", "--R", "1e160", "--r", "1"],
+     "torus needs R <= 1e+150, got R = 1e+160"),
+])
+def test_out_of_range_input_exits_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, "analyze", *argv, "--grid", "33")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_memory_error_exits_1(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. TiB for an array")

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from confgauss import jets as J
 from confgauss.lorentz import Generator, axis_angle_matrix, generator_matrix, random_word
-from confgauss.models import hyper_inv, stereo_inv
+from conftest import hyper_inv, stereo_inv
 
 
 def _quadratic_jet(u, v):

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from confgauss import lorentz as lz
+from conftest import cone_map, stereo, stereo_inv
+
+V_S = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+V_T = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_product_signature_examples():
     assert lz.lorentz_product(lz.V_L, lz.V_L) == 0.0
-    assert lz.lorentz_product(lz.V_T, lz.V_T) == -1.0
+    assert lz.lorentz_product(V_T, V_T) == -1.0
     v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     assert lz.lorentz_product(v, v) == 5.0
 
@@ -22,9 +26,9 @@ def test_product_symmetric_bilinear(rng):
 
 
 def test_classify_vector_distinguished():
-    assert lz.classify_vector(lz.V_S) == "spacelike"
+    assert lz.classify_vector(V_S) == "spacelike"
     assert lz.classify_vector(lz.V_L) == "lightlike"
-    assert lz.classify_vector(lz.V_T) == "timelike"
+    assert lz.classify_vector(V_T) == "timelike"
 
 
 def test_classify_vector_zero_errors():
@@ -66,41 +70,23 @@ def test_is_so41_counterexample():
 
 def test_act_on_r3_examples():
     x = np.array([0.3, -0.4, 0.9])
-    assert np.allclose(lz.act_on_r3(np.eye(5), x), x)
-    assert np.allclose(lz.act_on_r3(lz.translation_matrix([1, 2, 3]), x),
+    assert np.allclose(cone_map(x, "r3", "r3"), x)
+    assert np.allclose(cone_map(x, "r3", "r3", lz.translation_matrix([1, 2, 3])),
                        x + np.array([1, 2, 3]))
-    assert np.allclose(lz.act_on_r3(lz.inversion_matrix(), [2.0, 0.0, 0.0]),
+    assert np.allclose(cone_map(x, "r3", "r3", lz.inversion_matrix()), x / np.dot(x, x))
+    assert np.allclose(cone_map([2.0, 0.0, 0.0], "r3", "r3", lz.inversion_matrix()),
                        [0.5, 0.0, 0.0])
-
-
-def test_act_on_r3_infinity_routing():
-    m_tra = lz.translation_matrix([1.0, 0.0, 0.0])
-    assert lz.act_on_r3(m_tra, lz.INFINITY) is lz.INFINITY
-    # the inversion swaps 0 and infinity
-    assert lz.act_on_r3(lz.inversion_matrix(), [0.0, 0.0, 0.0]) is lz.INFINITY
-    assert np.allclose(lz.act_on_r3(lz.inversion_matrix(), lz.INFINITY),
-                       [0.0, 0.0, 0.0])
-
-
-def test_act_on_r3_requires_so41():
-    with pytest.raises(ValueError, match="SO\\(4,1\\)"):
-        lz.act_on_r3(np.diag([2.0, 1.0, 1.0, 1.0, 1.0]), [1.0, 0.0, 0.0])
 
 
 def test_act_on_s3_examples():
     x = np.array([0.5, 0.5, 0.5, 0.5])
-    assert np.allclose(lz.act_on_s3(np.eye(5), x), x)
+    assert np.allclose(cone_map(x, "s3", "s3"), x)
     theta = lz.axis_angle_matrix([0.0, 0.0, 1.0], 1.1)
-    out = lz.act_on_s3(lz.rotation_matrix(theta), x)
+    out = cone_map(x, "s3", "s3", lz.rotation_matrix(theta))
     assert np.allclose(out[:3], theta @ x[:3])
     assert out[3] == pytest.approx(x[3])
     north = np.array([0.0, 0.0, 0.0, 1.0])
-    assert np.allclose(lz.act_on_s3(lz.dilation_matrix(0.8), north), north)
-
-
-def test_act_on_s3_rejects_non_unit():
-    with pytest.raises(ValueError, match="S\\^3"):
-        lz.act_on_s3(np.eye(5), [1.0, 1.0, 0.0, 0.0])
+    assert np.allclose(cone_map(north, "s3", "s3", lz.dilation_matrix(0.8)), north)
 
 
 def test_morphism_property(rng):
@@ -108,28 +94,19 @@ def test_morphism_property(rng):
         m1 = lz.word_matrix(lz.random_word(rng))
         m2 = lz.word_matrix(lz.random_word(rng))
         x = rng.uniform(-0.8, 0.8, size=3)
-        lhs = lz.act_on_r3(m1 @ m2, x, so41_tol=1e-8)
-        rhs = lz.act_on_r3(m1, lz.act_on_r3(m2, x, so41_tol=1e-8), so41_tol=1e-8)
-        if lhs is lz.INFINITY or rhs is lz.INFINITY:
-            assert lhs is rhs
-        else:
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
+        lhs = cone_map(x, "r3", "r3", m1 @ m2)
+        rhs = cone_map(cone_map(x, "r3", "r3", m2), "r3", "r3", m1)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
 def test_projection_compatibility(rng):
     # pi(M.X) = M.(pi(X)) through the isomorphism
-    from confgauss.models import stereo, stereo_inv
-
     for _ in range(20):
         m = lz.word_matrix(lz.random_word(rng))
         x = rng.uniform(-0.8, 0.8, size=3)
-        big_x = stereo_inv(x)
-        lhs = stereo(lz.act_on_s3(m, big_x, tol=1e-8))
-        rhs = lz.act_on_r3(m, x, so41_tol=1e-8)
-        if lhs is lz.INFINITY or rhs is lz.INFINITY:
-            assert lhs is rhs
-        else:
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
+        lhs = stereo(cone_map(stereo_inv(x), "s3", "s3", m))
+        rhs = cone_map(x, "r3", "r3", m)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
 def test_type_preservation_under_words(rng):
@@ -169,7 +146,7 @@ def test_word_matrix_composes_left_to_right():
     m = lz.word_matrix(word)
     x = np.array([0.2, 0.0, 0.0])
     expected = np.exp(0.5) * x + np.array([1.0, 0.0, 0.0])
-    assert np.allclose(lz.act_on_r3(m, x), expected)
+    assert np.allclose(cone_map(x, "r3", "r3", m), expected)
 
 
 # first words of seeded draws, recorded as literals: the kind table must

@@ -6,66 +6,70 @@ import pytest
 from confgauss import grid as G
 from confgauss import jets as J
 from confgauss import models
-from confgauss.lorentz import INFINITY, V_L, dehomogenize, lift, lorentz_product
+from confgauss import lorentz as lz
+from confgauss.lorentz import V_L, lift, lorentz_product
 from confgauss.zoo import SURFACES
-from conftest import data_for, transfer_law
+from conftest import cone_map, data_for, hyper, hyper_inv, stereo, stereo_inv, transfer_law
+
+
+# each point map in closed form, and through the cone charts
+STEREO = (stereo, lambda p: cone_map(p, "s3", "r3"))
+STEREO_INV = (stereo_inv, lambda x: cone_map(x, "r3", "s3"))
+HYPER = (hyper, lambda z: cone_map(z, "h3", "r3"))
+HYPER_INV = (hyper_inv, lambda x: cone_map(x, "r3", "h3"))
 
 
 def test_stereo_examples():
-    assert np.allclose(models.stereo([0, 0, 0, -1]), [0, 0, 0])
-    assert np.allclose(models.stereo([1, 0, 0, 0]), [1, 0, 0])
-    assert models.stereo([0, 0, 0, 1]) is INFINITY
+    for f in STEREO:
+        assert np.allclose(f([0, 0, 0, -1]), [0, 0, 0])
+        assert np.allclose(f([1, 0, 0, 0]), [1, 0, 0])
 
 
 def test_stereo_inv_examples():
-    assert np.allclose(models.stereo_inv([0, 0, 0]), [0, 0, 0, -1])
     x = np.array([0.6, 0.8, 0.0])
-    assert np.allclose(models.stereo_inv(x), np.concatenate([x, [0.0]]))
-    assert np.allclose(models.stereo_inv(INFINITY), [0, 0, 0, 1])
+    for f in STEREO_INV:
+        assert np.allclose(f([0, 0, 0]), [0, 0, 0, -1])
+        assert np.allclose(f(x), np.concatenate([x, [0.0]]))  # the unit circle is fixed
 
 
 def test_stereo_round_trip(rng):
     pts = rng.normal(size=(10000, 3))
-    worst = 0.0
-    for x in pts:
-        back = models.stereo(models.stereo_inv(x))
-        worst = max(worst, float(np.max(np.abs(back - x))))
-    assert worst <= 1e-12
+    for f, f_inv in zip(STEREO, STEREO_INV):
+        assert np.max(np.abs(f(f_inv(pts)) - pts)) <= 1e-12
 
 
 def test_hyper_examples():
-    assert np.allclose(models.hyper([0, 0, 0, 1]), [0, 0, 0])
     d = 0.8
-    out = models.hyper([np.sinh(d), 0, 0, np.cosh(d)])
-    assert out[0] == pytest.approx(np.tanh(d / 2.0), abs=1e-14)
-    with pytest.raises(ValueError, match="upper hyperboloid"):
-        models.hyper([0.0, 0.0, 0.0, -1.0])
+    for f in HYPER:
+        assert np.allclose(f([0, 0, 0, 1]), [0, 0, 0])
+        out = f([np.sinh(d), 0, 0, np.cosh(d)])
+        assert out[0] == pytest.approx(np.tanh(d / 2.0), abs=1e-14)
 
 
 def test_hyper_inv_examples():
-    assert np.allclose(models.hyper_inv([0, 0, 0]), [0, 0, 0, 1])
-    assert np.allclose(models.hyper_inv([0.5, 0, 0]), [4.0 / 3.0, 0, 0, 5.0 / 3.0])
-    with pytest.raises(ValueError, match="Poincare"):
-        models.hyper_inv([1.0, 0.0, 0.0])
+    for f in HYPER_INV:
+        assert np.allclose(f([0, 0, 0]), [0, 0, 0, 1])
+        assert np.allclose(f([0.5, 0, 0]), [4.0 / 3.0, 0, 0, 5.0 / 3.0])
 
 
 def test_hyper_round_trip(rng):
-    worst = 0.0
-    for _ in range(10000):
-        x = rng.uniform(-0.57, 0.57, size=3)  # inside the unit ball
-        z = models.hyper_inv(x)
-        q = z[0] ** 2 + z[1] ** 2 + z[2] ** 2 - z[3] ** 2
-        assert abs(q + 1.0) <= 1e-10
-        worst = max(worst, float(np.max(np.abs(models.hyper(z) - x))))
-    assert worst <= 1e-12
+    x = rng.uniform(-0.57, 0.57, size=(10000, 3))  # inside the unit ball
+    for f, f_inv in zip(HYPER, HYPER_INV):
+        z = f_inv(x)
+        q = z[:, 0] ** 2 + z[:, 1] ** 2 + z[:, 2] ** 2 - z[:, 3] ** 2
+        assert np.max(np.abs(q + 1.0)) <= 1e-10
+        assert np.max(np.abs(f(z) - x)) <= 1e-12
 
 
 def test_lift_examples():
     assert np.allclose(lift(np.zeros(3), "r3"), [0, 0, 0, -0.5, 0.5])
     assert np.allclose(lift(np.array([1.0, 0.0, 0.0]), "r3"), [1, 0, 0, 0, 1])
-    assert np.array_equal(lift(INFINITY, "r3"), V_L)
+    # V_L is the lift of infinity: the inversion swaps it with the origin's
+    # lift, and a translation fixes it
+    assert np.allclose(lz.inversion_matrix() @ lift(np.zeros(3), "r3"), -V_L / 2.0)
+    assert np.allclose(lz.translation_matrix([1.0, 2.0, 3.0]) @ V_L, V_L)
     x = np.array([0.3, -0.2, 0.1])
-    big_x = models.stereo_inv(x)
+    big_x = stereo_inv(x)
     assert lorentz_product(lift(big_x, "s3"), lift(big_x, "s3")) == pytest.approx(0.0, abs=1e-12)
     assert lorentz_product(lift(x, "r3"), lift(x, "r3")) == pytest.approx(0.0, abs=1e-12)
 
@@ -75,8 +79,8 @@ def test_lift_colinearity(rng):
     for _ in range(100):
         x = rng.uniform(-0.6, 0.6, size=3)
         p_r3 = lift(x, "r3")
-        p_s3 = lift(models.stereo_inv(x), "s3")
-        p_h3 = lift(models.hyper_inv(x), "h3")
+        p_s3 = lift(stereo_inv(x), "s3")
+        p_h3 = lift(hyper_inv(x), "h3")
         for other in (p_s3, p_h3):
             a = p_r3 / np.linalg.norm(p_r3)
             b = other / np.linalg.norm(other)
@@ -195,39 +199,38 @@ def test_representation_round_trip():
     assert np.max(np.abs(back.grid.pos - data.grid.pos)) <= 1e-12
 
 
-def _point_map(source, target):
-    """The point map of an ordered model pair: a named projection, or the
-    lift of a source point dehomogenized in the target."""
-    named = {("r3", "s3"): models.stereo_inv, ("s3", "r3"): models.stereo,
-             ("h3", "r3"): models.hyper, ("r3", "h3"): models.hyper_inv}
-    if (source, target) in named:
-        return named[source, target]
-
-    def through_cone(x):
-        num, den = dehomogenize(lift(x, source), target)
-        return num / den
-
-    return through_cone
+def _s3_to_h3(p):
+    """Southern hemisphere of S^3 -> H^3: (p1, p2, p3, 1) / (-p4)."""
+    return np.concatenate([p[..., :3], np.ones_like(p[..., 3:])], axis=-1) / -p[..., 3:]
 
 
-@pytest.mark.parametrize("source, target", [
-    ("r3", "s3"), ("s3", "r3"), ("r3", "h3"), ("h3", "r3"), ("s3", "h3"), ("h3", "s3"),
-])
+def _h3_to_s3(z):
+    """H^3 -> southern hemisphere of S^3: (z1, z2, z3, -1) / z4."""
+    return np.concatenate([z[..., :3], -np.ones_like(z[..., 3:])], axis=-1) / z[..., 3:]
+
+
+# each ordered pair of models, in closed form
+POINT_MAPS = {
+    ("r3", "s3"): stereo_inv, ("s3", "r3"): stereo,
+    ("r3", "h3"): hyper_inv, ("h3", "r3"): hyper,
+    ("s3", "h3"): _s3_to_h3, ("h3", "s3"): _h3_to_s3,
+}
+
+
+@pytest.mark.parametrize("source, target", list(POINT_MAPS))
 def test_point_maps_match_jet_pushforward(rng, source, target):
     # points of the Poincare ball, and their images on S^3 (southern
     # hemisphere) and H^3: every ordered pair is defined on all of them
     ball = rng.normal(size=(256, 3))
     ball *= (rng.uniform(0.0, 0.95, size=256) / np.linalg.norm(ball, axis=1))[:, None]
-    points = {"r3": ball,
-              "s3": np.array([models.stereo_inv(x) for x in ball]),
-              "h3": np.array([models.hyper_inv(x) for x in ball])}[source]
+    points = {"r3": ball, "s3": stereo_inv(ball), "h3": hyper_inv(ball)}[source]
     tangent = rng.normal(size=points.shape)
     jet = J.Jet2(points, tangent, tangent, tangent, tangent, tangent)
     pushed = J._push(jet, source, target).pos
-    point_map = _point_map(source, target)
-    mapped = np.array([point_map(x) for x in points])
-    err = np.linalg.norm(mapped - pushed, axis=1)
-    assert np.all(err <= 1e-15 * np.linalg.norm(pushed, axis=1))
+    err = np.linalg.norm(POINT_MAPS[source, target](points) - pushed, axis=1)
+    # two roundings of 1 - |x|^2 differ by its condition number 1 / (1 - |x|^2)
+    cond = 1.0 / (1.0 - np.sum(ball * ball, axis=1))
+    assert np.all(err <= 1e-15 * cond * np.linalg.norm(pushed, axis=1))
 
 
 def test_lift_tangent_form_is_the_derivative(rng):

@@ -127,6 +127,14 @@ def test_inverted_catenoid_stays_in_band():
         sample(make_surface("inverted_catenoid", offset=(9.8, 0.0, 0.0)), 17)
 
 
+def test_torus_radius_is_bounded_up_front():
+    # R^2 - r^2 would overflow; the bound is the torus's stated range
+    with pytest.raises(ValueError, match=r"torus needs R <= 1e\+150, got R = 1e\+160"):
+        make_surface("torus_revolution", R=1e160)
+    assert zoo.SURFACES["torus_revolution"].ranges["R"] == "r < R <= 1e+150"
+    make_surface("torus_revolution", R=1e150)
+
+
 def test_revolution_profile_inversion_is_bounded():
     # the speed sqrt(0.09 sin^2 t + 1e-16) nearly vanishes at t = 0, where
     # Newton's first step would land near t = -8.6e6
