@@ -96,8 +96,9 @@ class _S3Fields(FundamentalData):
         g = self.grid
         jet = Jet2(*(a[::2, ::2] for a in vars(g.jet).values()))
         grid = ChartGrid(g.model, g.u[::2], g.v[::2], jet)
-        coarse = _S3Fields(grid, *(f[::2, ::2] for f in
-                                   (self.lam, self.n, self.H, self.Omega)))
+        # fundamental data are pointwise: the coarse chart's equal the
+        # restriction of the fine ones
+        coarse = _S3Fields(grid, self.orientation)
         # Y is pointwise: the restricted Y is the coarse one; only Q is kept
         yzz = CongruenceGrid(grid, self.cong.Y[::2, ::2]).Yzz
         coarse.q = lorentz_product(yzz, yzz)
@@ -119,7 +120,10 @@ def s3_fields(data: FundamentalData) -> _S3Fields:
     if isinstance(data, _S3Fields):
         return data
     data = representation(data, "s3")
-    return _S3Fields(data.grid, data.lam, data.n, data.H, data.Omega)
+    view = _S3Fields(data.grid, data.orientation)
+    if "_fields" in vars(data):  # extracted already: shared, not extracted again
+        view._fields = data._fields
+    return view
 
 
 def bryant_q(data: FundamentalData, cong: CongruenceGrid) -> QResult:

@@ -113,6 +113,8 @@ def _emit_report(report, args):
 def _export_fields(out, data, view):
     """CSV fields of ``data``; Y, W_{S3} and the isotropic frame are read
     off its S^3 view ``view``, which has the same u and v."""
+    if data.model == "s3":
+        data = view  # the same chart and normal, with the fields already read
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     fields = {"lam": data.lam, "H": data.H, "Omega": data.Omega, "n": data.n,

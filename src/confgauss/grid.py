@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import Jet2, row_blocks
 from .lorentz import dot
 
 __all__ = [
@@ -93,6 +93,11 @@ def _ambient_dot(model: str, a, b):
     return dot(a, b)
 
 
+def _trace(model: str, du, dv):
+    """E + G = 2 e^{2 lam} of 1-jets in ``model``."""
+    return _ambient_dot(model, du, du) + _ambient_dot(model, dv, dv)
+
+
 def _cross4(a, b, c):
     """Euclidean generalized cross product of R^4: <w,t> = det[a,b,c,t]."""
     a, b, c = (np.moveaxis(x, -1, 0) for x in (a, b, c))  # component views
@@ -137,19 +142,25 @@ class ChartGrid:
             raise ValueError(f"unknown model {self.model!r}")
         for name in ("u", "v"):
             _check_axis(name, np.asarray(getattr(self, name), dtype=float))
+        jet, lead = self.jet, self.jet.pos.shape[:-1]
         for name in ("pos", "du", "dv", "duu", "duv", "dvv"):
-            if not np.all(np.isfinite(getattr(self.jet, name))):
+            part = getattr(jet, name)
+            if not all(np.isfinite(part[rows]).all() for rows in row_blocks(lead)):
                 raise ValueError(f"jet has non-finite values in {name}")
         self.hu = float(self.u[1] - self.u[0])
         self.hv = float(self.v[1] - self.v[0])
         # first fundamental form: <p_z, p_zbar> = (E + G) / 4 and
-        # |<p_z, p_z>| = hypot(E - G, 2F) / 4
-        du, dv = self.jet.du, self.jet.dv
-        e, f, g = self._dot(du, du), self._dot(du, dv), self._dot(dv, dv)
-        trace = e + g
-        if np.any(trace <= 4.0 * IMM_EPS):
-            raise ValueError("degenerate jet: immersion condition fails")
-        if np.any(np.hypot(e - g, 2.0 * f) > CONF_TOL * trace):
+        # |<p_z, p_z>| = hypot(E - G, 2F) / 4; a degenerate node anywhere
+        # is named before a non-conformal one
+        conformal = True
+        for rows in row_blocks(lead):
+            du, dv = jet.du[rows], jet.dv[rows]
+            e, f, g = self._dot(du, du), self._dot(du, dv), self._dot(dv, dv)
+            trace = e + g
+            if np.any(trace <= 4.0 * IMM_EPS):
+                raise ValueError("degenerate jet: immersion condition fails")
+            conformal = conformal and not np.any(np.hypot(e - g, 2.0 * f) > CONF_TOL * trace)
+        if not conformal:
             raise ValueError("chart is not conformal within tolerance")
 
     # -- chart data -----------------------------------------------------
@@ -159,8 +170,7 @@ class ChartGrid:
     @property
     def metric_trace(self):
         """E + G = 2 e^{2 lam}, from the 1-jets (recomputed, not kept)."""
-        du, dv = self.jet.du, self.jet.dv
-        return self._dot(du, du) + self._dot(dv, dv)
+        return _trace(self.model, self.jet.du, self.jet.dv)
 
     @property
     def shape(self):
@@ -216,13 +226,35 @@ def interior_max(f, band: int = 2) -> float:
 
 @dataclass
 class FundamentalData:
-    """Per-node (lam, n, H, Omega) of a chart grid in its tagged model."""
+    """Per-node (lam, n, H, Omega) of a chart grid in its tagged model.
+
+    ``orientation`` is +1 when n is the chart's own normal
+    (``chart_normal``) and -1 when it is the opposite one.  The four fields
+    are extracted together on first read and kept.
+    """
 
     grid: ChartGrid
-    lam: np.ndarray
-    n: np.ndarray
-    H: np.ndarray
-    Omega: np.ndarray
+    orientation: int
+
+    @cached_property
+    def _fields(self):
+        return _extract(self.grid, self.orientation)
+
+    @property
+    def lam(self):
+        return self._fields[0]
+
+    @property
+    def n(self):
+        return self._fields[1]
+
+    @property
+    def H(self):
+        return self._fields[2]
+
+    @property
+    def Omega(self):
+        return self._fields[3]
 
     @property
     def model(self) -> str:
@@ -248,17 +280,6 @@ class FundamentalData:
     def H_z(self):
         return (self.grad_H[0] - 1j * self.grad_H[1]) / 2.0  # as ChartGrid.dz
 
-    @cached_property
-    def orientation(self) -> int:
-        """+1 when n is the chart's own normal (``chart_normal``), else -1.
-
-        Data whose n is known to be that normal or its opposite have it
-        recorded: ``fundamental_data`` and ``models.oriented_data``, which
-        every ``models.representation`` and Moebius image goes through.
-        """
-        dots = self.grid._dot(self.n, chart_normal(self.grid))
-        return 1 if float(np.sum(dots)) >= 0.0 else -1
-
     def tracefree_form(self):
         """Real-notation tracefree second fundamental form (A11, A12)."""
         e = np.exp(-2.0 * self.lam)
@@ -272,34 +293,55 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
     S^3 and H^3: the unit normal n with det[p, p_u, p_v, n] > 0
     (euclidean, resp. Lorentzian cross product).
     """
-    du, dv = grid.jet.du, grid.jet.dv
-    if grid.model == "r3":
-        return np.cross(du, dv) * (2.0 / grid.metric_trace)[..., None]
-    w = _cross4(grid.pos, du, dv)
-    if grid.model == "h3":
-        w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
-    norm2 = grid._dot(w, w)
-    if np.any(norm2 <= 0.0):
-        raise ValueError("degenerate jet: normal has no positive length")
-    return w / np.sqrt(norm2)[..., None]
+    jet = grid.jet
+    normal = np.empty(jet.du.shape)
+    for rows in row_blocks(jet.pos.shape[:-1]):
+        du, dv = jet.du[rows], jet.dv[rows]
+        if grid.model == "r3":
+            np.multiply(np.cross(du, dv), (2.0 / _trace("r3", du, dv))[..., None],
+                        out=normal[rows])
+            continue
+        w = _cross4(jet.pos[rows], du, dv)
+        if grid.model == "h3":
+            w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
+        norm2 = grid._dot(w, w)
+        if np.any(norm2 <= 0.0):
+            raise ValueError("degenerate jet: normal has no positive length")
+        np.divide(w, np.sqrt(norm2)[..., None], out=normal[rows])
+    return normal
 
 
 def fundamental_data(grid: ChartGrid) -> FundamentalData:
-    """Extract (lam, n, H, Omega) from the analytic 2-jets of a grid.
+    """Fundamental data of a grid whose n is its chart normal; (lam, n, H,
+    Omega) are extracted from the analytic 2-jets when first read."""
+    return FundamentalData(grid, 1)
+
+
+def _extract(grid: ChartGrid, orientation: int):
+    """(lam, n, H, Omega) of a grid whose n is ``orientation`` times its
+    chart normal.
 
     Real arithmetic throughout: e^{2 lam} = (E + G) / 2,
     H = <p_uu + p_vv, n> / (E + G) and
     Omega = <p_uu - p_vv, n> / 2 - i <p_uv, n>, which are 2 <p_zz, n> and
-    <p_zzbar, n> / <p_z, p_zbar> of the complex jets.
+    <p_zzbar, n> / <p_z, p_zbar> of the complex jets.  One pass over row
+    blocks after the chart normal's; the opposite orientation negates each
+    block's n, H and Omega.
     """
-    jet, trace = grid.jet, grid.metric_trace
-    lam = 0.5 * np.log(0.5 * trace)
+    jet, lead = grid.jet, grid.jet.pos.shape[:-1]
     n = chart_normal(grid)
-    h_field = grid._dot(jet.duu + jet.dvv, n) / trace
-    omega = 0.5 * grid._dot(jet.duu - jet.dvv, n) - 1j * grid._dot(jet.duv, n)
-    data = FundamentalData(grid, lam, n, h_field, omega)
-    data.orientation = 1  # n is the chart normal itself
-    return data
+    lam, h_field, omega = np.empty(lead), np.empty(lead), np.empty(lead, complex)
+    for rows in row_blocks(lead):
+        du, dv, duu, duv, dvv, n_b = (a[rows] for a in (
+            jet.du, jet.dv, jet.duu, jet.duv, jet.dvv, n))
+        trace = _trace(grid.model, du, dv)
+        lam[rows] = 0.5 * np.log(0.5 * trace)
+        h_field[rows] = grid._dot(duu + dvv, n_b) / trace
+        omega[rows] = 0.5 * grid._dot(duu - dvv, n_b) - 1j * grid._dot(duv, n_b)
+        if orientation < 0:
+            for f in (n_b, h_field[rows], omega[rows]):
+                np.negative(f, out=f)
+    return lam, n, h_field, omega
 
 
 def gauss_codazzi_residual(data: FundamentalData) -> np.ndarray:

@@ -15,11 +15,12 @@ three steps:
 A Moebius word is pushed in one affine pass x -> A x + t per maximal run
 of similarities (dilations, rotations, translations), and one exact pass
 per inversion.  Transformed surfaces therefore keep analytic
-(non-differenced) jets.
+(non-differenced) jets.  Each pass runs over ``row_blocks`` of the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -36,6 +37,11 @@ __all__ = [
     "push_word",
 ]
 
+# Nodes per block of a pointwise kernel: a block's (rows, width, k)
+# temporaries stay in a 4 MiB L2 cache and are reused from block to block.
+# A grid of at most this many nodes is one block.
+BLOCK_NODES = 16384
+
 
 @dataclass
 class Jet2:
@@ -47,6 +53,20 @@ class Jet2:
     duu: np.ndarray
     duv: np.ndarray
     dvv: np.ndarray
+
+
+def row_blocks(lead: tuple):
+    """Slices of whole rows along the first axis of node arrays of leading
+    shape ``lead``, about ``BLOCK_NODES`` nodes each; one ``...`` for a
+    single node.  Every pointwise kernel runs block by block over them and
+    writes into preallocated outputs, so each node's arithmetic is that of
+    the whole-grid pass."""
+    if not lead:
+        yield ...
+        return
+    rows = max(1, BLOCK_NODES // max(1, math.prod(lead[1:])))
+    for start in range(0, lead[0], rows):
+        yield slice(start, start + rows)
 
 
 def _rows(source: str, target: str, matrix=None):
@@ -65,7 +85,9 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
     """Lift ``jet`` from ``source`` to the cone, apply ``matrix``, project to ``target``.
 
     Raises ``ValueError(message)`` where the denominator is at most ``tol``
-    (in absolute value on R^3, where both signs of a lift are valid).
+    (in absolute value on R^3, where both signs of a lift are valid).  An
+    overflow at far-out scales leaves inf or nan in the image, which
+    ``ChartGrid``'s finiteness check names.
     """
     lin, const, cone = _rows(source, target, matrix)
     num_lin, den_lin = np.ascontiguousarray(lin[:-1].T), lin[-1]
@@ -84,39 +106,45 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
             den += quad * cone[-1]
         return num, den
 
-    x, tangents = jet.pos, (jet.du, jet.dv)
-    num, den = image(x, 0.5 * dot(x, x) if quadratic else None)
-    num += const[:-1]
-    den += const[-1]
-    if np.any((den if target != "r3" else np.abs(den)) <= tol):
-        raise ValueError(message)
-    inv = (1.0 / den)[..., None]
-    f = num * inv
-    scratch = np.empty_like(f)
-
-    def quotient(num, *terms):
-        """(num - sum of g * d over terms) / den, in place on num; every d
-        is a derivative of den."""
+    def quotient(num, out, *terms):
+        """(num - sum of g * d over terms) / den into ``out``, with the
+        current block's ``inv`` = 1 / den and ``scratch``; every d is a
+        derivative of den."""
         for g, d in terms:
             num -= np.multiply(g, d, out=scratch)
-        num *= inv
-        return num
+        return np.multiply(num, inv, out=out)
 
-    # quotient rule for f = num / den:
-    #   f_a = (num_a - f den_a) / den
-    #   f_ab = (num_ab - f_a den_b - f_b den_a - f den_ab) / den
-    firsts = []
-    for t in tangents:
-        num_a, den_a = image(t, dot(x, t) if quadratic else None)
-        den_a = den_a[..., None]
-        firsts.append((quotient(num_a, (f, den_a)), den_a))
-    seconds = []
-    for (a, b), t in (((0, 0), jet.duu), ((0, 1), jet.duv), ((1, 1), jet.dvv)):
-        (f_a, den_a), (f_b, den_b) = firsts[a], firsts[b]
-        quad = dot(tangents[a], tangents[b]) + dot(x, t) if quadratic else None
-        num_ab, den_ab = image(t, quad)
-        seconds.append(quotient(num_ab, (f_a, den_b), (f_b, den_a), (f, den_ab[..., None])))
-    return Jet2(f, firsts[0][0], firsts[1][0], *seconds)
+    lead = jet.pos.shape[:-1]
+    pushed = Jet2(*(np.empty(lead + (num_lin.shape[1],)) for _ in range(6)))
+    with np.errstate(all="ignore"):
+        for rows in row_blocks(lead):
+            x, tangents = jet.pos[rows], (jet.du[rows], jet.dv[rows])
+            num, den = image(x, 0.5 * dot(x, x) if quadratic else None)
+            num += const[:-1]
+            den += const[-1]
+            if np.any((den if target != "r3" else np.abs(den)) <= tol):
+                raise ValueError(message)
+            inv = (1.0 / den)[..., None]
+            f = np.multiply(num, inv, out=pushed.pos[rows])
+            scratch = np.empty_like(f)
+            # quotient rule for f = num / den:
+            #   f_a = (num_a - f den_a) / den
+            #   f_ab = (num_ab - f_a den_b - f_b den_a - f den_ab) / den
+            firsts = []
+            for t, out in zip(tangents, (pushed.du, pushed.dv)):
+                num_a, den_a = image(t, dot(x, t) if quadratic else None)
+                den_a = den_a[..., None]
+                firsts.append((quotient(num_a, out[rows], (f, den_a)), den_a))
+            for (a, b), t, out in (((0, 0), jet.duu, pushed.duu),
+                                   ((0, 1), jet.duv, pushed.duv),
+                                   ((1, 1), jet.dvv, pushed.dvv)):
+                (f_a, den_a), (f_b, den_b) = firsts[a], firsts[b]
+                t = t[rows]
+                quad = dot(tangents[a], tangents[b]) + dot(x, t) if quadratic else None
+                num_ab, den_ab = image(t, quad)
+                quotient(num_ab, out[rows], (f_a, den_b), (f_b, den_a),
+                         (f, den_ab[..., None]))
+    return pushed
 
 
 def push_stereo_inv(jet: Jet2) -> Jet2:
@@ -147,17 +175,23 @@ def _push_similarities(jet: Jet2, run) -> Jet2:
     matrix through the dehomogenizing rows.  The run composes these 3x3
     maps; read off the 5x5 product instead, A's scale would come from a
     cancellation between the cone entries that translations build up.
-    Each derivative maps by A alone.
+    Each derivative maps by A alone.  A far-out translation overflows A or
+    t to inf or nan, which ``ChartGrid``'s finiteness check names.
     """
     a, t = np.eye(3), np.zeros(3)
-    for gen in run:
-        lin, const, _ = _rows("r3", "r3", generator_matrix(gen))
-        a_gen = lin[:-1] / const[-1]
-        a, t = a_gen @ a, a_gen @ t + const[:-1] / const[-1]
-    a_t = np.ascontiguousarray(a.T)
-    parts = [p @ a_t for p in (jet.pos, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)]
-    parts[0] += t
-    return Jet2(*parts)
+    with np.errstate(all="ignore"):
+        for gen in run:
+            lin, const, _ = _rows("r3", "r3", generator_matrix(gen))
+            a_gen = lin[:-1] / const[-1]
+            a, t = a_gen @ a, a_gen @ t + const[:-1] / const[-1]
+        a_t = np.ascontiguousarray(a.T)
+        parts = vars(jet).values()
+        pushed = Jet2(*(np.empty(p.shape) for p in parts))
+        for rows in row_blocks(jet.pos.shape[:-1]):
+            for p, out in zip(parts, vars(pushed).values()):
+                np.matmul(p[rows], a_t, out=out[rows])
+            pushed.pos[rows] += t
+    return pushed
 
 
 def push_word(jet: Jet2, word) -> Jet2:

@@ -8,7 +8,7 @@ jets, so no curvature is transferred by formula.
 from __future__ import annotations
 
 from . import jets as _jets
-from .grid import ChartGrid, FundamentalData, fundamental_data
+from .grid import ChartGrid, FundamentalData
 
 __all__ = [
     "oriented_data",
@@ -29,15 +29,11 @@ def oriented_data(grid: ChartGrid, source: FundamentalData) -> FundamentalData:
 
     ``grid`` is the image chart of ``source`` under a projection or a
     Moebius word; its chart normal is flipped exactly when the source's
-    normal and the two charts' orientations disagree.
+    normal and the two charts' orientations disagree.  Only the source's
+    model and orientation are read, not its fields.
     """
-    data = fundamental_data(grid)
-    sign = (source.orientation * _CHART_ORIENTATION[source.model]
-            * _CHART_ORIENTATION[grid.model])
-    if sign < 0:
-        data = FundamentalData(grid, data.lam, -data.n, -data.H, -data.Omega)
-        data.orientation = -1
-    return data
+    return FundamentalData(grid, source.orientation * _CHART_ORIENTATION[source.model]
+                           * _CHART_ORIENTATION[grid.model])
 
 
 def representation(data: FundamentalData, target: str) -> FundamentalData:

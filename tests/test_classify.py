@@ -243,6 +243,7 @@ def test_classify_bytes_per_node(name, limit):
     """tracemalloc peak of one classify_data above its input, per node."""
     n = 129
     data = G.fundamental_data(sample(make_surface(name), n))
+    data.Omega  # the input's own fields are extracted on first read: read them here
     tracemalloc.start()
     try:
         CL.classify_data(data, name)
@@ -252,19 +253,39 @@ def test_classify_bytes_per_node(name, limit):
     assert peak / n ** 2 <= limit
 
 
-def test_classify_takes_the_h3_chart_normal_once(monkeypatch):
-    # fundamental_data records that its n is the chart normal, so the
-    # one H^3 -> S^3 push reads the source orientation instead of recomputing it
-    data = G.fundamental_data(sample(make_surface("hyperbolic_cylinder"), 33))
-    models_seen = []
+def _count_chart_normals(monkeypatch):
+    """The (model, shape) of each grid that ``chart_normal`` is taken on."""
+    seen = []
 
     def counted(grid, _orig=G.chart_normal):
-        models_seen.append(grid.model)
+        seen.append((grid.model, grid.shape))
         return _orig(grid)
 
     monkeypatch.setattr(G, "chart_normal", counted)
+    return seen
+
+
+def test_classify_takes_the_h3_chart_normal_once(monkeypatch):
+    # fundamental_data records that its n is the chart normal, so the
+    # one H^3 -> S^3 push reads the source orientation instead of recomputing
+    # it; the S^3 normal is taken on the chart and on its 2h restriction
+    data = G.fundamental_data(sample(make_surface("hyperbolic_cylinder"), 33))
+    seen = _count_chart_normals(monkeypatch)
     CL.classify_data(data, "hyperbolic_cylinder")
-    assert models_seen == ["s3"]
+    assert seen == [("s3", (33, 33)), ("s3", (17, 17))]
+
+
+def test_classify_never_extracts_the_r3_data(monkeypatch):
+    # representation reads only the source's grid, model and orientation
+    seen = _count_chart_normals(monkeypatch)
+    CL.classify(make_surface("torus_revolution"), n=33)
+    assert seen == [("s3", (33, 33)), ("s3", (17, 17))]
+
+
+def test_coarse_fields_are_the_restricted_fine_ones():
+    fine = CL.s3_fields(data_for("torus_revolution", n=33))
+    for part in ("lam", "n", "H", "Omega"):
+        assert np.array_equal(getattr(fine.coarse, part), getattr(fine, part)[::2, ::2]), part
 
 
 def test_classify_builds_each_sign_field_once(monkeypatch):

@@ -179,6 +179,22 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    # |x|^2 of the torus overflows in the push into S^3
+    (["analyze", "torus_revolution", "--R", "1e103", "--r", "1"],
+     "jet has non-finite values in duu"),
+    # the translation's SO(4,1) entries overflow; its affine map is lost
+    (["transform", "cylinder", "--word", "tra:1e120,0,0"],
+     "jet has non-finite values in pos"),
+])
+def test_far_out_input_exits_1(capsys, argv, message):
+    # RuntimeWarnings are errors in the test run: an overflow warning fails it
+    code, out, err = run_cli(capsys, *argv, "--grid", "33")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_memory_error_exits_1(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. TiB for an array")
