@@ -121,7 +121,7 @@ def s3_fields(data: FundamentalData) -> _S3Fields:
         return data
     data = representation(data, "s3")
     view = _S3Fields(data.grid, data.orientation)
-    if "_fields" in vars(data):  # extracted already: shared, not extracted again
+    if "_fields" in vars(data):  # an S^3 chart's fields already read: shared
         view._fields = data._fields
     return view
 

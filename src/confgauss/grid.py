@@ -5,7 +5,8 @@ of the fundamental data (lam, n, H, Omega) from analytic 2-jets in real
 arithmetic (the first fundamental form E, F, G and the normal parts of the
 second derivatives), and the structure-equation residuals.  Order <= 2
 jets are always analytic; every higher derivative is a stencil derivative
-of a per-node field, never a difference of positions.
+of a per-node field, never a difference of positions.  The pointwise
+checks and extractions run over ``jets.row_blocks``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet2, row_blocks
+from .jets import Jet2, per_component, row_blocks
 from .lorentz import dot
 
 __all__ = [
@@ -168,11 +169,6 @@ class ChartGrid:
         return _ambient_dot(self.model, a, b)
 
     @property
-    def metric_trace(self):
-        """E + G = 2 e^{2 lam}, from the 1-jets (recomputed, not kept)."""
-        return _trace(self.model, self.jet.du, self.jet.dv)
-
-    @property
     def shape(self):
         return self.jet.pos.shape[:2]
 
@@ -298,8 +294,8 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
     for rows in row_blocks(jet.pos.shape[:-1]):
         du, dv = jet.du[rows], jet.dv[rows]
         if grid.model == "r3":
-            np.multiply(np.cross(du, dv), (2.0 / _trace("r3", du, dv))[..., None],
-                        out=normal[rows])
+            per_component(np.multiply, np.cross(du, dv), 2.0 / _trace("r3", du, dv),
+                          normal[rows])
             continue
         w = _cross4(jet.pos[rows], du, dv)
         if grid.model == "h3":
@@ -307,7 +303,7 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
         norm2 = grid._dot(w, w)
         if np.any(norm2 <= 0.0):
             raise ValueError("degenerate jet: normal has no positive length")
-        np.divide(w, np.sqrt(norm2)[..., None], out=normal[rows])
+        per_component(np.divide, w, np.sqrt(norm2), normal[rows])
     return normal
 
 
@@ -335,9 +331,10 @@ def _extract(grid: ChartGrid, orientation: int):
         du, dv, duu, duv, dvv, n_b = (a[rows] for a in (
             jet.du, jet.dv, jet.duu, jet.duv, jet.dvv, n))
         trace = _trace(grid.model, du, dv)
-        lam[rows] = 0.5 * np.log(0.5 * trace)
-        h_field[rows] = grid._dot(duu + dvv, n_b) / trace
-        omega[rows] = 0.5 * grid._dot(duu - dvv, n_b) - 1j * grid._dot(duv, n_b)
+        np.multiply(0.5, np.log(0.5 * trace), out=lam[rows])
+        np.divide(grid._dot(duu + dvv, n_b), trace, out=h_field[rows])
+        np.subtract(0.5 * grid._dot(duu - dvv, n_b), 1j * grid._dot(duv, n_b),
+                    out=omega[rows])
         if orientation < 0:
             for f in (n_b, h_field[rows], omega[rows]):
                 np.negative(f, out=f)

@@ -69,6 +69,15 @@ def row_blocks(lead: tuple):
         yield slice(start, start + rows)
 
 
+def per_component(op, vectors, factor, out):
+    """``op(vectors, factor[..., None], out=out)`` one component at a time:
+    a per-node factor broadcast over the short component axis would make
+    numpy's inner loop that short, several times slower."""
+    for k in range(vectors.shape[-1]):
+        op(vectors[..., k], factor, out=out[..., k])
+    return out
+
+
 def _rows(source: str, target: str, matrix=None):
     """``target``'s numerator rows, then its denominator row, times
     ``matrix``; with their parts ``lin``, ``const`` and ``cone`` on the lift
@@ -108,11 +117,10 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
 
     def quotient(num, out, *terms):
         """(num - sum of g * d over terms) / den into ``out``, with the
-        current block's ``inv`` = 1 / den and ``scratch``; every d is a
-        derivative of den."""
+        current block's ``inv`` = 1 / den; every d is a derivative of den."""
         for g, d in terms:
-            num -= np.multiply(g, d, out=scratch)
-        return np.multiply(num, inv, out=out)
+            num -= per_component(np.multiply, g, d, scratch)
+        return per_component(np.multiply, num, inv, out)
 
     lead = jet.pos.shape[:-1]
     pushed = Jet2(*(np.empty(lead + (num_lin.shape[1],)) for _ in range(6)))
@@ -124,16 +132,15 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
             den += const[-1]
             if np.any((den if target != "r3" else np.abs(den)) <= tol):
                 raise ValueError(message)
-            inv = (1.0 / den)[..., None]
-            f = np.multiply(num, inv, out=pushed.pos[rows])
-            scratch = np.empty_like(f)
+            inv = 1.0 / den
+            scratch = np.empty_like(num)
+            f = quotient(num, pushed.pos[rows])
             # quotient rule for f = num / den:
             #   f_a = (num_a - f den_a) / den
             #   f_ab = (num_ab - f_a den_b - f_b den_a - f den_ab) / den
             firsts = []
             for t, out in zip(tangents, (pushed.du, pushed.dv)):
                 num_a, den_a = image(t, dot(x, t) if quadratic else None)
-                den_a = den_a[..., None]
                 firsts.append((quotient(num_a, out[rows], (f, den_a)), den_a))
             for (a, b), t, out in (((0, 0), jet.duu, pushed.duu),
                                    ((0, 1), jet.duv, pushed.duv),
@@ -142,8 +149,7 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
                 t = t[rows]
                 quad = dot(tangents[a], tangents[b]) + dot(x, t) if quadratic else None
                 num_ab, den_ab = image(t, quad)
-                quotient(num_ab, out[rows], (f_a, den_b), (f_b, den_a),
-                         (f, den_ab[..., None]))
+                quotient(num_ab, out[rows], (f_a, den_b), (f_b, den_a), (f, den_ab))
     return pushed
 
 
