@@ -37,9 +37,9 @@ __all__ = [
     "push_word",
 ]
 
-# Nodes per block of a pointwise kernel: a block's (rows, width, k)
-# temporaries stay in a 4 MiB L2 cache and are reused from block to block.
-# A grid of at most this many nodes is one block.
+# Nodes per block of a pointwise kernel, so that a block's (rows, width, k)
+# temporaries stay in a 4 MiB L2 cache; a grid of at most this many nodes
+# is one block.
 BLOCK_NODES = 16384
 
 
