@@ -99,13 +99,14 @@ def _trace(model: str, du, dv):
     return _ambient_dot(model, du, du) + _ambient_dot(model, dv, dv)
 
 
-def _cross4(a, b, c):
-    """Euclidean generalized cross product of R^4: <w,t> = det[a,b,c,t]."""
+def _cross4(a, b, c, out=None):
+    """Euclidean generalized cross product of R^4: <w,t> = det[a,b,c,t],
+    into ``out`` when given."""
     a, b, c = (np.moveaxis(x, -1, 0) for x in (a, b, c))  # component views
     # 2x2 minors of rows b, c on columns j < k, each shared by two 3x3 minors
     bc = {(j, k): b[j] * c[k] - b[k] * c[j]
           for j in range(4) for k in range(j + 1, 4)}
-    w = np.empty(a.shape[1:] + (4,))
+    w = np.empty(a.shape[1:] + (4,)) if out is None else out
     for i in range(4):
         # rows a, b, c with column i removed: the minor of entry (i, 3)
         p, q, s = (k for k in range(4) if k != i)
@@ -297,13 +298,13 @@ def chart_normal(grid: ChartGrid) -> np.ndarray:
             per_component(np.multiply, np.cross(du, dv), 2.0 / _trace("r3", du, dv),
                           normal[rows])
             continue
-        w = _cross4(jet.pos[rows], du, dv)
+        w = _cross4(jet.pos[rows], du, dv, out=normal[rows])
         if grid.model == "h3":
             w[..., 3] = -w[..., 3]  # Lorentzian cross of R^{3,1}: <w,t>_{3,1} = det
         norm2 = grid._dot(w, w)
         if np.any(norm2 <= 0.0):
             raise ValueError("degenerate jet: normal has no positive length")
-        per_component(np.divide, w, np.sqrt(norm2), normal[rows])
+        per_component(np.divide, w, np.sqrt(norm2), w)
     return normal
 
 
@@ -332,8 +333,10 @@ def _extract(grid: ChartGrid, orientation: int):
             jet.du, jet.dv, jet.duu, jet.duv, jet.dvv, n))
         trace = _trace(grid.model, du, dv)
         np.multiply(0.5, np.log(0.5 * trace), out=lam[rows])
-        np.divide(grid._dot(duu + dvv, n_b), trace, out=h_field[rows])
-        np.subtract(0.5 * grid._dot(duu - dvv, n_b), 1j * grid._dot(duv, n_b),
+        pair = duu + dvv
+        np.divide(grid._dot(pair, n_b), trace, out=h_field[rows])
+        np.subtract(duu, dvv, out=pair)
+        np.subtract(0.5 * grid._dot(pair, n_b), 1j * grid._dot(duv, n_b),
                     out=omega[rows])
         if orientation < 0:
             for f in (n_b, h_field[rows], omega[rows]):

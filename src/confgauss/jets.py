@@ -106,9 +106,11 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
     cone_num = [(k, cone[k]) for k in np.flatnonzero(cone[:-1])]
 
     def image(t, quad):
-        """Numerator and denominator of rows @ (lift component); ``quad`` is
-        the matching component of the jet of |x|^2/2."""
-        num, den = t @ num_lin, t @ den_lin
+        """Numerator, into the block's ``num``, and denominator of rows @
+        (lift component); ``quad`` is the matching component of the jet of
+        |x|^2/2."""
+        den = t @ den_lin
+        np.matmul(t, num_lin, out=num)
         if quadratic:
             for k, c in cone_num:
                 num[..., k] += c * quad
@@ -127,13 +129,14 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
     with np.errstate(all="ignore"):
         for rows in row_blocks(lead):
             x, tangents = jet.pos[rows], (jet.du[rows], jet.dv[rows])
+            num = np.empty(x.shape[:-1] + (num_lin.shape[1],))
+            scratch = np.empty_like(num)
             num, den = image(x, 0.5 * dot(x, x) if quadratic else None)
             num += const[:-1]
             den += const[-1]
             if np.any((den if target != "r3" else np.abs(den)) <= tol):
                 raise ValueError(message)
             inv = 1.0 / den
-            scratch = np.empty_like(num)
             f = quotient(num, pushed.pos[rows])
             # quotient rule for f = num / den:
             #   f_a = (num_a - f den_a) / den
