@@ -106,22 +106,23 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
     cone_num = [(k, cone[k]) for k in np.flatnonzero(cone[:-1])]
 
     def image(t, quad):
-        """Numerator, into the block's ``num``, and denominator of rows @
-        (lift component); ``quad`` is the matching component of the jet of
-        |x|^2/2."""
+        """rows @ (lift component): the numerator into the block's ``num``,
+        the denominator returned; ``quad`` is the matching component of the
+        jet of |x|^2/2."""
         den = t @ den_lin
         np.matmul(t, num_lin, out=num)
         if quadratic:
             for k, c in cone_num:
                 num[..., k] += c * quad
             den += quad * cone[-1]
-        return num, den
+        return den
 
-    def quotient(num, out, *terms):
+    def quotient(out, *terms):
         """(num - sum of g * d over terms) / den into ``out``, with the
-        current block's ``inv`` = 1 / den; every d is a derivative of den."""
+        block's ``num`` and ``inv`` = 1 / den; every d is a derivative of
+        den."""
         for g, d in terms:
-            num -= per_component(np.multiply, g, d, scratch)
+            np.subtract(num, per_component(np.multiply, g, d, scratch), out=num)
         return per_component(np.multiply, num, inv, out)
 
     lead = jet.pos.shape[:-1]
@@ -131,28 +132,28 @@ def _push(jet: Jet2, source: str, target: str, matrix=None,
             x, tangents = jet.pos[rows], (jet.du[rows], jet.dv[rows])
             num = np.empty(x.shape[:-1] + (num_lin.shape[1],))
             scratch = np.empty_like(num)
-            num, den = image(x, 0.5 * dot(x, x) if quadratic else None)
+            den = image(x, 0.5 * dot(x, x) if quadratic else None)
             num += const[:-1]
             den += const[-1]
             if np.any((den if target != "r3" else np.abs(den)) <= tol):
                 raise ValueError(message)
             inv = 1.0 / den
-            f = quotient(num, pushed.pos[rows])
+            f = quotient(pushed.pos[rows])
             # quotient rule for f = num / den:
             #   f_a = (num_a - f den_a) / den
             #   f_ab = (num_ab - f_a den_b - f_b den_a - f den_ab) / den
             firsts = []
             for t, out in zip(tangents, (pushed.du, pushed.dv)):
-                num_a, den_a = image(t, dot(x, t) if quadratic else None)
-                firsts.append((quotient(num_a, out[rows], (f, den_a)), den_a))
+                den_a = image(t, dot(x, t) if quadratic else None)
+                firsts.append((quotient(out[rows], (f, den_a)), den_a))
             for (a, b), t, out in (((0, 0), jet.duu, pushed.duu),
                                    ((0, 1), jet.duv, pushed.duv),
                                    ((1, 1), jet.dvv, pushed.dvv)):
                 (f_a, den_a), (f_b, den_b) = firsts[a], firsts[b]
                 t = t[rows]
                 quad = dot(tangents[a], tangents[b]) + dot(x, t) if quadratic else None
-                num_ab, den_ab = image(t, quad)
-                quotient(num_ab, out[rows], (f_a, den_b), (f_b, den_a), (f, den_ab))
+                den_ab = image(t, quad)
+                quotient(out[rows], (f_a, den_b), (f_b, den_a), (f, den_ab))
     return pushed
 
 

@@ -53,14 +53,10 @@ def test_few_row_blocks_equal_one_block(monkeypatch, name, params, target):
     assert whole[1:] == blocked[1:]
 
 
-def _cylinder_jet():
-    return sample(make_surface("cylinder"), N).jet
-
-
 def test_non_finite_is_named_before_an_earlier_non_conformal_block(monkeypatch):
     monkeypatch.setattr(J, "BLOCK_NODES", FEW_ROWS)
     g = sample(make_surface("cylinder"), N)
-    jet = _cylinder_jet()
+    jet = g.jet
     jet.du[1, 4] *= 2.0  # not conformal, first block
     with pytest.raises(ValueError, match="not conformal"):
         G.ChartGrid("r3", g.u, g.v, jet)
@@ -72,7 +68,7 @@ def test_non_finite_is_named_before_an_earlier_non_conformal_block(monkeypatch):
 def test_immersion_is_named_before_an_earlier_non_conformal_block(monkeypatch):
     monkeypatch.setattr(J, "BLOCK_NODES", FEW_ROWS)
     g = sample(make_surface("cylinder"), N)
-    jet = _cylinder_jet()
+    jet = g.jet
     jet.du[1, 4] *= 2.0  # not conformal, first block
     jet.du[60, 7] = jet.dv[60, 7] = 0.0  # degenerate, last block
     with pytest.raises(ValueError, match="degenerate jet: immersion condition fails"):
