@@ -77,7 +77,7 @@ def test_immersion_is_named_before_an_earlier_non_conformal_block(monkeypatch):
 
 def test_push_peak_memory_is_its_outputs_and_one_block():
     """tracemalloc peak of a several-block push above its input: the six
-    output arrays plus at most ten 4-vectors of doubles per block node."""
+    output arrays plus at most six 4-vectors of doubles per block node."""
     n = 257
     jet = sample(make_surface("torus_revolution"), n).jet
     assert len(list(J.row_blocks((n, n)))) == 5
@@ -88,4 +88,4 @@ def test_push_peak_memory_is_its_outputs_and_one_block():
     finally:
         tracemalloc.stop()
     outputs = sum(a.nbytes for a in vars(pushed).values())
-    assert peak <= outputs + 10 * 4 * 8 * J.BLOCK_NODES
+    assert peak <= outputs + 6 * 4 * 8 * J.BLOCK_NODES
