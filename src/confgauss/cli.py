@@ -1,12 +1,13 @@
 """Command line driver: analyze, transform, check-invariants, list-surfaces.
 
-JSON output uses 17-significant-digit floats and fixed field order, so an
+JSON output uses shortest round-trip floats and fixed field order, so an
 identical configuration produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -32,53 +33,21 @@ _PARAM_FLAGS = list(dict.fromkeys(
     for key, default in kind.defaults.items() if isinstance(default, float)))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"unsupported scalar {type(value)}")
-
-
-def to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with %.17g floats and insertion field order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
-    return _fmt(obj)
-
-
 def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    """Numpy arrays and scalars as Python values: the ``default`` hook of
+    ``to_json``.  A whole payload (a dict or list) passes through."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, (dict, list)):
+        return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def to_json(obj) -> str:
+    """Deterministic JSON: insertion field order and shortest round-trip
+    floats; a NaN or an infinity is a ValueError, not an invalid token."""
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
+                      default=_sanitize)
 
 
 def _collect_params(args) -> dict:
@@ -107,7 +76,7 @@ def _emit_report(report, args):
         print(f"hyperplane normal:  {hp['type']} (eta={hp['eta']:.3e}, rms={hp['residual']:.3e})")
         print(f"verdict:            {payload['verdict']}")
     else:
-        print(to_json(_sanitize(payload)))
+        print(to_json(payload))
 
 
 def _export_fields(out, data, view):
@@ -187,7 +156,7 @@ def cmd_transform(args) -> int:
         print(f"Y equivariance err: {y_err:.3e}")
         print(f"mu transport err:   {mu_err:.3e}")
     else:
-        print(to_json(_sanitize(payload)))
+        print(to_json(payload))
     if not payload["verdict_unchanged"]:
         return 2
     return _exit_code_for(rep)
@@ -199,7 +168,7 @@ def cmd_check_invariants(args) -> int:
         "grid": args.grid,
         "passed": all(r.passed for r in results),
         "criteria": [
-            {"name": r.name, "passed": r.passed, "details": _sanitize(r.details)}
+            {"name": r.name, "passed": r.passed, "details": r.details}
             for r in results
         ],
     }
@@ -221,7 +190,7 @@ def cmd_list_surfaces(args) -> int:
             if e["expected"]:
                 print(f"{'':22s} expected: {e['expected']}")
     else:
-        print(to_json(_sanitize(entries)))
+        print(to_json(entries))
     return 0
 
 

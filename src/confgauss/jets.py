@@ -13,8 +13,8 @@ three steps:
    by Y5 - Y4 for R^3, by Y5 for S^3 and by -Y4 for H^3.
 
 A Moebius word is pushed in one affine pass x -> A x + t per maximal run
-of similarities (dilations, rotations, translations), and one exact pass
-per inversion.  Transformed surfaces therefore keep analytic
+of similarities, composed from the (s, R, t) of ``lorentz.GENERATOR_KINDS``,
+and one exact pass per inversion.  Transformed surfaces therefore keep analytic
 (non-differenced) jets.  Each pass runs over ``row_blocks`` of the grid.
 """
 
@@ -26,7 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .lorentz import CHARTS, dot, generator_matrix
+from .lorentz import CHARTS, GENERATOR_KINDS, dot, generator_matrix
 
 __all__ = [
     "Jet2",
@@ -180,20 +180,17 @@ def push_hyper_inv(jet: Jet2) -> Jet2:
 def _push_similarities(jet: Jet2, run) -> Jet2:
     """Pushforward of an R^3 jet through a run of similarity generators.
 
-    A similarity fixes infinity: its image has a constant denominator and
-    no |x|^2 term, so it is x -> A x + t, read off the generator's SO(4,1)
-    matrix through the dehomogenizing rows.  The run composes these 3x3
-    maps; read off the 5x5 product instead, A's scale would come from a
-    cancellation between the cone entries that translations build up.
-    Each derivative maps by A alone.  A far-out translation overflows A or
-    t to inf or nan, which ``ChartGrid``'s finiteness check names.
+    The run composes the table's maps x -> s R x + t into one x -> A x + t,
+    with no readout off an SO(4,1) matrix, so a dilation scales by e^lam
+    exactly.  Each derivative maps by A alone.  A composition that
+    overflows leaves inf or nan in the image, which ``ChartGrid``'s
+    finiteness check names.
     """
     a, t = np.eye(3), np.zeros(3)
     with np.errstate(all="ignore"):
         for gen in run:
-            lin, const, _ = _rows("r3", "r3", generator_matrix(gen))
-            a_gen = lin[:-1] / const[-1]
-            a, t = a_gen @ a, a_gen @ t + const[:-1] / const[-1]
+            s, rot, shift = GENERATOR_KINDS[gen.kind].similarity(gen.param)
+            a, t = s * rot @ a, s * rot @ t + shift
         a_t = np.ascontiguousarray(a.T)
         parts = vars(jet).values()
         pushed = Jet2(*(np.empty(p.shape) for p in parts))
@@ -207,14 +204,15 @@ def _push_similarities(jet: Jet2, run) -> Jet2:
 def push_word(jet: Jet2, word) -> Jet2:
     """Pushforward of an R^3 chart jet through a generator word, left-to-right.
 
-    Each maximal run of dilations, rotations and translations is one affine
-    pass x -> A x + t.  Each inversion is its own exact pass: it divides by
-    the exact -|x|^2 of its input, which a product matrix reaching across
-    it would form by cancellation near the point that the word sends to
+    Each maximal run of similarities is one affine pass x -> A x + t.  Each
+    other generator (the inversion) is its own exact pass: it divides by the
+    exact -|x|^2 of its input, which a product matrix reaching across it
+    would form by cancellation near the point that the word sends to
     infinity.
     """
-    for inversions, run in groupby(word, key=lambda gen: gen.kind == "inv"):
-        if not inversions:
+    for exact, run in groupby(
+            word, key=lambda gen: GENERATOR_KINDS[gen.kind].similarity is None):
+        if not exact:
             jet = _push_similarities(jet, run)
             continue
         for gen in run:

@@ -6,8 +6,11 @@ diffeomorphisms of R^3 (and of S^3) are represented by SO(4,1) matrices
 acting on isotropic lifts of points.  ``CHARTS`` is the one table of how
 R^3, S^3 and H^3 sit in the light cone: every lift and projection of a
 point, a field or a jet reads it.  ``GENERATOR_KINDS`` is the one table of
-Moebius generator kinds (dilations, rotations, the inversion at the origin
-and translations): parameter count, SO(4,1) matrix and seeded draw.
+Moebius generator kinds (dilations, rotations, translations and the
+inversion at the origin): parameter count, similarity and seeded draw.
+A similarity x -> s R x + t is given by (s, R, t), and one formula gives
+its SO(4,1) matrix; the inversion, the one kind that moves infinity, has
+none and a fixed matrix.
 """
 
 from __future__ import annotations
@@ -27,11 +30,7 @@ __all__ = [
     "lift",
     "dehomogenize",
     "classify_vector",
-    "dilation_matrix",
-    "rotation_matrix",
     "axis_angle_matrix",
-    "inversion_matrix",
-    "translation_matrix",
     "is_so41",
     "Generator",
     "GeneratorKind",
@@ -48,7 +47,6 @@ EPSILON = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
 # The lightlike direction of R^3's point at infinity.
 V_L = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
 
-ORTHOGONALITY_TOL = 1e-10
 MIN_WORD_LENGTH = 3
 MAX_WORD_LENGTH = 6
 
@@ -88,31 +86,6 @@ def classify_vector(v, tol: float = 1e-9) -> str:
     return SPACELIKE if q > 0.0 else TIMELIKE
 
 
-def dilation_matrix(lam: float) -> np.ndarray:
-    """SO(4,1) matrix of the dilation x -> e^lam x."""
-    m = np.eye(5)
-    c, s = np.cosh(lam), np.sinh(lam)
-    m[3, 3] = c
-    m[3, 4] = s
-    m[4, 3] = s
-    m[4, 4] = c
-    return m
-
-
-def rotation_matrix(theta: np.ndarray) -> np.ndarray:
-    """SO(4,1) matrix of the rotation x -> theta x, theta in SO(3)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (3, 3):
-        raise ValueError("rotation parameter must be a 3x3 matrix")
-    if np.max(np.abs(theta.T @ theta - np.eye(3))) > ORTHOGONALITY_TOL:
-        raise ValueError("rotation parameter is not orthogonal")
-    if np.linalg.det(theta) < 0.0:
-        raise ValueError("orientation-reversing rotation not supported")
-    m = np.eye(5)
-    m[:3, :3] = theta
-    return m
-
-
 def axis_angle_matrix(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about ``axis`` by ``angle``, as a 3x3 matrix."""
     a = np.asarray(axis, dtype=float)
@@ -124,24 +97,19 @@ def axis_angle_matrix(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def inversion_matrix() -> np.ndarray:
-    """SO(4,1) matrix of the inversion x -> x / |x|^2."""
-    return np.diag([-1.0, -1.0, -1.0, 1.0, -1.0])
+def _similarity_matrix(s, rot, t) -> np.ndarray:
+    """SO(4,1) matrix of the similarity x -> s rot x + t, rot in SO(3), s > 0.
 
-
-def translation_matrix(a) -> np.ndarray:
-    """SO(4,1) matrix of the translation x -> x + a."""
-    a = np.asarray(a, dtype=float).reshape(3)
-    half = float(np.dot(a, a)) / 2.0
-    m = np.eye(5)
-    m[:3, 3] = -a
-    m[:3, 4] = a
-    m[3, :3] = a
-    m[4, :3] = a
-    m[3, 3] = 1.0 - half
-    m[3, 4] = half
-    m[4, 3] = -half
-    m[4, 4] = 1.0 + half
+    It maps lift(x) to lift(s rot x + t) / s: on the cone, Y5 - Y4 scales
+    by 1/s and Y5 + Y4 = |x|^2 goes to |s rot x + t|^2 / s.
+    """
+    u, h, g = t / s, (t @ t) / (2.0 * s), 1.0 / (2.0 * s)
+    m = np.empty((5, 5))
+    m[:3, :3] = rot
+    m[:3, 3], m[:3, 4] = -u, u
+    m[3:, :3] = rot.T @ t
+    m[3, 3], m[3, 4] = s / 2.0 - h + g, s / 2.0 + h - g
+    m[4, 3], m[4, 4] = s / 2.0 - h - g, s / 2.0 + h + g
     return m
 
 
@@ -216,12 +184,19 @@ class Generator:
                              f" got {len(self.param)}")
         if not all(math.isfinite(p) for p in self.param):
             raise ValueError(f"{self.kind} parameters must be finite, got {self.param}")
-        # the kind's matrix raises on parameters it cannot use (a zero rotation axis)
-        spec.matrix(self.param)
+        # the matrix raises on parameters it cannot use (a zero rotation axis)
+        # and overflows on those too far out: e^lam, 1 / e^lam (a numpy
+        # float, so an underflow to 0 divides to inf) or |a|^2
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(generator_matrix(self)).all()
+        if not finite:
+            raise ValueError(f"{self.kind} parameters {self.param} overflow its"
+                             f" SO(4,1) matrix")
 
 
-# parameter count, SO(4,1) matrix of a parameter tuple, seeded parameter draw
-GeneratorKind = namedtuple("GeneratorKind", "nparams matrix draw")
+# parameter count; (s, R, t) of the similarity x -> s R x + t of a parameter
+# tuple, or None for the inversion; seeded parameter draw
+GeneratorKind = namedtuple("GeneratorKind", "nparams similarity draw")
 
 
 def _draw_rotation(rng: np.random.Generator) -> tuple:
@@ -232,18 +207,23 @@ def _draw_rotation(rng: np.random.Generator) -> tuple:
 
 # random_word picks kinds by index into this order: seeded words depend on it
 GENERATOR_KINDS = {
-    "dil": GeneratorKind(1, lambda p: dilation_matrix(p[0]),
+    "dil": GeneratorKind(1, lambda p: (np.exp(p[0]), np.eye(3), np.zeros(3)),
                          lambda rng: (float(rng.uniform(-1.0, 1.0)),)),
-    "rot": GeneratorKind(4, lambda p: rotation_matrix(axis_angle_matrix(p[:3], p[3])),
+    "rot": GeneratorKind(4, lambda p: (1.0, axis_angle_matrix(p[:3], p[3]), np.zeros(3)),
                          _draw_rotation),
-    "tra": GeneratorKind(3, translation_matrix,
+    "tra": GeneratorKind(3, lambda p: (1.0, np.eye(3), np.array(p, dtype=float)),
                          lambda rng: tuple(rng.uniform(-1.0, 1.0, size=3))),
-    "inv": GeneratorKind(0, lambda p: inversion_matrix(), lambda rng: ()),
+    "inv": GeneratorKind(0, None, lambda rng: ()),
 }
 
 
 def generator_matrix(gen: Generator) -> np.ndarray:
-    return GENERATOR_KINDS[gen.kind].matrix(gen.param)
+    """SO(4,1) matrix of one generator: a similarity's, or the inversion
+    x -> x / |x|^2, which fixes Y4 and negates the other components."""
+    similarity = GENERATOR_KINDS[gen.kind].similarity
+    if similarity is None:
+        return np.diag([-1.0, -1.0, -1.0, 1.0, -1.0])
+    return _similarity_matrix(*similarity(gen.param))
 
 
 def word_matrix(word) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map, transform_immersion
 from .grid import FundamentalData, interior_max, ChartGrid
-from .lorentz import Generator, dot, inversion_matrix
+from .lorentz import Generator, dot, word_matrix
 
 __all__ = [
     "ConservedSet",
@@ -154,7 +154,8 @@ def inversion_exchange_check(data: FundamentalData) -> dict:
     """
     if data.model != "r3":
         raise ValueError("inversion exchange needs R^3 data")
-    data_inv = transform_immersion(data, [Generator("inv")])  # raises when the surface meets 0
+    word = [Generator("inv")]
+    data_inv = transform_immersion(data, word)  # raises when the surface meets 0
     cur = direct_currents(data)
     cur_inv = direct_currents(data_inv)
     res = {
@@ -164,5 +165,5 @@ def inversion_exchange_check(data: FundamentalData) -> dict:
         "rot_tilde_fixed": _max_current_diff(cur_inv.v_rot_tilde, cur.v_rot_tilde),
     }
     res["mu_transport"] = equivariance_residuals(
-        conformal_gauss_map(data), conformal_gauss_map(data_inv), inversion_matrix())[1]
+        conformal_gauss_map(data), conformal_gauss_map(data_inv), word_matrix(word))[1]
     return res

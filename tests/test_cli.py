@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from confgauss import cli
+from confgauss.classify import ClassificationReport
 from confgauss.cli import main
 from confgauss.congruence import conformal_gauss_map
 from confgauss.grid import ChartGrid, fundamental_data
@@ -183,9 +184,18 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     # |x|^2 of the torus overflows in the push into S^3
     (["analyze", "torus_revolution", "--R", "1e103", "--r", "1"],
      "jet has non-finite values in duu"),
-    # the translation's SO(4,1) entries overflow; its affine map is lost
+    # the translated R^3 chart is exact; its S^3 image shrinks below the
+    # absolute immersion threshold
     (["transform", "cylinder", "--word", "tra:1e120,0,0"],
-     "jet has non-finite values in pos"),
+     "degenerate jet: immersion condition fails"),
+    # a generator whose SO(4,1) matrix overflows is refused when parsed
+    (["transform", "cylinder", "--word", "dil:800"],
+     "bad generator 'dil:800': dil parameters (800.0,) overflow its SO(4,1) matrix"),
+    (["transform", "cylinder", "--word", "dil:-800"],
+     "bad generator 'dil:-800': dil parameters (-800.0,) overflow its SO(4,1) matrix"),
+    (["transform", "cylinder", "--word", "tra:1e200,0,0"],
+     "bad generator 'tra:1e200,0,0': tra parameters (1e+200, 0.0, 0.0) overflow"
+     " its SO(4,1) matrix"),
 ])
 def test_far_out_input_exits_1(capsys, argv, message):
     # RuntimeWarnings are errors in the test run: an overflow warning fails it
@@ -193,6 +203,24 @@ def test_far_out_input_exits_1(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_transform_word_with_a_tab_is_valid_json(capsys):
+    word = "dil:0.5\ttra:1,0,0"
+    code, out, _ = run_cli(capsys, "transform", "cylinder", "--word", word,
+                           "--grid", "33")
+    assert code == 0
+    assert json.loads(out)["word"] == word
+
+
+def test_nan_in_report_exits_1(capsys, monkeypatch):
+    to_dict = ClassificationReport.to_dict
+    monkeypatch.setattr(ClassificationReport, "to_dict",
+                        lambda self: {**to_dict(self), "eta": float("nan")})
+    code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "33")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Out of range float values are not JSON compliant")
 
 
 def test_memory_error_exits_1(capsys, monkeypatch):

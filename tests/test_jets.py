@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from confgauss import jets as J
+from confgauss import lorentz as lz
 from confgauss.lorentz import Generator, axis_angle_matrix, generator_matrix, random_word
-from conftest import hyper_inv, stereo_inv
+from conftest import cone_map, hyper_inv, stereo_inv
 
 
 def _quadratic_jet(u, v):
@@ -160,3 +161,38 @@ def test_push_word_matches_generator_by_generator(seed):
         a, b = getattr(out, name), getattr(ref, name)
         scale = np.maximum(1.0, np.linalg.norm(b, axis=-1))
         assert np.all(np.linalg.norm(a - b, axis=-1) <= 1e-13 * scale), name
+
+
+@pytest.mark.parametrize("lam", [5.0, 10.0, 18.0, 20.0, 100.0, -100.0])
+def test_push_dilation_is_exact(lam):
+    jet = _grid_jet()
+    out = J.push_word(jet, [Generator("dil", (lam,))])
+    for name in _JET_PARTS:
+        expected = np.exp(lam) * getattr(jet, name)
+        err = np.abs(getattr(out, name) - expected)
+        assert np.all(err <= 2 * np.finfo(float).eps * np.abs(expected)), name
+
+
+def test_push_far_translation_is_exact():
+    jet = _grid_jet()
+    shift = np.array([1e9, 0.0, 0.0])
+    out = J.push_word(jet, [Generator("tra", tuple(shift))])
+    assert np.array_equal(out.pos, jet.pos + shift)
+    for name in _JET_PARTS[1:]:
+        assert np.array_equal(getattr(out, name), getattr(jet, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_similarity_matrix_matches_its_affine_map(seed):
+    """Each similarity's SO(4,1) matrix moves points to s R x + t."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(8, 3))
+    for gen in random_word(rng, allow_inversion=True):
+        similarity = lz.GENERATOR_KINDS[gen.kind].similarity
+        if similarity is None:
+            continue
+        s, rot, t = similarity(gen.param)
+        m = lz._similarity_matrix(s, rot, t)
+        assert lz.is_so41(m)
+        assert np.max(np.abs(cone_map(x, "r3", "r3", m) - (s * x @ rot.T + t))) <= 1e-12

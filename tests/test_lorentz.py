@@ -36,31 +36,28 @@ def test_classify_vector_zero_errors():
         lz.classify_vector(np.zeros(5))
 
 
+def _matrix(kind, *param):
+    return lz.generator_matrix(lz.Generator(kind, param))
+
+
 def test_generator_trivial_cases():
-    assert np.allclose(lz.dilation_matrix(0.0), np.eye(5))
-    assert np.allclose(lz.translation_matrix([0.0, 0.0, 0.0]), np.eye(5))
-    assert np.array_equal(lz.inversion_matrix(),
-                          np.diag([-1.0, -1.0, -1.0, 1.0, -1.0]))
+    assert np.allclose(_matrix("dil", 0.0), np.eye(5))
+    assert np.allclose(_matrix("tra", 0.0, 0.0, 0.0), np.eye(5))
+    assert np.array_equal(_matrix("rot", 0.0, 0.0, 1.0, 0.0), np.eye(5))
+    assert np.array_equal(_matrix("inv"), np.diag([-1.0, -1.0, -1.0, 1.0, -1.0]))
 
 
 def test_generators_are_so41():
     mats = [
-        lz.dilation_matrix(0.7),
-        lz.rotation_matrix(lz.axis_angle_matrix([0, 0, 1], 0.9)),
-        lz.inversion_matrix(),
-        lz.translation_matrix([1.0, 2.0, 3.0]),
+        _matrix("dil", 0.7),
+        _matrix("rot", 0.0, 0.0, 1.0, 0.9),
+        _matrix("inv"),
+        _matrix("tra", 1.0, 2.0, 3.0),
     ]
     eps = lz.EPSILON
     for m in mats:
         assert np.max(np.abs(m.T @ eps @ m - eps)) <= 1e-12
         assert lz.is_so41(m)
-
-
-def test_rotation_rejects_bad_theta():
-    with pytest.raises(ValueError, match="orthogonal"):
-        lz.rotation_matrix(np.diag([2.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="orientation"):
-        lz.rotation_matrix(np.diag([-1.0, 1.0, 1.0]))
 
 
 def test_is_so41_counterexample():
@@ -71,10 +68,10 @@ def test_is_so41_counterexample():
 def test_act_on_r3_examples():
     x = np.array([0.3, -0.4, 0.9])
     assert np.allclose(cone_map(x, "r3", "r3"), x)
-    assert np.allclose(cone_map(x, "r3", "r3", lz.translation_matrix([1, 2, 3])),
+    assert np.allclose(cone_map(x, "r3", "r3", _matrix("tra", 1.0, 2.0, 3.0)),
                        x + np.array([1, 2, 3]))
-    assert np.allclose(cone_map(x, "r3", "r3", lz.inversion_matrix()), x / np.dot(x, x))
-    assert np.allclose(cone_map([2.0, 0.0, 0.0], "r3", "r3", lz.inversion_matrix()),
+    assert np.allclose(cone_map(x, "r3", "r3", _matrix("inv")), x / np.dot(x, x))
+    assert np.allclose(cone_map([2.0, 0.0, 0.0], "r3", "r3", _matrix("inv")),
                        [0.5, 0.0, 0.0])
 
 
@@ -82,11 +79,11 @@ def test_act_on_s3_examples():
     x = np.array([0.5, 0.5, 0.5, 0.5])
     assert np.allclose(cone_map(x, "s3", "s3"), x)
     theta = lz.axis_angle_matrix([0.0, 0.0, 1.0], 1.1)
-    out = cone_map(x, "s3", "s3", lz.rotation_matrix(theta))
+    out = cone_map(x, "s3", "s3", _matrix("rot", 0.0, 0.0, 1.0, 1.1))
     assert np.allclose(out[:3], theta @ x[:3])
     assert out[3] == pytest.approx(x[3])
     north = np.array([0.0, 0.0, 0.0, 1.0])
-    assert np.allclose(cone_map(north, "s3", "s3", lz.dilation_matrix(0.8)), north)
+    assert np.allclose(cone_map(north, "s3", "s3", _matrix("dil", 0.8)), north)
 
 
 def test_morphism_property(rng):
@@ -226,6 +223,11 @@ def test_generator_kinds_table():
     ("tra", (float("inf"), 0.0, 0.0), "tra parameters must be finite"),
     ("rot", (0.0, 0.0, 1.0, float("-inf")), "rot parameters must be finite"),
     ("rot", (0.0, 0.0, 0.0, 1.0), "zero rotation axis"),
+    # a matrix that overflows is named; the suite makes a RuntimeWarning an error
+    ("dil", (800.0,), r"dil parameters \(800.0,\) overflow"),
+    # e^lam underflows to 0, so 1 / e^lam overflows
+    ("dil", (-800.0,), r"dil parameters \(-800.0,\) overflow"),
+    ("tra", (1e200, 0.0, 0.0), r"tra parameters \(1e\+200, 0.0, 0.0\) overflow"),
 ])
 def test_generator_validates_itself(kind, param, match):
     with pytest.raises(ValueError, match=match):

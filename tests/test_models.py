@@ -66,8 +66,10 @@ def test_lift_examples():
     assert np.allclose(lift(np.array([1.0, 0.0, 0.0]), "r3"), [1, 0, 0, 0, 1])
     # V_L is the lift of infinity: the inversion swaps it with the origin's
     # lift, and a translation fixes it
-    assert np.allclose(lz.inversion_matrix() @ lift(np.zeros(3), "r3"), -V_L / 2.0)
-    assert np.allclose(lz.translation_matrix([1.0, 2.0, 3.0]) @ V_L, V_L)
+    inversion = lz.generator_matrix(lz.Generator("inv"))
+    translation = lz.generator_matrix(lz.Generator("tra", (1.0, 2.0, 3.0)))
+    assert np.allclose(inversion @ lift(np.zeros(3), "r3"), -V_L / 2.0)
+    assert np.allclose(translation @ V_L, V_L)
     x = np.array([0.3, -0.2, 0.1])
     big_x = stereo_inv(x)
     assert lorentz_product(lift(big_x, "s3"), lift(big_x, "s3")) == pytest.approx(0.0, abs=1e-12)

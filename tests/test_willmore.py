@@ -6,7 +6,7 @@ from confgauss import grid as G
 from confgauss import willmore as W
 from confgauss.grid import ChartGrid, fundamental_data
 from confgauss.jets import push_word
-from confgauss.lorentz import Generator, inversion_matrix, random_word, word_matrix
+from confgauss.lorentz import Generator, generator_matrix, random_word, word_matrix
 from confgauss.models import representation
 from confgauss.zoo import make_surface, sample
 from conftest import data_for
@@ -172,7 +172,7 @@ def test_mu_equivariance_random_words(rng):
 
 def test_mu_transport_under_inversion():
     data = _translated_catenoid(65)
-    m = inversion_matrix()
+    m = generator_matrix(Generator("inv"))
     mu = W.conserved_matrix(C.conformal_gauss_map(data))
     moved = C.transform_immersion(data, [Generator("inv")])
     mu2 = W.conserved_matrix(C.conformal_gauss_map(moved))
