@@ -13,20 +13,19 @@ three steps:
    by Y5 - Y4 for R^3, by Y5 for S^3 and by -Y4 for H^3.
 
 A Moebius word is pushed in one affine pass x -> A x + t per maximal run
-of similarities, composed from the (s, R, t) of ``lorentz.GENERATOR_KINDS``,
-and one exact pass per inversion.  Transformed surfaces therefore keep analytic
-(non-differenced) jets.  Each pass runs over ``row_blocks`` of the grid.
+of similarities (``lorentz.word_steps``), and one exact pass per inversion.
+Transformed surfaces therefore keep analytic (non-differenced) jets.  Each
+pass runs over ``row_blocks`` of the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from .lorentz import CHARTS, GENERATOR_KINDS, dot, generator_matrix
+from .lorentz import CHARTS, Generator, dot, generator_matrix, word_steps
 
 __all__ = [
     "Jet2",
@@ -177,21 +176,12 @@ def push_hyper_inv(jet: Jet2) -> Jet2:
     return _push(jet, "r3", "h3", message="chart leaves the Poincare ball")
 
 
-def _push_similarities(jet: Jet2, run) -> Jet2:
-    """Pushforward of an R^3 jet through a run of similarity generators.
-
-    The run composes the table's maps x -> s R x + t into one x -> A x + t,
-    with no readout off an SO(4,1) matrix, so a dilation scales by e^lam
-    exactly.  Each derivative maps by A alone.  A composition that
-    overflows leaves inf or nan in the image, which ``ChartGrid``'s
-    finiteness check names.
-    """
-    a, t = np.eye(3), np.zeros(3)
+def _push_similarities(jet: Jet2, s, rot, t) -> Jet2:
+    """Pushforward of an R^3 jet through x -> s rot x + t; each derivative
+    maps by s rot alone.  An overflow leaves inf or nan in the image, which
+    ``ChartGrid``'s finiteness check names."""
     with np.errstate(all="ignore"):
-        for gen in run:
-            s, rot, shift = GENERATOR_KINDS[gen.kind].similarity(gen.param)
-            a, t = s * rot @ a, s * rot @ t + shift
-        a_t = np.ascontiguousarray(a.T)
+        a_t = np.ascontiguousarray((s * rot).T)
         parts = vars(jet).values()
         pushed = Jet2(*(np.empty(p.shape) for p in parts))
         for rows in row_blocks(jet.pos.shape[:-1]):
@@ -204,18 +194,17 @@ def _push_similarities(jet: Jet2, run) -> Jet2:
 def push_word(jet: Jet2, word) -> Jet2:
     """Pushforward of an R^3 chart jet through a generator word, left-to-right.
 
-    Each maximal run of similarities is one affine pass x -> A x + t.  Each
-    other generator (the inversion) is its own exact pass: it divides by the
-    exact -|x|^2 of its input, which a product matrix reaching across it
-    would form by cancellation near the point that the word sends to
-    infinity.
+    Each step of ``lorentz.word_steps`` is one pass: a run of similarities
+    is one affine pass x -> A x + t, composed from the table's maps with no
+    readout off an SO(4,1) matrix, so a dilation scales by e^lam exactly.
+    Each inversion is its own exact pass: it divides by the exact -|x|^2 of
+    its input, which a product matrix reaching across it would form by
+    cancellation near the point that the word sends to infinity.
     """
-    for exact, run in groupby(
-            word, key=lambda gen: GENERATOR_KINDS[gen.kind].similarity is None):
-        if not exact:
-            jet = _push_similarities(jet, run)
-            continue
-        for gen in run:
-            jet = _push(jet, "r3", "r3", generator_matrix(gen), tol=1e-24,
+    for step in word_steps(word):
+        if isinstance(step, Generator):
+            jet = _push(jet, "r3", "r3", generator_matrix(step), tol=1e-24,
                         message="inversion center on surface")
+        else:
+            jet = _push_similarities(jet, *step)
     return jet

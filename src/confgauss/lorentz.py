@@ -6,11 +6,8 @@ diffeomorphisms of R^3 (and of S^3) are represented by SO(4,1) matrices
 acting on isotropic lifts of points.  ``CHARTS`` is the one table of how
 R^3, S^3 and H^3 sit in the light cone: every lift and projection of a
 point, a field or a jet reads it.  ``GENERATOR_KINDS`` is the one table of
-Moebius generator kinds (dilations, rotations, translations and the
-inversion at the origin): parameter count, similarity and seeded draw.
-A similarity x -> s R x + t is given by (s, R, t), and one formula gives
-its SO(4,1) matrix; the inversion, the one kind that moves infinity, has
-none and a fixed matrix.
+Moebius generator kinds: parameter count, the (s, R, t) of a similarity
+x -> s R x + t (None for the inversion at the origin) and seeded draw.
 """
 
 from __future__ import annotations
@@ -18,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -36,6 +34,7 @@ __all__ = [
     "GeneratorKind",
     "GENERATOR_KINDS",
     "generator_matrix",
+    "word_steps",
     "word_matrix",
     "parse_word",
     "random_word",
@@ -185,13 +184,11 @@ class Generator:
         if not all(math.isfinite(p) for p in self.param):
             raise ValueError(f"{self.kind} parameters must be finite, got {self.param}")
         # the matrix raises on parameters it cannot use (a zero rotation axis)
-        # and overflows on those too far out: e^lam, 1 / e^lam (a numpy
-        # float, so an underflow to 0 divides to inf) or |a|^2
+        # and overflows on those too far out: e^lam, 1 / e^lam or |a|^2
         with np.errstate(all="ignore"):
-            finite = np.isfinite(generator_matrix(self)).all()
-        if not finite:
-            raise ValueError(f"{self.kind} parameters {self.param} overflow its"
-                             f" SO(4,1) matrix")
+            if not np.isfinite(generator_matrix(self)).all():
+                raise ValueError(f"{self.kind} parameters {self.param}"
+                                 " overflow its SO(4,1) matrix")
 
 
 # parameter count; (s, R, t) of the similarity x -> s R x + t of a parameter
@@ -226,11 +223,35 @@ def generator_matrix(gen: Generator) -> np.ndarray:
     return _similarity_matrix(*similarity(gen.param))
 
 
+def word_steps(word):
+    """A word's generators left-to-right in steps: each maximal run of
+    similarities as the (s, R, t) of its composed map x -> s R x + t, each
+    inversion as its ``Generator``.  A composition that overflows is left
+    to the caller's finiteness check."""
+    for similar, run in groupby(
+            word, key=lambda gen: GENERATOR_KINDS[gen.kind].similarity is not None):
+        if not similar:
+            yield from run
+            continue
+        s, rot, t = 1.0, np.eye(3), np.zeros(3)
+        with np.errstate(all="ignore"):
+            for gen in run:
+                s_gen, rot_gen, t_gen = GENERATOR_KINDS[gen.kind].similarity(gen.param)
+                s, rot, t = s_gen * s, rot_gen @ rot, s_gen * rot_gen @ t + t_gen
+        yield s, rot, t
+
+
 def word_matrix(word) -> np.ndarray:
-    """SO(4,1) matrix of a generator word composed left-to-right."""
+    """SO(4,1) matrix of a generator word, one factor per ``word_steps`` step,
+    so that similarities that cancel (dil:30 dil:-30) give the identity."""
     m = np.eye(5)
-    for gen in word:
-        m = generator_matrix(gen) @ m
+    with np.errstate(all="ignore"):
+        for step in word_steps(word):
+            factor = (generator_matrix(step) if isinstance(step, Generator)
+                      else _similarity_matrix(*step))
+            m = factor @ m
+    if not np.isfinite(m).all():
+        raise ValueError("the SO(4,1) matrix of the word overflows")
     return m
 
 

@@ -94,6 +94,16 @@ def test_transform_word(capsys):
     assert payload["mu_transport"] <= 1e-5
 
 
+def test_transform_cancelling_dilations_is_the_identity(capsys):
+    # the chart and the word matrix both compose the run to the identity
+    code, out, _ = run_cli(capsys, "transform", "cylinder",
+                           "--word", "dil:30 dil:-30", "--grid", "33")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gauss_map_equivariance"] <= 1e-14
+    assert payload["mu_transport"] <= 1e-12
+
+
 def test_transform_inversion_preserves_minimality(capsys):
     code, out, _ = run_cli(capsys, "transform", "catenoid", "--word", "inv",
                            "--grid", "96")

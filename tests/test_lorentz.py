@@ -146,6 +146,20 @@ def test_word_matrix_composes_left_to_right():
     assert np.allclose(cone_map(x, "r3", "r3", m), expected)
 
 
+@pytest.mark.parametrize("text", ["dil:30 dil:-30", "tra:1e100,0,0 tra:-1e100,0,0",
+                                  "dil:300 rot:z,1 dil:-300 rot:z,-1"])
+def test_word_matrix_of_cancelling_similarities_is_the_identity(text):
+    # a run of similarities is one factor, not a product of e^30-sized entries
+    assert np.max(np.abs(lz.word_matrix(lz.parse_word(text)) - np.eye(5))) <= 1e-15
+
+
+def test_word_matrix_overflow_is_a_named_error():
+    # each factor is finite; their product across the inversions is not
+    word = lz.parse_word("dil:300 inv " * 4)
+    with pytest.raises(ValueError, match="matrix of the word overflows"):
+        lz.word_matrix(word)
+
+
 # first words of seeded draws, recorded as literals: the kind table must
 # consume the generator's stream in the same order as the words were drawn
 RANDOM_WORDS = {
