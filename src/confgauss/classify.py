@@ -22,11 +22,9 @@ from .models import representation
 from .willmore import harmonicity_residual, willmore_scalar
 
 __all__ = [
-    "QResult",
     "HyperplaneFit",
     "ClassificationReport",
     "bryant_q",
-    "bryant_q_r3",
     "holomorphy_identity_residual",
     "isothermic_witness",
     "classification_value",
@@ -50,22 +48,12 @@ _SPACE_BY_KAPPA = {0: "ℝ³", -1: "S³", 1: "ℍ³"}
 _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
 
 
-@dataclass
-class QResult:
-    """Bryant functional: closed form, direct form, and their difference."""
-
-    q: np.ndarray
-    q_direct: np.ndarray
-    agreement: float
-    umbilic_flagged: bool = False
-
-
 class _S3Fields(FundamentalData):
     """S^3 data with the derivative fields of an analysis, each taken once.
 
     The congruence, W_{S3}, Q = <Y_zz, Y_zz>, Q_zbar, the sign field of that
-    Q and the 2h restriction are computed on first use and kept on this
-    object, so they live as long as it does.
+    Q, the 2h restriction and the 2h noise estimate are computed on first
+    use and kept on this object, so they live as long as it does.
     """
 
     @cached_property
@@ -87,8 +75,13 @@ class _S3Fields(FundamentalData):
 
     @cached_property
     def sign_field(self):
-        """``_field_and_scale`` of Q."""
-        return _field_and_scale(self, self.q)
+        """``_field_and_scale`` of this view."""
+        return _field_and_scale(self)
+
+    @cached_property
+    def noise(self) -> dict:
+        """``estimate_classification_noise`` of this view."""
+        return estimate_classification_noise(self)
 
     @cached_property
     def coarse(self) -> "_S3Fields":
@@ -105,15 +98,6 @@ class _S3Fields(FundamentalData):
         return coarse
 
 
-def _closed_form_q(data: FundamentalData, curvature: float) -> np.ndarray:
-    """Omega^2 e^{-2lam} (Omega_z/Omega)_zbar + Omega^2 (H^2 + curvature)/4,
-    the ambient sectional curvature being 1 on S^3 and 0 on R^3."""
-    g = data.grid
-    ratio = g.dz(data.Omega) / data.Omega
-    return (data.Omega ** 2 * np.exp(-2.0 * data.lam) * g.dzbar(ratio)
-            + data.Omega ** 2 * ((data.H ** 2 + curvature) / 4.0))
-
-
 def s3_fields(data: FundamentalData) -> _S3Fields:
     """The S^3 view of a chart in any model, the one place where its S^3
     representation and Gauss map ``.cong`` are built; a view is kept as is."""
@@ -126,62 +110,61 @@ def s3_fields(data: FundamentalData) -> _S3Fields:
     return view
 
 
-def bryant_q(data: FundamentalData, cong: CongruenceGrid) -> QResult:
-    """Q two ways on S^3 data: direct <Y_zz,Y_zz> and the closed form.
+def bryant_q(data: FundamentalData) -> np.ndarray:
+    """Closed form of Q on R^3 or S^3 data, a reference for the direct
+    <Y_zz, Y_zz> that the classifier reads off ``s3_fields(data).q``.
 
-    Closed form: omega^2 e^{-2Lam} (omega_z/omega)_zbar
-    + omega^2 (h^2+1)/4, a reference for the direct Q the classifier reads;
-    ``agreement`` is their interior max difference.  The closed form divides
-    by omega, so umbilic charts report the direct Q for both.
+    Omega^2 e^{-2lam} (Omega_z/Omega)_zbar + Omega^2 (H^2 + c)/4, with c
+    the ambient curvature: 0 on R^3, 1 on S^3.  It divides by Omega, so an
+    umbilic chart is a ValueError.
     """
-    if data.model != "s3":
-        raise ValueError("bryant_q expects S^3 data")
-    q_direct = lorentz_product(cong.Yzz, cong.Yzz)
+    curvature = {"r3": 0.0, "s3": 1.0}.get(data.model)
+    if curvature is None:
+        raise ValueError(f"bryant_q has no closed form on {data.model} data;"
+                         " it takes R^3 or S^3 data")
     if data.has_umbilic():
-        return QResult(q_direct, q_direct, 0.0, umbilic_flagged=True)
-    q = _closed_form_q(data, 1.0)
-    return QResult(q, q_direct, interior_max(q - q_direct))
-
-
-def bryant_q_r3(data: FundamentalData) -> np.ndarray:
-    """Closed form of Q from R^3 data: Omega^2 e^{-2lam} (Omega_z/Omega)_zbar
-    + Omega^2 H^2 / 4."""
-    if data.model != "r3":
-        raise ValueError("bryant_q_r3 expects R^3 data")
-    return _closed_form_q(data, 0.0)
-
-
-def holomorphy_identity_residual(data: FundamentalData, q: np.ndarray) -> float:
-    """Residual of Q_zbar = e^{2Lam} omega^2 (W_{S3} / (omega e^{-2Lam}))_z."""
-    if data.model != "s3":
-        raise ValueError("needs S^3 data")
+        raise ValueError("umbilic chart: the closed form of Q divides by"
+                         " Omega, which vanishes at its umbilics")
     g = data.grid
-    w = willmore_scalar(data)
-    e2lam = data.e2lam
-    rhs = e2lam * data.Omega ** 2 * g.dz(w / (data.Omega / e2lam))
-    return interior_max(g.dzbar(q) - rhs)
+    ratio = g.dz(data.Omega) / data.Omega
+    return (data.Omega ** 2 * np.exp(-2.0 * data.lam) * g.dzbar(ratio)
+            + data.Omega ** 2 * ((data.H ** 2 + curvature) / 4.0))
 
 
-def isothermic_witness(data: FundamentalData, q: np.ndarray) -> float:
-    """Normalized max |Im(conj(omega)^2 Q)|; zero for degenerate-real Q.
+def holomorphy_identity_residual(data: FundamentalData) -> float:
+    """Residual of Q_zbar = e^{2Lam} omega^2 (W_{S3} / (omega e^{-2Lam}))_z
+    on the S^3 view."""
+    view = s3_fields(data)
+    e2lam = view.e2lam
+    rhs = e2lam * view.Omega ** 2 * view.grid.dz(view.willmore / (view.Omega / e2lam))
+    return interior_max(view.q_zbar - rhs)
+
+
+def isothermic_witness(data: FundamentalData) -> float:
+    """Normalized max |Im(conj(omega)^2 Q)| on the S^3 view; zero for
+    degenerate-real Q.
 
     Q is degenerate-real when |conj(omega)^2 Q| never rises above a small
     fraction of the deterministic reference |omega|^4 / 4 (the value the
     product takes when Q is the pure (h^2+1)/4 term at h = 0).
     """
-    w = np.conj(data.Omega) ** 2 * q
+    view = s3_fields(data)
+    w = np.conj(view.Omega) ** 2 * view.q
     scale = interior_max(w)
-    floor = 1e-6 * interior_max(np.abs(data.Omega) ** 4) / 4.0
+    floor = 1e-6 * interior_max(np.abs(view.Omega) ** 4) / 4.0
     if scale <= floor:
         return 0.0
     return interior_max(w.imag) / scale
 
 
-def _field_and_scale(fields: _S3Fields, q: np.ndarray):
-    w = fields.willmore
-    term = np.conj(fields.Omega) ** 2 * np.exp(-4.0 * fields.lam) * q
+def _field_and_scale(view: _S3Fields):
+    """Sign field W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q and its scale: the
+    larger of the two competing terms and the stencil-free reference
+    (e^{2L}/2)^2."""
+    w = view.willmore
+    term = np.conj(view.Omega) ** 2 * np.exp(-4.0 * view.lam) * view.q
     fieldc = w ** 2 - term
-    e2l_cong = np.abs(fields.Omega) ** 2 * np.exp(-2.0 * fields.lam)
+    e2l_cong = np.abs(view.Omega) ** 2 * np.exp(-2.0 * view.lam)
     scale = max(interior_max(w ** 2), interior_max(term),
                 interior_max((e2l_cong / 2.0) ** 2))
     return fieldc, scale
@@ -208,28 +191,22 @@ def estimate_classification_noise(data: FundamentalData) -> dict:
     }
 
 
-def classification_value(data: FundamentalData, q: np.ndarray,
-                         noise_floor: float = 0.0):
-    """Sign field W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q and its kappa.
+def classification_value(data: FundamentalData):
+    """Sign field of the S^3 view (``_field_and_scale``) and its kappa.
 
     Returns (field, kappa, diagnostics); kappa is -1, 0, +1 or the string
-    'indeterminate'.  The noise floor is 1e-7 of the field scale (the
-    larger of the two competing terms and the stencil-free reference
-    (e^{2L}/2)^2), raised to ``noise_floor`` when a measured estimate
-    exceeds it; a sign needs >= 99% coverage of interior nodes.
+    'indeterminate'.  The noise floor is 1e-7 of the field scale, raised to
+    ten times the view's 2h estimate of the field noise when that is
+    larger; a sign needs >= 99% coverage of interior nodes.
     """
-    if data.model != "s3":
-        raise ValueError("needs S^3 data")
-    fields = s3_fields(data)
-    # reuse the kept field when q is the Q already taken on data
-    fieldc, scale = (fields.sign_field if q is fields.__dict__.get("q")
-                     else _field_and_scale(fields, q))
+    view = s3_fields(data)
+    fieldc, scale = view.sign_field
     # the field carries two stencil passes, whose edge effects reach 4
     # nodes deep; the sign statistic uses that wider band
     band = 4
     imag_rel = interior_max(fieldc.imag, band=band) / scale if scale > 0 else 0.0
     fld = fieldc.real
-    floor = max(KAPPA_NOISE_FLOOR * scale, noise_floor)
+    floor = max(KAPPA_NOISE_FLOOR * scale, 10.0 * view.noise["field"])
     inner = fld[band:-band, band:-band]
     diag = {"scale": scale, "imag_rel": imag_rel, "floor": floor}
     if np.mean(np.abs(inner) <= floor) >= KAPPA_COVERAGE and np.max(np.abs(inner)) <= 10.0 * floor:
@@ -329,12 +306,8 @@ class ClassificationReport:
 
 
 def classify_data(data: FundamentalData, surface: str = "custom",
-                  params: dict | None = None,
-                  holomorphy_tol: float = HOLOMORPHY_TOL) -> ClassificationReport:
+                  params: dict | None = None) -> ClassificationReport:
     """Classification pipeline on any model's data, run on its S^3 view."""
-    if not (np.isfinite(holomorphy_tol) and holomorphy_tol > 0.0):
-        raise ValueError(f"holomorphy tolerance must be finite and positive,"
-                         f" got {holomorphy_tol!r}")
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
@@ -347,10 +320,9 @@ def classify_data(data: FundamentalData, surface: str = "custom",
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
     holo = interior_max(data_s3.q_zbar)
-    witness = isothermic_witness(data_s3, data_s3.q)
-    noise = estimate_classification_noise(data_s3)
-    fld, kappa, diag = classification_value(data_s3, data_s3.q,
-                                            noise_floor=10.0 * noise["field"])
+    witness = isothermic_witness(data_s3)
+    noise = data_s3.noise
+    fld, kappa, diag = classification_value(data_s3)
     diag["noise_estimate"] = noise
     cong = data_s3.cong
     willmore_res = interior_max(harmonicity_residual(cong))
@@ -360,7 +332,7 @@ def classify_data(data: FundamentalData, surface: str = "custom",
     # gate on the band-4 residual to stay commensurate with the noise
     # estimate; the reported residual keeps the band-2 convention
     holo_inner = interior_max(data_s3.q_zbar, band=4)
-    holo_gate = max(holomorphy_tol, 10.0 * noise["holomorphy"])
+    holo_gate = max(HOLOMORPHY_TOL, 10.0 * noise["holomorphy"])
     imag_gate = max(IMAG_REL_TOL, 10.0 * noise["field_imag"] / diag["scale"])
     not_cmc = holo_inner > holo_gate or diag["imag_rel"] > imag_gate
     if not_cmc:
@@ -387,13 +359,11 @@ def classify_data(data: FundamentalData, surface: str = "custom",
     )
 
 
-def classify(spec, n: int = 128, domain=None,
-             holomorphy_tol: float = HOLOMORPHY_TOL) -> ClassificationReport:
+def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     """Sample a catalog surface and run the full classification pipeline."""
     from .grid import fundamental_data
     from .zoo import sample
 
     grid = sample(spec, n, domain=domain)
     data = fundamental_data(grid)
-    return classify_data(data, surface=spec.name, params=spec.params,
-                         holomorphy_tol=holomorphy_tol)
+    return classify_data(data, surface=spec.name, params=spec.params)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance
-from .classify import HOLOMORPHY_TOL, classify_data, s3_fields
+from .classify import classify_data, s3_fields
 from .congruence import isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
@@ -43,11 +44,32 @@ def _sanitize(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _leaves(obj, path=""):
+    """(path, value) of each scalar of a payload, as ``hyperplane.v[0]``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{k}]")
+    else:
+        yield path, obj
+
+
 def to_json(obj) -> str:
     """Deterministic JSON: insertion field order and shortest round-trip
-    floats; a NaN or an infinity is a ValueError, not an invalid token."""
-    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
-                      default=_sanitize)
+    floats; a NaN or an infinity is a ValueError that names its field,
+    not an invalid token."""
+    try:
+        return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
+                          default=_sanitize)
+    except ValueError:
+        for path, value in _leaves(obj):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{path} is {value}, which JSON cannot hold") from None
+        raise
 
 
 def _collect_params(args) -> dict:
@@ -117,8 +139,7 @@ def cmd_analyze(args) -> int:
     domain = _parse_domain(args.domain) if args.domain else None
     data = fundamental_data(sample(spec, args.grid, domain=domain))
     view = s3_fields(data)
-    report = classify_data(view, surface=spec.name, params=spec.params,
-                           holomorphy_tol=args.tol_holomorphy)
+    report = classify_data(view, surface=spec.name, params=spec.params)
     _emit_report(report, args)
     if args.out:
         _export_fields(args.out, data, view)
@@ -129,15 +150,14 @@ def cmd_transform(args) -> int:
     spec = make_surface(args.surface, **_collect_params(args))
     domain = _parse_domain(args.domain) if args.domain else None
     word = parse_word(args.word)
+    matrix = word_matrix(word)
     data = fundamental_data(sample(spec, args.grid, domain=domain))
     view = s3_fields(data)
-    base = classify_data(view, surface=spec.name, params=spec.params,
-                         holomorphy_tol=args.tol_holomorphy)
+    base = classify_data(view, surface=spec.name, params=spec.params)
     moved = s3_fields(transform_immersion(data, word))
     rep = classify_data(moved, surface=f"{spec.name} (transformed)",
-                        params=spec.params, holomorphy_tol=args.tol_holomorphy)
-    y_err, mu_err = equivariance_residuals(view.cong, moved.cong,
-                                           word_matrix(word))
+                        params=spec.params)
+    y_err, mu_err = equivariance_residuals(view.cong, moved.cong, matrix)
     payload = {
         "surface": spec.name,
         "word": args.word,
@@ -211,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help=f"surface parameter {flag}")
             p.add_argument("--domain", default=None,
                            help="chart override u0,u1,v0,v1")
-            p.add_argument("--tol-holomorphy", type=float, default=HOLOMORPHY_TOL,
-                           dest="tol_holomorphy",
-                           help="holomorphy gate for the CMC verdict")
         if with_grid:
             p.add_argument("--grid", type=int, default=128, help="nodes per side")
         p.add_argument("--format", choices=["json", "pretty"], default="json")

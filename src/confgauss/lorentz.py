@@ -46,6 +46,9 @@ EPSILON = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
 # The lightlike direction of R^3's point at infinity.
 V_L = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
 
+# relative accuracy a word's matrix must keep through its products
+WORD_MATRIX_TOL = 1e-10
+
 MIN_WORD_LENGTH = 3
 MAX_WORD_LENGTH = 6
 
@@ -243,15 +246,23 @@ def word_steps(word):
 
 def word_matrix(word) -> np.ndarray:
     """SO(4,1) matrix of a generator word, one factor per ``word_steps`` step,
-    so that similarities that cancel (dil:30 dil:-30) give the identity."""
-    m = np.eye(5)
+    so that similarities that cancel (dil:30 dil:-30) give the identity.
+    Factors across an inversion can still cancel (dil:20 inv dil:20): a
+    product too small for its eps-times-factor-sizes error is a ValueError."""
+    m, bound = np.eye(5), 1.0
     with np.errstate(all="ignore"):
         for step in word_steps(word):
             factor = (generator_matrix(step) if isinstance(step, Generator)
                       else _similarity_matrix(*step))
             m = factor @ m
+            bound *= np.max(np.abs(factor))
     if not np.isfinite(m).all():
         raise ValueError("the SO(4,1) matrix of the word overflows")
+    size = np.max(np.abs(m))
+    if not np.finfo(float).eps * bound <= WORD_MATRIX_TOL * size:
+        raise ValueError("the SO(4,1) matrix of the word is lost to cancellation:"
+                         f" factors whose sizes multiply to {bound:.1e} give one"
+                         f" of size {size:.1e}")
     return m
 
 

@@ -14,89 +14,101 @@ from confgauss.zoo import make_surface, sample
 from conftest import data_for
 
 
-def _s3_setup(name, n=128, **params):
-    data = models.representation(data_for(name, n=n, **params), "s3")
-    cong = C.conformal_gauss_map(data)
-    return data, cong
+def _s3(name, n=128, **params):
+    return models.representation(data_for(name, n=n, **params), "s3")
 
 
 def test_bryant_q_catenoid_vanishes():
-    data, cong = _s3_setup("catenoid")
-    qres = CL.bryant_q(data, cong)
-    assert G.interior_max(qres.q) <= 1e-7
+    assert G.interior_max(CL.bryant_q(_s3("catenoid"))) <= 1e-7
 
 
 def test_bryant_q_cylinder_value():
     rho = 1.0
-    data, cong = _s3_setup("cylinder", rho=rho)
-    qres = CL.bryant_q(data, cong)
-    assert G.interior_max(qres.q - 1.0 / (64.0 * rho ** 4)) <= 1e-8
+    q = CL.bryant_q(_s3("cylinder", rho=rho))
+    assert G.interior_max(q - 1.0 / (64.0 * rho ** 4)) <= 1e-8
 
 
 def test_bryant_q_clifford_value():
     data = data_for("clifford_torus", n=65)
-    cong = C.conformal_gauss_map(data)
-    qres = CL.bryant_q(data, cong)
+    q = CL.bryant_q(data)
     # omega = -1 constant, h = 0: Q = omega^2 / 4
-    assert G.interior_max(qres.q - 0.25) <= 1e-8
-    assert qres.agreement <= 1e-6
+    assert G.interior_max(q - 0.25) <= 1e-8
+    assert G.interior_max(q - CL.s3_fields(data).q) <= 1e-6
 
 
-def test_bryant_q_umbilic_flag():
-    data, cong = _s3_setup("sphere", n=33, R=1.0)
-    qres = CL.bryant_q(data, cong)
-    assert qres.umbilic_flagged
+def test_bryant_q_names_what_it_cannot_take():
+    # the closed form divides by Omega, zero on a sphere, in any model
+    data = data_for("sphere", n=33, R=1.0)
+    for chart in (data, models.representation(data, "s3")):
+        with pytest.raises(ValueError, match="^umbilic chart"):
+            CL.bryant_q(chart)
+    with pytest.raises(ValueError, match="no closed form on h3 data"):
+        CL.bryant_q(data_for("hyperbolic_cylinder", n=33))
 
 
 def test_bryant_q_r3_route():
     data = data_for("cylinder", n=65)
-    q_phi = CL.bryant_q_r3(data)
-    assert G.interior_max(q_phi - 1.0 / 64.0) <= 1e-8
+    assert G.interior_max(CL.bryant_q(data) - 1.0 / 64.0) <= 1e-8
 
 
 def test_holomorphy_residuals():
-    data, cong = _s3_setup("torus_revolution", R=np.sqrt(2.0), r=1.0)
-    q = CL.bryant_q(data, cong).q
+    data = _s3("torus_revolution", R=np.sqrt(2.0), r=1.0)
+    q = CL.bryant_q(data)
     assert G.interior_max(data.grid.dzbar(q)) <= 1e-4
-    data, cong = _s3_setup("cylinder")
-    q = CL.bryant_q(data, cong).q
+    data = _s3("cylinder")
+    q = CL.bryant_q(data)
     # Q is constant; the band-2 figure carries the stencil-switch rows,
     # the clean interior sits at the 1e-8 level
     assert G.interior_max(data.grid.dzbar(q)) <= 5e-6
     assert G.interior_max(data.grid.dzbar(q), band=6) <= 1e-8
-    data, cong = _s3_setup("revolution_profile")
-    q = CL.bryant_q(data, cong).q
+    data = _s3("revolution_profile")
+    q = CL.bryant_q(data)
     assert G.interior_max(data.grid.dzbar(q)) >= 1e-2
 
 
 def test_holomorphy_identity():
     for name, params in [("cylinder", {}),
                          ("torus_revolution", {"R": np.sqrt(2.0), "r": 1.0})]:
-        data, cong = _s3_setup(name, **params)
-        q = CL.bryant_q(data, cong).q
-        assert CL.holomorphy_identity_residual(data, q) <= 1e-4, name
+        assert CL.holomorphy_identity_residual(_s3(name, **params)) <= 1e-4, name
 
 
 def test_isothermic_witness_values():
-    data, cong = _s3_setup("cylinder")
-    assert CL.isothermic_witness(data, CL.bryant_q(data, cong).q) <= 1e-10
-    data, cong = _s3_setup("catenoid")
-    assert CL.isothermic_witness(data, CL.bryant_q(data, cong).q) == 0.0
-    data, cong = _s3_setup("hyperbolic_cylinder", d=0.5)
-    assert CL.isothermic_witness(data, CL.bryant_q(data, cong).q) <= 1e-6
+    assert CL.isothermic_witness(_s3("cylinder")) <= 1e-10
+    assert CL.isothermic_witness(_s3("catenoid")) == 0.0
+    assert CL.isothermic_witness(_s3("hyperbolic_cylinder", d=0.5)) <= 1e-6
 
 
 def test_classification_value_cases():
-    data, cong = _s3_setup("cylinder")
-    fld, kappa, diag = CL.classification_value(data, CL.bryant_q(data, cong).q)
+    fld, kappa, diag = CL.classification_value(_s3("cylinder"))
     assert kappa == 0
-    data, cong = _s3_setup("clifford_torus")
-    fld, kappa, diag = CL.classification_value(data, CL.bryant_q(data, cong).q)
+    fld, kappa, diag = CL.classification_value(_s3("clifford_torus"))
     assert kappa == -1
     assert np.all(fld[4:-4, 4:-4] < 0)
-    data, cong = _s3_setup("hyperbolic_cylinder", d=0.5)
-    fld, kappa, diag = CL.classification_value(data, CL.bryant_q(data, cong).q)
+    fld, kappa, diag = CL.classification_value(_s3("hyperbolic_cylinder", d=0.5))
     assert kappa == 1
+
+
+@pytest.mark.parametrize("name", ["cylinder", "catenoid", "clifford_torus",
+                                  "hyperbolic_cylinder"])
+def test_classification_value_is_the_verdicts(name):
+    # the public call reads the same 2h noise floor as classify_data
+    data = data_for(name, n=65)
+    _, kappa, diag = CL.classification_value(data)
+    rep = CL.classify_data(data, name)
+    assert kappa == rep.kappa
+    assert diag["floor"] == rep.diagnostics["floor"]
+
+
+def test_classify_estimates_the_noise_once(monkeypatch):
+    shapes = []
+
+    def counted(data, _orig=CL.estimate_classification_noise):
+        shapes.append(data.grid.shape)
+        return _orig(data)
+
+    monkeypatch.setattr(CL, "estimate_classification_noise", counted)
+    CL.classify_data(data_for("torus_revolution", n=33, R=3.0, r=1.0), "torus")
+    assert shapes == [(33, 33)]
 
 
 def test_hyperplane_fit_cases():
@@ -116,7 +128,7 @@ def test_hyperplane_fit_cases():
 def test_hyperplane_fit_sign_stable_under_roundoff():
     # the lightlike normal of the inverted catenoid has |v4| = |v5| up to
     # round-off; 1e-15 noise in the samples must not flip the reported sign
-    _, cong = _s3_setup("inverted_catenoid")
+    cong = C.conformal_gauss_map(_s3("inverted_catenoid"))
     samples = cong.Y[2:-2, 2:-2].reshape(-1, 5)
     ref = CL.hyperplane_fit(samples)
     assert ref.vtype == "lightlike"
@@ -158,15 +170,6 @@ def test_classify_rejects_umbilic():
         for chart in (data, models.representation(data, "s3")):
             with pytest.raises(ValueError, match="^umbilic surface"):
                 CL.classify_data(chart, name)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
-def test_classify_rejects_bad_holomorphy_tol(tol):
-    # max(nan, noise) is nan, a gate that no residual exceeds: a NaN
-    # tolerance used to pass every surface as holomorphic
-    data = data_for("revolution_profile", n=65)
-    with pytest.raises(ValueError, match="holomorphy tolerance must be finite and positive"):
-        CL.classify_data(data, holomorphy_tol=tol)
 
 
 def test_classify_grid_minimum():
@@ -292,9 +295,9 @@ def test_classify_builds_each_sign_field_once(monkeypatch):
     shapes = []
     field_and_scale = CL._field_and_scale
 
-    def counted(fields, q):
-        shapes.append(fields.grid.shape)
-        return field_and_scale(fields, q)
+    def counted(view):
+        shapes.append(view.grid.shape)
+        return field_and_scale(view)
 
     monkeypatch.setattr(CL, "_field_and_scale", counted)
     CL.classify_data(data_for("torus_revolution", n=33, R=3.0, r=1.0), "torus")

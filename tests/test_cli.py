@@ -126,18 +126,13 @@ def test_transform_non_finite_word_exits_1(capsys):
         assert repr(word) in err and "finite" in err
 
 
-def test_analyze_nan_holomorphy_tol_exits_1(capsys):
-    code, out, err = run_cli(capsys, "analyze", "revolution_profile", "--grid", "65",
-                             "--tol-holomorphy", "nan")
+def test_tol_holomorphy_is_a_usage_error(capsys):
+    # the holomorphy gate is classify.HOLOMORPHY_TOL, raised by the measured noise
+    code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "33",
+                             "--tol-holomorphy", "1e-3")
     assert code == 1
     assert out == ""
-    assert "holomorphy tolerance" in err and "nan" in err
-
-
-def test_holomorphy_tol_default_is_the_library_default():
-    from confgauss.classify import HOLOMORPHY_TOL
-    args = cli.build_parser().parse_args(["analyze", "cylinder"])
-    assert args.tol_holomorphy == HOLOMORPHY_TOL
+    assert "unrecognized arguments: --tol-holomorphy 1e-3" in err
 
 
 def test_analyze_csv_export(tmp_path, capsys):
@@ -206,6 +201,13 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     (["transform", "cylinder", "--word", "tra:1e200,0,0"],
      "bad generator 'tra:1e200,0,0': tra parameters (1e+200, 0.0, 0.0) overflow"
      " its SO(4,1) matrix"),
+    # the word is the inversion; its factors' e^40- and e^600-sized entries cancel
+    (["transform", "cylinder", "--word", "dil:20 inv dil:20"],
+     "the SO(4,1) matrix of the word is lost to cancellation: factors whose"
+     " sizes multiply to 5.9e+16 give one of size 3.8e+00"),
+    (["transform", "cylinder", "--word", "dil:300 inv dil:300"],
+     "the SO(4,1) matrix of the word is lost to cancellation: factors whose"
+     " sizes multiply to 9.4e+259 give one of size 6.8e+243"),
 ])
 def test_far_out_input_exits_1(capsys, argv, message):
     # RuntimeWarnings are errors in the test run: an overflow warning fails it
@@ -225,12 +227,16 @@ def test_transform_word_with_a_tab_is_valid_json(capsys):
 
 def test_nan_in_report_exits_1(capsys, monkeypatch):
     to_dict = ClassificationReport.to_dict
-    monkeypatch.setattr(ClassificationReport, "to_dict",
-                        lambda self: {**to_dict(self), "eta": float("nan")})
+
+    def with_nan_eta(self):
+        payload = to_dict(self)
+        return {**payload, "hyperplane": {**payload["hyperplane"], "eta": float("nan")}}
+
+    monkeypatch.setattr(ClassificationReport, "to_dict", with_nan_eta)
     code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "33")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.splitlines() == ["error: hyperplane.eta is nan, which JSON cannot hold"]
 
 
 def test_memory_error_exits_1(capsys, monkeypatch):

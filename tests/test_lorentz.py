@@ -153,6 +153,26 @@ def test_word_matrix_of_cancelling_similarities_is_the_identity(text):
     assert np.max(np.abs(lz.word_matrix(lz.parse_word(text)) - np.eye(5))) <= 1e-15
 
 
+@pytest.mark.parametrize("text", ["dil:30", "tra:1e6,0,0", "tra:4,0,0 inv dil:0.3",
+                                  "dil:20 inv dil:-20", "tra:1e6,0,0 inv tra:-1e6,0,0"])
+def test_word_matrix_without_cancellation_keeps_the_group(text):
+    # large factors whose product is as large as they are lose nothing
+    m = lz.word_matrix(lz.parse_word(text))
+    defect = np.max(np.abs(m.T @ lz.EPSILON @ m - lz.EPSILON))
+    assert defect <= 1e-15 * max(1.0, np.max(np.abs(m)) ** 2)
+
+
+@pytest.mark.parametrize("text", ["dil:8 inv dil:8", "dil:10 inv dil:10",
+                                  "dil:12 tra:1,0,0 inv dil:12", "dil:20 inv dil:20",
+                                  "dil:30 inv dil:30", "dil:300 inv dil:300"])
+def test_word_matrix_cancelling_across_an_inversion_is_a_named_error(text):
+    # each word is the inversion up to a small similarity; its product keeps
+    # eps e^{2 lam} of error.  From dil:25 on the error is a near-null
+    # rank-one matrix that passes a relative group-defect test
+    with pytest.raises(ValueError, match="matrix of the word is lost to cancellation"):
+        lz.word_matrix(lz.parse_word(text))
+
+
 def test_word_matrix_overflow_is_a_named_error():
     # each factor is finite; their product across the inversions is not
     word = lz.parse_word("dil:300 inv " * 4)
