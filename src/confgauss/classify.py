@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map
-from .grid import MIN_GRID, ChartGrid, FundamentalData, interior_max
-from .jets import Jet2
+from .grid import MIN_GRID, FundamentalData, interior_max
+from . import jets as _jets
 from .lorentz import EPSILON, classify_vector, lorentz_product
 from .models import representation
 from .willmore import harmonicity_residual, willmore_scalar
@@ -43,6 +43,13 @@ LINEAR_ETA_TOL = 1e-6
 NORMAL_TYPE_TOL = 1e-6
 # the 2h restriction (every other node) must itself be a valid grid
 MIN_CLASSIFY_GRID = 2 * MIN_GRID - 1
+# the sign field carries two stencil passes, whose edge effects reach 4
+# nodes deep; the sign statistic, its imaginary part and the 2h estimate
+# use that wider band
+SIGN_BAND = 4
+# rows a classification band reads beyond its own: its deepest field,
+# Q_zbar, is three chained stencil passes, each spoiling two rows at a cut
+BAND_HALO = 6
 
 _SPACE_BY_KAPPA = {0: "ℝ³", -1: "S³", 1: "ℍ³"}
 _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
@@ -85,17 +92,23 @@ class _S3Fields(FundamentalData):
 
     @cached_property
     def coarse(self) -> "_S3Fields":
-        """Pointwise restriction to the every-other-node subgrid."""
-        g = self.grid
-        jet = Jet2(*(a[::2, ::2] for a in vars(g.jet).values()))
-        grid = ChartGrid(g.model, g.u[::2], g.v[::2], jet)
-        # fundamental data are pointwise: the coarse chart's equal the
-        # restriction of the fine ones
-        coarse = _S3Fields(grid, self.orientation)
-        # Y is pointwise: the restricted Y is the coarse one; only Q is kept
-        yzz = CongruenceGrid(grid, self.cong.Y[::2, ::2]).Yzz
-        coarse.q = lorentz_product(yzz, yzz)
+        """Pointwise restriction to the every-other-node subgrid
+        (``sub``), with the Q of its restricted Y; the derivative fields of
+        that Y are not kept."""
+        coarse = self.sub(step=2)
+        coarse.q = lorentz_product(coarse.cong.Yzz, coarse.cong.Yzz)
+        del coarse.cong
         return coarse
+
+    def sub(self, rows=slice(None), step: int = 1) -> "_S3Fields":
+        """Nodes ``[rows][::step, ::step]`` of this view (``ChartGrid.subgrid``):
+        its (lam, n, H, Omega) and Y there, no copy, no check.  All four and
+        Y are pointwise, so they are the sub-grid's own; its derivative
+        fields are taken anew."""
+        view = _S3Fields(self.grid.subgrid(rows, step), self.orientation)
+        view._fields = tuple(f[rows][::step, ::step] for f in self._fields)
+        view.cong = CongruenceGrid(view.grid, self.cong.Y[rows][::step, ::step])
+        return view
 
 
 def s3_fields(data: FundamentalData) -> _S3Fields:
@@ -150,21 +163,32 @@ def isothermic_witness(data: FundamentalData) -> float:
     """
     view = s3_fields(data)
     w = np.conj(view.Omega) ** 2 * view.q
-    scale = interior_max(w)
-    floor = 1e-6 * interior_max(np.abs(view.Omega) ** 4) / 4.0
-    if scale <= floor:
+    return _witness(interior_max(w), interior_max(np.abs(view.Omega) ** 4),
+                    interior_max(w.imag))
+
+
+def _witness(scale: float, omega4: float, imag: float) -> float:
+    """The witness from its three maxima: of |conj(omega)^2 Q|, of
+    |omega|^4 and of |Im(conj(omega)^2 Q)|."""
+    if scale <= 1e-6 * omega4 / 4.0:
         return 0.0
-    return interior_max(w.imag) / scale
+    return imag / scale
+
+
+def _sign_terms(view: _S3Fields, rows=slice(None)):
+    """W_{S3}, conj(omega)^2 e^{-4Lam} Q and e^{2L} = |omega|^2 e^{-2Lam}
+    on ``rows`` of a view."""
+    omega, lam = view.Omega[rows], view.lam[rows]
+    term = np.conj(omega) ** 2 * np.exp(-4.0 * lam) * view.q[rows]
+    return view.willmore[rows], term, np.abs(omega) ** 2 * np.exp(-2.0 * lam)
 
 
 def _field_and_scale(view: _S3Fields):
     """Sign field W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q and its scale: the
     larger of the two competing terms and the stencil-free reference
     (e^{2L}/2)^2."""
-    w = view.willmore
-    term = np.conj(view.Omega) ** 2 * np.exp(-4.0 * view.lam) * view.q
+    w, term, e2l_cong = _sign_terms(view)
     fieldc = w ** 2 - term
-    e2l_cong = np.abs(view.Omega) ** 2 * np.exp(-2.0 * view.lam)
     scale = max(interior_max(w ** 2), interior_max(term),
                 interior_max((e2l_cong / 2.0) ** 2))
     return fieldc, scale
@@ -183,12 +207,15 @@ def estimate_classification_noise(data: FundamentalData) -> dict:
     fld_coarse, _ = coarse.sign_field
 
     diff = fld_coarse - fld_fine[::2, ::2]
-    return {
-        "field": interior_max(diff.real, band=4) / 15.0,
-        "field_imag": interior_max(diff.imag, band=4) / 15.0,
-        "holomorphy": interior_max(coarse.q_zbar - fine.q_zbar[::2, ::2],
-                                   band=4) / 15.0,
-    }
+    band = SIGN_BAND
+    return _noise(interior_max(diff.real, band=band), interior_max(diff.imag, band=band),
+                  interior_max(coarse.q_zbar - fine.q_zbar[::2, ::2], band=band))
+
+
+def _noise(field: float, field_imag: float, holomorphy: float) -> dict:
+    """The 2h estimate from the maxima of the coarse-minus-fine differences."""
+    return {"field": field / 15.0, "field_imag": field_imag / 15.0,
+            "holomorphy": holomorphy / 15.0}
 
 
 def classification_value(data: FundamentalData):
@@ -201,12 +228,18 @@ def classification_value(data: FundamentalData):
     """
     view = s3_fields(data)
     fieldc, scale = view.sign_field
-    # the field carries two stencil passes, whose edge effects reach 4
-    # nodes deep; the sign statistic uses that wider band
-    band = 4
-    imag_rel = interior_max(fieldc.imag, band=band) / scale if scale > 0 else 0.0
+    imag = interior_max(fieldc.imag, band=SIGN_BAND)
     fld = fieldc.real
-    floor = max(KAPPA_NOISE_FLOOR * scale, 10.0 * view.noise["field"])
+    return (fld, *_kappa(fld, scale, imag, view.noise["field"]))
+
+
+def _kappa(fld: np.ndarray, scale: float, imag: float, noise: float):
+    """kappa and diagnostics of the real sign field ``fld`` of scale
+    ``scale``, whose imaginary part peaks at ``imag``, over the field
+    noise estimate ``noise``."""
+    band = SIGN_BAND
+    imag_rel = imag / scale if scale > 0 else 0.0
+    floor = max(KAPPA_NOISE_FLOOR * scale, 10.0 * noise)
     inner = fld[band:-band, band:-band]
     diag = {"scale": scale, "imag_rel": imag_rel, "floor": floor}
     if np.mean(np.abs(inner) <= floor) >= KAPPA_COVERAGE and np.max(np.abs(inner)) <= 10.0 * floor:
@@ -217,7 +250,7 @@ def classification_value(data: FundamentalData):
         kappa = -1
     else:
         kappa = "indeterminate"
-    return fld, kappa, diag
+    return kappa, diag
 
 
 @dataclass
@@ -307,31 +340,32 @@ class ClassificationReport:
 
 def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None) -> ClassificationReport:
-    """Classification pipeline on any model's data, run on its S^3 view."""
+    """Classification pipeline on any model's data, run on its S^3 view.
+
+    A view passed in (``s3_fields``) is classified whole and keeps its
+    fields, which its caller reads afterwards; a view built here is
+    classified in row bands (``_band_numbers``) when it has more than one.
+    """
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
             " so that its 2h restriction is still a grid"
         )
-    data_s3 = s3_fields(data)
+    view = s3_fields(data)
     # umbilicity is conformally invariant: one flag in every model's gauge
-    if data_s3.has_umbilic():
+    if view.has_umbilic():
         raise ValueError(
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
-    holo = interior_max(data_s3.q_zbar)
-    witness = isothermic_witness(data_s3)
-    noise = data_s3.noise
-    fld, kappa, diag = classification_value(data_s3)
+    bands = _jets.row_bands(view.grid.shape[0]) if view is not data else []
+    numbers = _band_numbers(view, bands) if len(bands) > 1 else _whole_numbers(view)
+    holo, holo_inner, witness, willmore_res, noise, fld, kappa, diag = numbers
     diag["noise_estimate"] = noise
-    cong = data_s3.cong
-    willmore_res = interior_max(harmonicity_residual(cong))
-    plane = hyperplane_fit(cong.Y[2:-2, 2:-2])
-
+    plane = hyperplane_fit(view.cong.Y[2:-2, 2:-2])
     diag["field_interior_max"] = interior_max(fld)
+
     # gate on the band-4 residual to stay commensurate with the noise
     # estimate; the reported residual keeps the band-2 convention
-    holo_inner = interior_max(data_s3.q_zbar, band=4)
     holo_gate = max(HOLOMORPHY_TOL, 10.0 * noise["holomorphy"])
     imag_gate = max(IMAG_REL_TOL, 10.0 * noise["field_imag"] / diag["scale"])
     not_cmc = holo_inner > holo_gate or diag["imag_rel"] > imag_gate
@@ -360,10 +394,103 @@ def classify_data(data: FundamentalData, surface: str = "custom",
 
 
 def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
-    """Sample a catalog surface and run the full classification pipeline."""
+    """Sample a catalog surface and run the full classification pipeline.
+
+    Only its S^3 chart goes on to ``classify_data``, so the sampled chart
+    is freed once it is pushed there, and the view is classified in row
+    bands.
+    """
     from .grid import fundamental_data
     from .zoo import sample
 
-    grid = sample(spec, n, domain=domain)
-    data = fundamental_data(grid)
+    data = fundamental_data(sample(spec, n, domain=domain))
+    # rebinding drops the sampled chart: its S^3 chart holds no reference
+    data = representation(data, "s3")
     return classify_data(data, surface=spec.name, params=spec.params)
+
+
+def _whole_numbers(view: _S3Fields):
+    """(Q_zbar maxima over bands 2 and 4, witness, harmonicity residual,
+    2h noise, real sign field, kappa, diagnostics) of a view, read off its
+    whole fields."""
+    fld, kappa, diag = classification_value(view)
+    return (interior_max(view.q_zbar), interior_max(view.q_zbar, band=SIGN_BAND),
+            isothermic_witness(view), interior_max(harmonicity_residual(view.cong)),
+            view.noise, fld, kappa, diag)
+
+
+def _band_numbers(view: _S3Fields, bands: list):
+    """``_whole_numbers`` of a view, from its row bands ``bands`` and the
+    2h bands on their even rows.
+
+    A band is a sub-view (``_S3Fields.sub``) of its own rows and a halo;
+    its derivative fields die with it.  What outlives a band is the real
+    sign field on its own rows and each maximum over them, merged by the
+    NaN-keeping ``np.maximum``; its 2h band compares the fine values at its
+    even nodes before the next band starts.  Maxima are exact, so every
+    number is the one that the whole view gives.
+    """
+    n, m = view.grid.shape
+    coarse = view.sub(step=2)
+    n_coarse = coarse.grid.shape[0]
+    fld = np.empty((n, m))
+    maxima = {}
+
+    def peak(key, f, first, size, width):
+        """Merge the max norm of ``f``, whose row 0 is grid row ``first``
+        of ``size``, over the grid interior ``width`` nodes deep."""
+        part = f[max(width - first, 0):max(size - width - first, 0),
+                 width:f.shape[1] - width]
+        maxima[key] = np.maximum(maxima.get(key, 0.0), np.max(np.abs(part), initial=0.0))
+
+    def band_of(parent, own, size):
+        """The sub-view of rows ``own`` and their halo, and where ``own``
+        lies in it."""
+        rows = slice(max(own.start - BAND_HALO, 0), min(own.stop + BAND_HALO, size))
+        return parent.sub(rows), slice(own.start - rows.start, own.stop - rows.start)
+
+    def fine_band(own):
+        """Reduce the band of rows ``own``; return its sign field and Q_zbar
+        at its even nodes."""
+        band, mine = band_of(view, own, n)
+        q_zbar = band.q_zbar[mine]
+        peak("holo", q_zbar, own.start, n, 2)
+        peak("holo_inner", q_zbar, own.start, n, SIGN_BAND)
+        peak("willmore", harmonicity_residual(band.cong)[mine], own.start, n, 2)
+        omega = band.Omega[mine]
+        witness = np.conj(omega) ** 2 * band.q[mine]
+        peak("witness", witness, own.start, n, 2)
+        peak("witness_imag", witness.imag, own.start, n, 2)
+        peak("omega4", np.abs(omega) ** 4, own.start, n, 2)
+        w, term, e2l_cong = _sign_terms(band, mine)
+        w2 = w ** 2
+        peak("w2", w2, own.start, n, 2)
+        peak("term", term, own.start, n, 2)
+        peak("reference", (e2l_cong / 2.0) ** 2, own.start, n, 2)
+        fieldc = w2 - term
+        peak("imag", fieldc.imag, own.start, n, SIGN_BAND)
+        fld[own] = fieldc.real
+        even = slice(own.start % 2, None, 2)
+        return fieldc[even, ::2].copy(), q_zbar[even, ::2].copy()
+
+    def coarse_band(own, fine_field, fine_q_zbar):
+        """Reduce the 2h band of rows ``own`` against the fine values."""
+        band, mine = band_of(coarse, own, n_coarse)
+        w, term, _ = _sign_terms(band, mine)
+        diff = w ** 2 - term - fine_field
+        peak("noise_field", diff.real, own.start, n_coarse, SIGN_BAND)
+        peak("noise_imag", diff.imag, own.start, n_coarse, SIGN_BAND)
+        peak("noise_holo", band.q_zbar[mine] - fine_q_zbar, own.start, n_coarse,
+             SIGN_BAND)
+
+    for own in bands:
+        even_values = fine_band(own)
+        coarse_band(slice((own.start + 1) // 2, (own.stop + 1) // 2), *even_values)
+
+    top = {key: float(value) for key, value in maxima.items()}
+    noise = _noise(top["noise_field"], top["noise_imag"], top["noise_holo"])
+    scale = max(top["w2"], top["term"], top["reference"])
+    kappa, diag = _kappa(fld, scale, top["imag"], noise["field"])
+    witness = _witness(top["witness"], top["omega4"], top["witness_imag"])
+    return (top["holo"], top["holo_inner"], witness, top["willmore"], noise,
+            fld, kappa, diag)

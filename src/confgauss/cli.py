@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .classify import classify_data, s3_fields
+from .classify import classify, classify_data, s3_fields
 from .congruence import isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
@@ -137,12 +137,15 @@ def _exit_code_for(report) -> int:
 def cmd_analyze(args) -> int:
     spec = make_surface(args.surface, **_collect_params(args))
     domain = _parse_domain(args.domain) if args.domain else None
+    if not args.out:  # nothing reads the chart afterwards: classify in bands
+        report = classify(spec, args.grid, domain=domain)
+        _emit_report(report, args)
+        return _exit_code_for(report)
     data = fundamental_data(sample(spec, args.grid, domain=domain))
     view = s3_fields(data)
     report = classify_data(view, surface=spec.name, params=spec.params)
     _emit_report(report, args)
-    if args.out:
-        _export_fields(args.out, data, view)
+    _export_fields(args.out, data, view)
     return _exit_code_for(report)
 
 

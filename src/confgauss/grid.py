@@ -11,6 +11,7 @@ checks and extractions run over ``jets.row_blocks``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,19 +139,12 @@ class ChartGrid:
     jet: Jet2
 
     def __post_init__(self):
-        if len(self.u) < MIN_GRID or len(self.v) < MIN_GRID:
-            raise ValueError("grid too small")
-        if self.model not in ("r3", "s3", "h3"):
-            raise ValueError(f"unknown model {self.model!r}")
-        for name in ("u", "v"):
-            _check_axis(name, np.asarray(getattr(self, name), dtype=float))
+        self._check_axes()
         jet, lead = self.jet, self.jet.pos.shape[:-1]
         for name in ("pos", "du", "dv", "duu", "duv", "dvv"):
             part = getattr(jet, name)
             if not all(np.isfinite(part[rows]).all() for rows in row_blocks(lead)):
                 raise ValueError(f"jet has non-finite values in {name}")
-        self.hu = float(self.u[1] - self.u[0])
-        self.hv = float(self.v[1] - self.v[0])
         # first fundamental form: <p_z, p_zbar> = (E + G) / 4 and
         # |<p_z, p_z>| = hypot(E - G, 2F) / 4; a degenerate node anywhere
         # is named before a non-conformal one
@@ -164,6 +158,32 @@ class ChartGrid:
             conformal = conformal and not np.any(np.hypot(e - g, 2.0 * f) > CONF_TOL * trace)
         if not conformal:
             raise ValueError("chart is not conformal within tolerance")
+
+    def _check_axes(self):
+        """Size, model and axes; sets the spacings ``hu`` and ``hv``."""
+        if len(self.u) < MIN_GRID or len(self.v) < MIN_GRID:
+            raise ValueError("grid too small")
+        if self.model not in ("r3", "s3", "h3"):
+            raise ValueError(f"unknown model {self.model!r}")
+        for name in ("u", "v"):
+            _check_axis(name, np.asarray(getattr(self, name), dtype=float))
+        self.hu = float(self.u[1] - self.u[0])
+        self.hv = float(self.v[1] - self.v[0])
+
+    def subgrid(self, rows=slice(None), step: int = 1) -> "ChartGrid":
+        """Nodes ``[rows][::step, ::step]`` of this grid over its own arrays
+        (no copy), whose jets are not checked again.
+
+        A row band (step 1) is not checked at all and keeps this grid's
+        spacings, so that its interior stencils are this grid's to the bit;
+        a restriction checks its size and axes and takes their spacings.
+        """
+        sub = copy.copy(self)
+        sub.u, sub.v = self.u[rows][::step], self.v[::step]
+        sub.jet = Jet2(*(a[rows][::step, ::step] for a in vars(self.jet).values()))
+        if step != 1:
+            sub._check_axes()
+        return sub
 
     # -- chart data -----------------------------------------------------
     def _dot(self, a, b):

@@ -41,6 +41,11 @@ __all__ = [
 # is one block.
 BLOCK_NODES = 16384
 
+# Largest band height of a banded classification (``classify.classify_data``):
+# at least 240, so that the two 6-row halos of each inner cut add under 5 %
+# to the rows computed; a grid of at most this many rows is one band.
+BAND_ROWS = 256
+
 
 @dataclass
 class Jet2:
@@ -66,6 +71,14 @@ def row_blocks(lead: tuple):
     rows = max(1, BLOCK_NODES // max(1, math.prod(lead[1:])))
     for start in range(0, lead[0], rows):
         yield slice(start, start + rows)
+
+
+def row_bands(n: int) -> list:
+    """Slices that split ``n`` grid rows into ceil(n / BAND_ROWS) bands of
+    near-equal height."""
+    count = -(-n // BAND_ROWS)
+    cuts = [k * n // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def per_component(op, vectors, factor, out):

@@ -44,26 +44,41 @@ class SurfaceSpec:
 
 
 def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
-    """Sample a surface on an n x n grid; validates conformality at build."""
+    """Sample a surface on an n x n grid; validates conformality at build.
+
+    The jet functions take the u axis as a column and the v axis as a row,
+    so that a factor of one coordinate is computed once per line.
+    """
     (u0, u1), (v0, v1) = domain if domain is not None else spec.domain
     u = np.linspace(u0, u1, n)
     v = np.linspace(v0, v1, n)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    jet = spec.jet_fn(uu, vv)
+    jet = spec.jet_fn(u[:, None], v[None, :])
     return ChartGrid(spec.model, u, v, jet)
 
 
+def _vectors(u, v):
+    """A function that writes its k components (arrays that broadcast over
+    u and v, or scalars) into one new (..., k) array; a jet function calls
+    it once per part, so that only one part's factors exist at a time."""
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+
+    def vec(*comps):
+        out = np.empty(shape + (len(comps),))
+        for k, comp in enumerate(comps):
+            out[..., k] = comp
+        return out
+
+    return vec
+
+
 # ----------------------------------------------------------------------
-# closed-form charts
+# closed-form charts; u and v broadcast against each other
 # ----------------------------------------------------------------------
 
 def _plane_jets(u, v):
-    z = np.zeros_like(u)
-    pos = np.stack([u, v, z], axis=-1)
-    du = np.stack([np.ones_like(u), z, z], axis=-1)
-    dv = np.stack([z, np.ones_like(u), z], axis=-1)
-    zero = np.zeros_like(pos)
-    return Jet2(pos, du, dv, zero.copy(), zero.copy(), zero.copy())
+    vec = _vectors(u, v)
+    return Jet2(vec(u, v, 0.0), vec(1.0, 0.0, 0.0), vec(0.0, 1.0, 0.0),
+                vec(0.0, 0.0, 0.0), vec(0.0, 0.0, 0.0), vec(0.0, 0.0, 0.0))
 
 
 def _sphere_jets(u, v, radius):
@@ -76,62 +91,43 @@ def _sphere_jets(u, v, radius):
     guv = 8.0 * u * v * g ** 3
     gvv = -2.0 * g * g + 8.0 * v * v * g ** 3
     r = radius
-
-    pos = np.stack([2 * r * u * g, 2 * r * v * g, r * (1.0 - 2.0 * g)], axis=-1)
-    du = np.stack([2 * r * (g + u * gu), 2 * r * v * gu, -2 * r * gu], axis=-1)
-    dv = np.stack([2 * r * u * gv, 2 * r * (g + v * gv), -2 * r * gv], axis=-1)
-    duu = np.stack(
-        [2 * r * (2 * gu + u * guu), 2 * r * v * guu, -2 * r * guu], axis=-1
+    vec = _vectors(u, v)
+    return Jet2(
+        vec(2 * r * u * g, 2 * r * v * g, r * (1.0 - 2.0 * g)),
+        vec(2 * r * (g + u * gu), 2 * r * v * gu, -2 * r * gu),
+        vec(2 * r * u * gv, 2 * r * (g + v * gv), -2 * r * gv),
+        vec(2 * r * (2 * gu + u * guu), 2 * r * v * guu, -2 * r * guu),
+        vec(2 * r * (gv + u * guv), 2 * r * (gu + v * guv), -2 * r * guv),
+        vec(2 * r * u * gvv, 2 * r * (2 * gv + v * gvv), -2 * r * gvv),
     )
-    duv = np.stack(
-        [2 * r * (gv + u * guv), 2 * r * (gu + v * guv), -2 * r * guv], axis=-1
-    )
-    dvv = np.stack(
-        [2 * r * u * gvv, 2 * r * (2 * gv + v * gvv), -2 * r * gvv], axis=-1
-    )
-    return Jet2(pos, du, dv, duu, duv, dvv)
 
 
 def _cylinder_jets(u, v, rho):
     c = np.cos(v / rho)
     s = np.sin(v / rho)
-    zero = np.zeros_like(u)
-    one = np.ones_like(u)
-    pos = np.stack([rho * s, rho * c, u], axis=-1)
-    du = np.stack([zero, zero, one], axis=-1)
-    dv = np.stack([c, -s, zero], axis=-1)
-    duu = np.zeros_like(pos)
-    duv = np.zeros_like(pos)
-    dvv = np.stack([-s / rho, -c / rho, zero], axis=-1)
-    return Jet2(pos, du, dv, duu, duv, dvv)
+    vec = _vectors(u, v)
+    return Jet2(vec(rho * s, rho * c, u), vec(0.0, 0.0, 1.0), vec(c, -s, 0.0),
+                vec(0.0, 0.0, 0.0), vec(0.0, 0.0, 0.0), vec(-s / rho, -c / rho, 0.0))
 
 
 def _catenoid_jets(u, v):
     ch, sh = np.cosh(u), np.sinh(u)
     c, s = np.cos(v), np.sin(v)
-    zero = np.zeros_like(u)
-    one = np.ones_like(u)
-    pos = np.stack([ch * c, ch * s, u], axis=-1)
-    du = np.stack([sh * c, sh * s, one], axis=-1)
-    dv = np.stack([-ch * s, ch * c, zero], axis=-1)
-    duu = np.stack([ch * c, ch * s, zero], axis=-1)
-    duv = np.stack([-sh * s, sh * c, zero], axis=-1)
-    dvv = np.stack([-ch * c, -ch * s, zero], axis=-1)
-    return Jet2(pos, du, dv, duu, duv, dvv)
+    vec = _vectors(u, v)
+    return Jet2(vec(ch * c, ch * s, u), vec(sh * c, sh * s, 1.0), vec(-ch * s, ch * c, 0.0),
+                vec(ch * c, ch * s, 0.0), vec(-sh * s, sh * c, 0.0), vec(-ch * c, -ch * s, 0.0))
 
 
 def _enneper_jets(u, v):
-    zero = np.zeros_like(u)
-    pos = np.stack(
-        [u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + u * u * v, u * u - v * v],
-        axis=-1,
+    vec = _vectors(u, v)
+    return Jet2(
+        vec(u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + u * u * v, u * u - v * v),
+        vec(1.0 - u * u + v * v, 2.0 * u * v, 2.0 * u),
+        vec(2.0 * u * v, 1.0 - v * v + u * u, -2.0 * v),
+        vec(-2.0 * u, 2.0 * v, 2.0),
+        vec(2.0 * v, 2.0 * u, 0.0),
+        vec(2.0 * u, -2.0 * v, -2.0),
     )
-    du = np.stack([1.0 - u * u + v * v, 2.0 * u * v, 2.0 * u], axis=-1)
-    dv = np.stack([2.0 * u * v, 1.0 - v * v + u * u, -2.0 * v], axis=-1)
-    duu = np.stack([-2.0 * u, 2.0 * v, 2.0 * np.ones_like(u)], axis=-1)
-    duv = np.stack([2.0 * v, 2.0 * u, zero], axis=-1)
-    dvv = np.stack([2.0 * u, -2.0 * v, -2.0 * np.ones_like(u)], axis=-1)
-    return Jet2(pos, du, dv, duu, duv, dvv)
 
 
 def _inverted_catenoid_jets(u, v, offset):
@@ -152,30 +148,22 @@ def _torus_jets(u, v, big_r, small_r):
     radp = -st * rad  # d(rad)/du
     radpp = -ct * rad * rad / small_r + st * st * rad
     cv, sv = np.cos(v), np.sin(v)
-    zero = np.zeros_like(u)
-    pos = np.stack([rad * cv, rad * sv, small_r * st], axis=-1)
-    du = np.stack([radp * cv, radp * sv, ct * rad], axis=-1)
-    dv = np.stack([-rad * sv, rad * cv, zero], axis=-1)
     z_uu = -st * rad * rad / small_r - st * ct * rad
-    duu = np.stack([radpp * cv, radpp * sv, z_uu], axis=-1)
-    duv = np.stack([-radp * sv, radp * cv, zero], axis=-1)
-    dvv = np.stack([-rad * cv, -rad * sv, zero], axis=-1)
-    return Jet2(pos, du, dv, duu, duv, dvv)
+    vec = _vectors(u, v)
+    return Jet2(vec(rad * cv, rad * sv, small_r * st), vec(radp * cv, radp * sv, ct * rad),
+                vec(-rad * sv, rad * cv, 0.0), vec(radpp * cv, radpp * sv, z_uu),
+                vec(-radp * sv, radp * cv, 0.0), vec(-rad * cv, -rad * sv, 0.0))
 
 
 def _clifford_jets(u, v):
     r2 = np.sqrt(2.0)
     cu, su = np.cos(r2 * u), np.sin(r2 * u)
     cv, sv = np.cos(r2 * v), np.sin(r2 * v)
-    zero = np.zeros_like(u)
     inv = 1.0 / r2
-    pos = np.stack([cu, su, cv, sv], axis=-1) * inv
-    du = np.stack([-su, cu, zero, zero], axis=-1)
-    dv = np.stack([zero, zero, -sv, cv], axis=-1)
-    duu = np.stack([-cu, -su, zero, zero], axis=-1) * r2
-    duv = np.zeros_like(pos)
-    dvv = np.stack([zero, zero, -cv, -sv], axis=-1) * r2
-    return Jet2(pos, du, dv, duu, duv, dvv)
+    vec = _vectors(u, v)
+    return Jet2(vec(cu * inv, su * inv, cv * inv, sv * inv), vec(-su, cu, 0.0, 0.0),
+                vec(0.0, 0.0, -sv, cv), vec(-cu * r2, -su * r2, 0.0, 0.0),
+                vec(0.0, 0.0, 0.0, 0.0), vec(0.0, 0.0, -cv * r2, -sv * r2))
 
 
 def _hyperbolic_cylinder_jets(u, v, d):
@@ -183,14 +171,11 @@ def _hyperbolic_cylinder_jets(u, v, d):
     shd, chd = np.sinh(d), np.cosh(d)
     cv, sv = np.cos(v), np.sin(v)
     shu, chu = np.sinh(u * t), np.cosh(u * t)
-    zero = np.zeros_like(u)
-    pos = np.stack([shd * cv, shd * sv, chd * shu, chd * chu], axis=-1)
-    du = np.stack([zero, zero, chd * t * chu, chd * t * shu], axis=-1)
-    dv = np.stack([-shd * sv, shd * cv, zero, zero], axis=-1)
-    duu = np.stack([zero, zero, chd * t * t * shu, chd * t * t * chu], axis=-1)
-    duv = np.zeros_like(pos)
-    dvv = np.stack([-shd * cv, -shd * sv, zero, zero], axis=-1)
-    return Jet2(pos, du, dv, duu, duv, dvv)
+    vec = _vectors(u, v)
+    return Jet2(vec(shd * cv, shd * sv, chd * shu, chd * chu),
+                vec(0.0, 0.0, chd * t * chu, chd * t * shu), vec(-shd * sv, shd * cv, 0.0, 0.0),
+                vec(0.0, 0.0, chd * t * t * shu, chd * t * t * chu), vec(0.0, 0.0, 0.0, 0.0),
+                vec(-shd * cv, -shd * sv, 0.0, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -294,9 +279,7 @@ class _RevolutionProfile:
 
 def _revolution_jets(u, v, profile: _RevolutionProfile):
     # the isothermal coordinate depends on the row only; invert per row
-    u_rows = u[:, 0]
-    t_rows = profile.invert_many(u_rows)
-    t = t_rows[:, None] * np.ones_like(u)
+    t = profile.invert_many(u[:, 0])[:, None]
     rho = profile.rho(t)
     rho1 = profile.rho(t, 1)
     rho2 = profile.rho(t, 2)
@@ -308,17 +291,16 @@ def _revolution_jets(u, v, profile: _RevolutionProfile):
     dtt = rho * (rho1 * sigma - rho * sigma1) / sigma ** 3  # d^2 t / du^2
 
     cv, sv = np.cos(v), np.sin(v)
-    zero = np.zeros_like(u)
-    pos = np.stack([rho * cv, rho * sv, profile.zeta(t)], axis=-1)
-    du = np.stack([rho1 * cv, rho1 * sv, zeta1], axis=-1) * dt[..., None]
-    dv = np.stack([-rho * sv, rho * cv, zero], axis=-1)
-    duu = (
-        np.stack([rho2 * cv, rho2 * sv, zeta2], axis=-1) * (dt ** 2)[..., None]
-        + np.stack([rho1 * cv, rho1 * sv, zeta1], axis=-1) * dtt[..., None]
+    vec = _vectors(u, v)
+    return Jet2(
+        vec(rho * cv, rho * sv, profile.zeta(t)),
+        vec(rho1 * cv * dt, rho1 * sv * dt, zeta1 * dt),
+        vec(-rho * sv, rho * cv, 0.0),
+        vec(rho2 * cv * dt ** 2 + rho1 * cv * dtt, rho2 * sv * dt ** 2 + rho1 * sv * dtt,
+            zeta2 * dt ** 2 + zeta1 * dtt),
+        vec(-rho1 * sv * dt, rho1 * cv * dt, 0.0),
+        vec(-rho * cv, -rho * sv, 0.0),
     )
-    duv = np.stack([-rho1 * sv, rho1 * cv, zero], axis=-1) * dt[..., None]
-    dvv = np.stack([-rho * cv, -rho * sv, zero], axis=-1)
-    return Jet2(pos, du, dv, duu, duv, dvv)
 
 
 # ----------------------------------------------------------------------

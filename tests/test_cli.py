@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from confgauss import cli
+from confgauss import cli, zoo
 from confgauss.classify import ClassificationReport
 from confgauss.cli import main
 from confgauss.congruence import conformal_gauss_map
@@ -243,7 +243,9 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. TiB for an array")
 
+    # analyze samples through classify.classify, analyze --out through cli
     monkeypatch.setattr(cli, "sample", out_of_memory)
+    monkeypatch.setattr(zoo, "sample", out_of_memory)
     code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "10000000")
     assert code == 1
     assert out == ""
