@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +59,8 @@ _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
 class _S3Fields(FundamentalData):
     """S^3 data with the derivative fields of an analysis, each taken once.
 
-    The congruence, W_{S3}, Q = <Y_zz, Y_zz>, Q_zbar, the sign field of that
-    Q, the 2h restriction and the 2h noise estimate are computed on first
-    use and kept on this object, so they live as long as it does.
+    The congruence, W_{S3}, Q = <Y_zz, Y_zz> and Q_zbar are computed on
+    first use and kept on this object, so they live as long as it does.
     """
 
     @cached_property
@@ -79,26 +79,6 @@ class _S3Fields(FundamentalData):
     @cached_property
     def q_zbar(self) -> np.ndarray:
         return self.grid.dzbar(self.q)
-
-    @cached_property
-    def sign_field(self):
-        """``_field_and_scale`` of this view."""
-        return _field_and_scale(self)
-
-    @cached_property
-    def noise(self) -> dict:
-        """``estimate_classification_noise`` of this view."""
-        return estimate_classification_noise(self)
-
-    @cached_property
-    def coarse(self) -> "_S3Fields":
-        """Pointwise restriction to the every-other-node subgrid
-        (``sub``), with the Q of its restricted Y; the derivative fields of
-        that Y are not kept."""
-        coarse = self.sub(step=2)
-        coarse.q = lorentz_product(coarse.cong.Yzz, coarse.cong.Yzz)
-        del coarse.cong
-        return coarse
 
     def sub(self, rows=slice(None), step: int = 1) -> "_S3Fields":
         """Nodes ``[rows][::step, ::step]`` of this view (``ChartGrid.subgrid``):
@@ -155,27 +135,31 @@ def holomorphy_identity_residual(data: FundamentalData) -> float:
 
 def isothermic_witness(data: FundamentalData) -> float:
     """Normalized max |Im(conj(omega)^2 Q)| on the S^3 view; zero for
-    degenerate-real Q.
+    degenerate-real Q (``_band_numbers``)."""
+    return _band_numbers(s3_fields(data)).witness
 
-    Q is degenerate-real when |conj(omega)^2 Q| never rises above a small
-    fraction of the deterministic reference |omega|^4 / 4 (the value the
-    product takes when Q is the pure (h^2+1)/4 term at h = 0).
+
+def estimate_classification_noise(data: FundamentalData) -> dict:
+    """A-posteriori stencil-noise estimates of the sign field, its
+    imaginary part and Q_zbar on the S^3 view, from the 2h subgrid
+    (``_band_numbers``)."""
+    return _band_numbers(s3_fields(data)).noise
+
+
+def classification_value(data: FundamentalData):
+    """Real sign field W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q of the S^3 view
+    and its kappa.
+
+    Returns (field, kappa, diagnostics); kappa is -1, 0, +1 or the string
+    'indeterminate'.  The noise floor is 1e-7 of the field scale, raised to
+    ten times the view's 2h estimate of the field noise when that is
+    larger; a sign needs >= 99% coverage of interior nodes.
     """
-    view = s3_fields(data)
-    w = np.conj(view.Omega) ** 2 * view.q
-    return _witness(interior_max(w), interior_max(np.abs(view.Omega) ** 4),
-                    interior_max(w.imag))
+    numbers = _band_numbers(s3_fields(data))
+    return numbers.field, numbers.kappa, numbers.diag
 
 
-def _witness(scale: float, omega4: float, imag: float) -> float:
-    """The witness from its three maxima: of |conj(omega)^2 Q|, of
-    |omega|^4 and of |Im(conj(omega)^2 Q)|."""
-    if scale <= 1e-6 * omega4 / 4.0:
-        return 0.0
-    return imag / scale
-
-
-def _sign_terms(view: _S3Fields, rows=slice(None)):
+def _sign_terms(view: _S3Fields, rows: slice):
     """W_{S3}, conj(omega)^2 e^{-4Lam} Q and e^{2L} = |omega|^2 e^{-2Lam}
     on ``rows`` of a view."""
     omega, lam = view.Omega[rows], view.lam[rows]
@@ -183,74 +167,17 @@ def _sign_terms(view: _S3Fields, rows=slice(None)):
     return view.willmore[rows], term, np.abs(omega) ** 2 * np.exp(-2.0 * lam)
 
 
-def _field_and_scale(view: _S3Fields):
-    """Sign field W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q and its scale: the
-    larger of the two competing terms and the stencil-free reference
-    (e^{2L}/2)^2."""
-    w, term, e2l_cong = _sign_terms(view)
-    fieldc = w ** 2 - term
-    scale = max(interior_max(w ** 2), interior_max(term),
-                interior_max((e2l_cong / 2.0) ** 2))
-    return fieldc, scale
+class _Numbers(NamedTuple):
+    """What the classifier reads off a view."""
 
-
-def estimate_classification_noise(data: FundamentalData) -> dict:
-    """A-posteriori stencil-noise estimates for the classifier quantities.
-
-    Recomputes the classification field and the holomorphy residual of Q
-    on the 2h subgrid; for 4th-order stencils the fine-grid error is
-    about the fine/coarse difference divided by 15.
-    """
-    fine = s3_fields(data)
-    coarse = fine.coarse
-    fld_fine, _ = fine.sign_field
-    fld_coarse, _ = coarse.sign_field
-
-    diff = fld_coarse - fld_fine[::2, ::2]
-    band = SIGN_BAND
-    return _noise(interior_max(diff.real, band=band), interior_max(diff.imag, band=band),
-                  interior_max(coarse.q_zbar - fine.q_zbar[::2, ::2], band=band))
-
-
-def _noise(field: float, field_imag: float, holomorphy: float) -> dict:
-    """The 2h estimate from the maxima of the coarse-minus-fine differences."""
-    return {"field": field / 15.0, "field_imag": field_imag / 15.0,
-            "holomorphy": holomorphy / 15.0}
-
-
-def classification_value(data: FundamentalData):
-    """Sign field of the S^3 view (``_field_and_scale``) and its kappa.
-
-    Returns (field, kappa, diagnostics); kappa is -1, 0, +1 or the string
-    'indeterminate'.  The noise floor is 1e-7 of the field scale, raised to
-    ten times the view's 2h estimate of the field noise when that is
-    larger; a sign needs >= 99% coverage of interior nodes.
-    """
-    view = s3_fields(data)
-    fieldc, scale = view.sign_field
-    imag = interior_max(fieldc.imag, band=SIGN_BAND)
-    fld = fieldc.real
-    return (fld, *_kappa(fld, scale, imag, view.noise["field"]))
-
-
-def _kappa(fld: np.ndarray, scale: float, imag: float, noise: float):
-    """kappa and diagnostics of the real sign field ``fld`` of scale
-    ``scale``, whose imaginary part peaks at ``imag``, over the field
-    noise estimate ``noise``."""
-    band = SIGN_BAND
-    imag_rel = imag / scale if scale > 0 else 0.0
-    floor = max(KAPPA_NOISE_FLOOR * scale, 10.0 * noise)
-    inner = fld[band:-band, band:-band]
-    diag = {"scale": scale, "imag_rel": imag_rel, "floor": floor}
-    if np.mean(np.abs(inner) <= floor) >= KAPPA_COVERAGE and np.max(np.abs(inner)) <= 10.0 * floor:
-        kappa = 0
-    elif np.all(inner >= -floor) and np.mean(inner > floor) >= KAPPA_COVERAGE:
-        kappa = 1
-    elif np.all(inner <= floor) and np.mean(inner < -floor) >= KAPPA_COVERAGE:
-        kappa = -1
-    else:
-        kappa = "indeterminate"
-    return kappa, diag
+    holo: float  # max |Q_zbar| over the band-2 interior
+    holo_inner: float  # the same over the band-4 interior
+    witness: float
+    willmore: float  # max harmonicity residual
+    noise: dict
+    field: np.ndarray  # the real sign field
+    kappa: object
+    diag: dict
 
 
 @dataclass
@@ -340,12 +267,8 @@ class ClassificationReport:
 
 def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None) -> ClassificationReport:
-    """Classification pipeline on any model's data, run on its S^3 view.
-
-    A view passed in (``s3_fields``) is classified whole and keeps its
-    fields, which its caller reads afterwards; a view built here is
-    classified in row bands (``_band_numbers``) when it has more than one.
-    """
+    """Classification pipeline on any model's data, run on its S^3 view in
+    row bands (``_band_numbers``)."""
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
@@ -357,9 +280,7 @@ def classify_data(data: FundamentalData, surface: str = "custom",
         raise ValueError(
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
-    bands = _jets.row_bands(view.grid.shape[0]) if view is not data else []
-    numbers = _band_numbers(view, bands) if len(bands) > 1 else _whole_numbers(view)
-    holo, holo_inner, witness, willmore_res, noise, fld, kappa, diag = numbers
+    holo, holo_inner, witness, willmore_res, noise, fld, kappa, diag = _band_numbers(view)
     diag["noise_estimate"] = noise
     plane = hyperplane_fit(view.cong.Y[2:-2, 2:-2])
     diag["field_interior_max"] = interior_max(fld)
@@ -397,8 +318,7 @@ def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     """Sample a catalog surface and run the full classification pipeline.
 
     Only its S^3 chart goes on to ``classify_data``, so the sampled chart
-    is freed once it is pushed there, and the view is classified in row
-    bands.
+    is freed once it is pushed there.
     """
     from .grid import fundamental_data
     from .zoo import sample
@@ -409,26 +329,17 @@ def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     return classify_data(data, surface=spec.name, params=spec.params)
 
 
-def _whole_numbers(view: _S3Fields):
-    """(Q_zbar maxima over bands 2 and 4, witness, harmonicity residual,
-    2h noise, real sign field, kappa, diagnostics) of a view, read off its
-    whole fields."""
-    fld, kappa, diag = classification_value(view)
-    return (interior_max(view.q_zbar), interior_max(view.q_zbar, band=SIGN_BAND),
-            isothermic_witness(view), interior_max(harmonicity_residual(view.cong)),
-            view.noise, fld, kappa, diag)
-
-
-def _band_numbers(view: _S3Fields, bands: list):
-    """``_whole_numbers`` of a view, from its row bands ``bands`` and the
-    2h bands on their even rows.
+def _band_numbers(view: _S3Fields) -> _Numbers:
+    """The classifier's numbers of a view, reduced over its row bands
+    ``jets.row_bands(N)`` and the 2h bands on their even rows.
 
     A band is a sub-view (``_S3Fields.sub``) of its own rows and a halo;
-    its derivative fields die with it.  What outlives a band is the real
-    sign field on its own rows and each maximum over them, merged by the
-    NaN-keeping ``np.maximum``; its 2h band compares the fine values at its
-    even nodes before the next band starts.  Maxima are exact, so every
-    number is the one that the whole view gives.
+    its derivative fields die with it.  A band whose rows and halo cover
+    the grid is the view itself, which keeps them for its caller.  What
+    outlives a band is the real sign field on its own rows and each
+    maximum over them, merged by the NaN-keeping ``np.maximum``; its 2h
+    band compares the fine values at its even nodes before the next band
+    starts.  Maxima are exact, so no number depends on the band count.
     """
     n, m = view.grid.shape
     coarse = view.sub(step=2)
@@ -444,10 +355,11 @@ def _band_numbers(view: _S3Fields, bands: list):
         maxima[key] = np.maximum(maxima.get(key, 0.0), np.max(np.abs(part), initial=0.0))
 
     def band_of(parent, own, size):
-        """The sub-view of rows ``own`` and their halo, and where ``own``
-        lies in it."""
+        """The band of rows ``own`` and their halo, and where ``own`` lies
+        in it."""
         rows = slice(max(own.start - BAND_HALO, 0), min(own.stop + BAND_HALO, size))
-        return parent.sub(rows), slice(own.start - rows.start, own.stop - rows.start)
+        band = parent if rows == slice(0, size) else parent.sub(rows)
+        return band, slice(own.start - rows.start, own.stop - rows.start)
 
     def fine_band(own):
         """Reduce the band of rows ``own``; return its sign field and Q_zbar
@@ -473,7 +385,7 @@ def _band_numbers(view: _S3Fields, bands: list):
         even = slice(own.start % 2, None, 2)
         return fieldc[even, ::2].copy(), q_zbar[even, ::2].copy()
 
-    def coarse_band(own, fine_field, fine_q_zbar):
+    def band_2h(own, fine_field, fine_q_zbar):
         """Reduce the 2h band of rows ``own`` against the fine values."""
         band, mine = band_of(coarse, own, n_coarse)
         w, term, _ = _sign_terms(band, mine)
@@ -483,14 +395,34 @@ def _band_numbers(view: _S3Fields, bands: list):
         peak("noise_holo", band.q_zbar[mine] - fine_q_zbar, own.start, n_coarse,
              SIGN_BAND)
 
-    for own in bands:
+    for own in _jets.row_bands(n):
         even_values = fine_band(own)
-        coarse_band(slice((own.start + 1) // 2, (own.stop + 1) // 2), *even_values)
+        band_2h(slice((own.start + 1) // 2, (own.stop + 1) // 2), *even_values)
 
     top = {key: float(value) for key, value in maxima.items()}
-    noise = _noise(top["noise_field"], top["noise_imag"], top["noise_holo"])
+    # for 4th-order stencils the fine-grid error is about the fine/coarse
+    # difference divided by 15
+    noise = {"field": top["noise_field"] / 15.0, "field_imag": top["noise_imag"] / 15.0,
+             "holomorphy": top["noise_holo"] / 15.0}
+    # the sign field's scale: the larger of its two competing terms and the
+    # stencil-free reference (e^{2L}/2)^2
     scale = max(top["w2"], top["term"], top["reference"])
-    kappa, diag = _kappa(fld, scale, top["imag"], noise["field"])
-    witness = _witness(top["witness"], top["omega4"], top["witness_imag"])
-    return (top["holo"], top["holo_inner"], witness, top["willmore"], noise,
-            fld, kappa, diag)
+    floor = max(KAPPA_NOISE_FLOOR * scale, 10.0 * noise["field"])
+    diag = {"scale": scale, "imag_rel": top["imag"] / scale if scale > 0 else 0.0,
+            "floor": floor}
+    inner = fld[SIGN_BAND:-SIGN_BAND, SIGN_BAND:-SIGN_BAND]
+    if np.mean(np.abs(inner) <= floor) >= KAPPA_COVERAGE and np.max(np.abs(inner)) <= 10.0 * floor:
+        kappa = 0
+    elif np.all(inner >= -floor) and np.mean(inner > floor) >= KAPPA_COVERAGE:
+        kappa = 1
+    elif np.all(inner <= floor) and np.mean(inner < -floor) >= KAPPA_COVERAGE:
+        kappa = -1
+    else:
+        kappa = "indeterminate"
+    # Q is degenerate-real, its witness zero, when |conj(omega)^2 Q| never
+    # rises above a small fraction of the reference |omega|^4 / 4 (the
+    # product's value when Q is the pure (h^2+1)/4 term at h = 0)
+    witness = (0.0 if top["witness"] <= 1e-6 * top["omega4"] / 4.0
+               else top["witness_imag"] / top["witness"])
+    return _Numbers(top["holo"], top["holo_inner"], witness, top["willmore"],
+                    noise, fld, kappa, diag)

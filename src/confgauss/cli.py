@@ -137,7 +137,7 @@ def _exit_code_for(report) -> int:
 def cmd_analyze(args) -> int:
     spec = make_surface(args.surface, **_collect_params(args))
     domain = _parse_domain(args.domain) if args.domain else None
-    if not args.out:  # nothing reads the chart afterwards: classify in bands
+    if not args.out:  # nothing reads the chart afterwards: classify frees it
         report = classify(spec, args.grid, domain=domain)
         _emit_report(report, args)
         return _exit_code_for(report)

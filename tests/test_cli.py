@@ -4,11 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from confgauss import cli, zoo
+from confgauss import cli, jets, zoo
 from confgauss.classify import ClassificationReport
 from confgauss.cli import main
 from confgauss.congruence import conformal_gauss_map
 from confgauss.grid import ChartGrid, fundamental_data
+from confgauss.willmore import willmore_scalar
 from confgauss.zoo import SURFACES, make_surface, sample
 
 # one catalog chart per model: R^3, S^3, H^3
@@ -333,6 +334,50 @@ def test_analyze_out_builds_one_gauss_map(tmp_path, capsys, monkeypatch, name):
     assert code == 0
     assert maps == ["s3"]
     assert len(set(passes)) == len(passes)
+
+
+@pytest.mark.parametrize("name", MODEL_CHARTS)
+def test_analyze_out_classifies_one_band_on_its_own_view(tmp_path, capsys,
+                                                         monkeypatch, name):
+    # a one-band grid is reduced on the caller's view, whose Y and W_{S3}
+    # the export reads: the S^3 Gauss map and Willmore scalar run once on
+    # the grid, the scalar once more on the 2h view
+    scalars = []
+    orig = willmore_scalar
+
+    def counted(data):
+        scalars.append((data.model, data.grid.shape))
+        return orig(data)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("confgauss")
+                and vars(mod).get("willmore_scalar") is orig):
+            monkeypatch.setattr(mod, "willmore_scalar", counted)
+    maps, _ = _record_analysis_work(monkeypatch)
+    code, _, _ = run_cli(capsys, "analyze", name, "--grid", "65",
+                         "--out", str(tmp_path))
+    assert code == 0
+    assert maps == ["s3"]
+    assert [shape for model, shape in scalars if model == "s3"] == [(65, 65), (33, 33)]
+
+
+def test_few_row_bands_write_the_one_band_output(tmp_path, capsys, monkeypatch):
+    # at N = 65 the CLI's output does not depend on the band count
+    def outputs(label):
+        out = tmp_path / label
+        code, text, _ = run_cli(capsys, "analyze", "torus_revolution", "--grid", "65",
+                                "--out", str(out))
+        csvs = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        moved = run_cli(capsys, "transform", "hyperbolic_cylinder", "--grid", "65",
+                        "--word", "tra:4,0,0 inv dil:0.3")
+        return code, text, csvs, moved
+
+    whole = outputs("whole")
+    monkeypatch.setattr(jets, "BAND_ROWS", 20)
+    assert len(jets.row_bands(65)) == 4
+    banded = outputs("banded")
+    assert len(whole[2]) == 22
+    assert banded == whole
 
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)
