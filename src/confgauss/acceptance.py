@@ -278,8 +278,8 @@ def criterion_classification(n: int = 128):
         spec = make_surface(name, **params)
         rep, want = classify(spec, n=n), spec.expected
         if want.get("not_cmc"):
-            ok = rep.verdict == "not conformally CMC" and rep.q_holomorphy >= 1e-2
-            row = {"verdict": rep.verdict, "q_holomorphy": rep.q_holomorphy}
+            ok = rep.verdict == "not conformally CMC" and rep.numbers.q_holomorphy >= 1e-2
+            row = {"verdict": rep.verdict, "q_holomorphy": rep.numbers.q_holomorphy}
         else:
             hp = rep.hyperplane
             ok = (rep.kappa == want["kappa"] and hp.vtype == want["normal_type"]

@@ -9,7 +9,7 @@ agree with that sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -24,10 +24,10 @@ from .willmore import harmonicity_residual, willmore_scalar
 
 __all__ = [
     "HyperplaneFit",
+    "ClassifierNumbers",
     "ClassificationReport",
     "bryant_q",
     "holomorphy_identity_residual",
-    "isothermic_witness",
     "classification_value",
     "hyperplane_fit",
     "classify",
@@ -133,30 +133,9 @@ def holomorphy_identity_residual(data: FundamentalData) -> float:
     return interior_max(view.q_zbar - rhs)
 
 
-def isothermic_witness(data: FundamentalData) -> float:
-    """Normalized max |Im(conj(omega)^2 Q)| on the S^3 view; zero for
-    degenerate-real Q (``_band_numbers``)."""
-    return _band_numbers(s3_fields(data)).witness
-
-
 def estimate_classification_noise(data: FundamentalData) -> dict:
-    """A-posteriori stencil-noise estimates of the sign field, its
-    imaginary part and Q_zbar on the S^3 view, from the 2h subgrid
-    (``_band_numbers``)."""
-    return _band_numbers(s3_fields(data)).noise
-
-
-def classification_value(data: FundamentalData):
-    """Real sign field W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q of the S^3 view
-    and its kappa.
-
-    Returns (field, kappa, diagnostics); kappa is -1, 0, +1 or the string
-    'indeterminate'.  The noise floor is 1e-7 of the field scale, raised to
-    ten times the view's 2h estimate of the field noise when that is
-    larger; a sign needs >= 99% coverage of interior nodes.
-    """
-    numbers = _band_numbers(s3_fields(data))
-    return numbers.field, numbers.kappa, numbers.diag
+    """The 2h noise estimates of ``classification_value(data)``."""
+    return classification_value(data).noise
 
 
 def _sign_terms(view: _S3Fields, rows: slice):
@@ -167,17 +146,18 @@ def _sign_terms(view: _S3Fields, rows: slice):
     return view.willmore[rows], term, np.abs(omega) ** 2 * np.exp(-2.0 * lam)
 
 
-class _Numbers(NamedTuple):
-    """What the classifier reads off a view."""
+class ClassifierNumbers(NamedTuple):
+    """What the classifier reads off the S^3 view of a chart."""
 
-    holo: float  # max |Q_zbar| over the band-2 interior
-    holo_inner: float  # the same over the band-4 interior
-    witness: float
-    willmore: float  # max harmonicity residual
-    noise: dict
-    field: np.ndarray  # the real sign field
-    kappa: object
-    diag: dict
+    q_holomorphy: float  # max |Q_zbar| over the band-2 interior
+    holomorphy: float  # the same over the band-4 interior, the gated one
+    isothermic_witness: float  # normalized max |Im(conj(omega)^2 Q)|
+    willmore_residual: float  # max harmonicity residual
+    noise: dict  # 2h estimates: "field", "field_imag", "holomorphy"
+    scale: float  # of the sign field
+    imag_rel: float  # its max imaginary part over its scale
+    floor: float  # its noise floor
+    kappa: object  # its sign: -1, 0, +1 or "indeterminate"
 
 
 @dataclass
@@ -237,22 +217,19 @@ class ClassificationReport:
     surface: str
     params: dict
     grid_n: int
-    willmore_residual: float
-    q_holomorphy: float
-    isothermic_witness: float
-    kappa: object
+    kappa: object  # the sign field's, or "indeterminate" when not CMC
     hyperplane: HyperplaneFit
     verdict: str
-    diagnostics: dict = field(default_factory=dict)
+    numbers: ClassifierNumbers
 
     def to_dict(self) -> dict:
         return {
             "surface": self.surface,
             "params": self.params,
             "grid": self.grid_n,
-            "willmore_residual": self.willmore_residual,
-            "q_holomorphy": self.q_holomorphy,
-            "isothermic_witness": self.isothermic_witness,
+            "willmore_residual": self.numbers.willmore_residual,
+            "q_holomorphy": self.numbers.q_holomorphy,
+            "isothermic_witness": self.numbers.isothermic_witness,
             "kappa": self.kappa if isinstance(self.kappa, str) else int(self.kappa),
             "hyperplane": {
                 "v": [float(x) for x in self.hyperplane.v],
@@ -267,8 +244,8 @@ class ClassificationReport:
 
 def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None) -> ClassificationReport:
-    """Classification pipeline on any model's data, run on its S^3 view in
-    row bands (``_band_numbers``)."""
+    """Classification pipeline on any model's data: one
+    ``classification_value`` of its S^3 view, gated, and the fit of Y."""
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
@@ -280,38 +257,27 @@ def classify_data(data: FundamentalData, surface: str = "custom",
         raise ValueError(
             "umbilic surface: conformal Gauss map degenerate on the chart"
         )
-    holo, holo_inner, witness, willmore_res, noise, fld, kappa, diag = _band_numbers(view)
-    diag["noise_estimate"] = noise
+    numbers = classification_value(view)
     plane = hyperplane_fit(view.cong.Y[2:-2, 2:-2])
-    diag["field_interior_max"] = interior_max(fld)
 
     # gate on the band-4 residual to stay commensurate with the noise
     # estimate; the reported residual keeps the band-2 convention
+    noise, kappa = numbers.noise, numbers.kappa
     holo_gate = max(HOLOMORPHY_TOL, 10.0 * noise["holomorphy"])
-    imag_gate = max(IMAG_REL_TOL, 10.0 * noise["field_imag"] / diag["scale"])
-    not_cmc = holo_inner > holo_gate or diag["imag_rel"] > imag_gate
-    if not_cmc:
+    imag_gate = max(IMAG_REL_TOL, 10.0 * noise["field_imag"] / numbers.scale)
+    if numbers.holomorphy > holo_gate or numbers.imag_rel > imag_gate:
         verdict = "not conformally CMC"
         kappa = "indeterminate"
     elif kappa == "indeterminate":
         verdict = "indeterminate"
+    elif plane.vtype != _TYPE_BY_KAPPA[kappa]:
+        verdict = "inconsistent"
+    elif numbers.willmore_residual <= WILLMORE_RESIDUAL_TOL:
+        verdict = f"conformally minimal in {_SPACE_BY_KAPPA[kappa]}"
     else:
-        expected_type = _TYPE_BY_KAPPA[kappa]
-        if plane.vtype != expected_type:
-            verdict = "inconsistent"
-            diag["expected_normal_type"] = expected_type
-        else:
-            space = _SPACE_BY_KAPPA[kappa]
-            if willmore_res <= WILLMORE_RESIDUAL_TOL:
-                verdict = f"conformally minimal in {space}"
-            else:
-                verdict = f"conformally CMC in {space}"
-
-    n_grid = data.grid.pos.shape[0]
-    return ClassificationReport(
-        surface, params or {}, n_grid, willmore_res, holo, witness, kappa,
-        plane, verdict, diag,
-    )
+        verdict = f"conformally CMC in {_SPACE_BY_KAPPA[kappa]}"
+    return ClassificationReport(surface, params or {}, data.grid.pos.shape[0],
+                                kappa, plane, verdict, numbers)
 
 
 def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
@@ -329,9 +295,13 @@ def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     return classify_data(data, surface=spec.name, params=spec.params)
 
 
-def _band_numbers(view: _S3Fields) -> _Numbers:
-    """The classifier's numbers of a view, reduced over its row bands
-    ``jets.row_bands(N)`` and the 2h bands on their even rows.
+def classification_value(data: FundamentalData) -> ClassifierNumbers:
+    """The classifier's numbers of the S^3 view of a chart in any model,
+    reduced over its row bands ``jets.row_bands(N)`` and the 2h bands on
+    their even rows.  kappa is the sign of the real field
+    W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q, which is not kept, against a floor
+    of 1e-7 of its scale or ten times its 2h noise estimate if larger; a
+    sign needs >= 99% coverage of interior nodes.
 
     A band is a sub-view (``_S3Fields.sub``) of its own rows and a halo;
     its derivative fields die with it.  A band whose rows and halo cover
@@ -339,8 +309,10 @@ def _band_numbers(view: _S3Fields) -> _Numbers:
     outlives a band is the real sign field on its own rows and each
     maximum over them, merged by the NaN-keeping ``np.maximum``; its 2h
     band compares the fine values at its even nodes before the next band
-    starts.  Maxima are exact, so no number depends on the band count.
+    starts.  Maxima are exact, so no number depends on the band count; one
+    that is not finite is a ValueError.
     """
+    view = s3_fields(data)
     n, m = view.grid.shape
     coarse = view.sub(step=2)
     n_coarse = coarse.grid.shape[0]
@@ -395,11 +367,17 @@ def _band_numbers(view: _S3Fields) -> _Numbers:
         peak("noise_holo", band.q_zbar[mine] - fine_q_zbar, own.start, n_coarse,
              SIGN_BAND)
 
-    for own in _jets.row_bands(n):
-        even_values = fine_band(own)
-        band_2h(slice((own.start + 1) // 2, (own.stop + 1) // 2), *even_values)
+    # an overflow shows as a maximum that is not finite, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for own in _jets.row_bands(n):
+            even_values = fine_band(own)
+            band_2h(slice((own.start + 1) // 2, (own.stop + 1) // 2), *even_values)
 
     top = {key: float(value) for key, value in maxima.items()}
+    if not np.all(np.isfinite(list(top.values()))):
+        g = view.grid
+        raise ValueError(f"stencil derivatives overflow: grid spacing h_u = {g.hu:.3g},"
+                         f" h_v = {g.hv:.3g} is too fine for the chart")
     # for 4th-order stencils the fine-grid error is about the fine/coarse
     # difference divided by 15
     noise = {"field": top["noise_field"] / 15.0, "field_imag": top["noise_imag"] / 15.0,
@@ -408,8 +386,6 @@ def _band_numbers(view: _S3Fields) -> _Numbers:
     # stencil-free reference (e^{2L}/2)^2
     scale = max(top["w2"], top["term"], top["reference"])
     floor = max(KAPPA_NOISE_FLOOR * scale, 10.0 * noise["field"])
-    diag = {"scale": scale, "imag_rel": top["imag"] / scale if scale > 0 else 0.0,
-            "floor": floor}
     inner = fld[SIGN_BAND:-SIGN_BAND, SIGN_BAND:-SIGN_BAND]
     if np.mean(np.abs(inner) <= floor) >= KAPPA_COVERAGE and np.max(np.abs(inner)) <= 10.0 * floor:
         kappa = 0
@@ -424,5 +400,6 @@ def _band_numbers(view: _S3Fields) -> _Numbers:
     # product's value when Q is the pure (h^2+1)/4 term at h = 0)
     witness = (0.0 if top["witness"] <= 1e-6 * top["omega4"] / 4.0
                else top["witness_imag"] / top["witness"])
-    return _Numbers(top["holo"], top["holo_inner"], witness, top["willmore"],
-                    noise, fld, kappa, diag)
+    return ClassifierNumbers(
+        top["holo"], top["holo_inner"], witness, top["willmore"], noise, scale,
+        top["imag"] / scale if scale > 0 else 0.0, floor, kappa)

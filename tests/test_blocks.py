@@ -40,7 +40,7 @@ def _run(name, params, target):
     arrays = list(vars(moved.grid.jet).values())
     arrays += [moved.lam, moved.n, moved.H, moved.Omega]
     report = CL.classify_data(moved, name)
-    return arrays, report.to_dict(), report.diagnostics
+    return arrays, report.to_dict(), report.numbers
 
 
 @pytest.mark.parametrize("name, params, target", CASES)
@@ -118,7 +118,7 @@ def test_few_row_bands_equal_one_band(monkeypatch, n, name, params, target):
     for banded in (CL.classify_data(data, name),
                    CL.classify_data(CL.s3_fields(data), name)):
         assert banded.to_dict() == whole.to_dict()
-        assert banded.diagnostics == whole.diagnostics
+        assert banded.numbers == whole.numbers
 
 
 def test_row_bands_split_evenly():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from confgauss import classify as CL
 from confgauss import congruence as C
 from confgauss import grid as G
+from confgauss import jets as J
 from confgauss import models
 from confgauss.lorentz import lorentz_product, random_word, word_matrix
 from confgauss.zoo import make_surface, sample
@@ -73,30 +74,49 @@ def test_holomorphy_identity():
 
 
 def test_isothermic_witness_values():
-    assert CL.isothermic_witness(_s3("cylinder")) <= 1e-10
-    assert CL.isothermic_witness(_s3("catenoid")) == 0.0
-    assert CL.isothermic_witness(_s3("hyperbolic_cylinder", d=0.5)) <= 1e-6
+    def witness(name, **params):
+        return CL.classification_value(_s3(name, **params)).isothermic_witness
+
+    assert witness("cylinder") <= 1e-10
+    assert witness("catenoid") == 0.0
+    assert witness("hyperbolic_cylinder", d=0.5) <= 1e-6
 
 
 def test_classification_value_cases():
-    fld, kappa, diag = CL.classification_value(_s3("cylinder"))
-    assert kappa == 0
-    fld, kappa, diag = CL.classification_value(_s3("clifford_torus"))
-    assert kappa == -1
-    assert np.all(fld[4:-4, 4:-4] < 0)
-    fld, kappa, diag = CL.classification_value(_s3("hyperbolic_cylinder", d=0.5))
-    assert kappa == 1
+    # kappa = -1 (clifford_torus): the sign field is <= its floor at every
+    # interior node and below -floor on >= 99% of them
+    assert CL.classification_value(_s3("cylinder")).kappa == 0
+    assert CL.classification_value(_s3("clifford_torus")).kappa == -1
+    assert CL.classification_value(_s3("hyperbolic_cylinder", d=0.5)).kappa == 1
 
 
 @pytest.mark.parametrize("name", ["cylinder", "catenoid", "clifford_torus",
                                   "hyperbolic_cylinder"])
 def test_classification_value_is_the_verdicts(name):
-    # the public call reads the same 2h noise floor as classify_data
+    # the public call is the reduction that classify_data reads
     data = data_for(name, n=65)
-    _, kappa, diag = CL.classification_value(data)
+    numbers = CL.classification_value(data)
     rep = CL.classify_data(data, name)
-    assert kappa == rep.kappa
-    assert diag["floor"] == rep.diagnostics["floor"]
+    assert numbers == rep.numbers
+    assert numbers.kappa == rep.kappa
+
+
+@pytest.mark.parametrize("band_rows", [None, 20])
+def test_classify_runs_one_reduction(monkeypatch, band_rows):
+    # perfbench's classify.classification_value span times this call
+    calls = []
+
+    def counted(data, _orig=CL.classification_value):
+        calls.append(data.grid.shape)
+        return _orig(data)
+
+    monkeypatch.setattr(CL, "classification_value", counted)
+    if band_rows:
+        monkeypatch.setattr(J, "BAND_ROWS", band_rows)
+    n = 65
+    assert len(J.row_bands(n)) == (4 if band_rows else 1)
+    CL.classify_data(data_for("torus_revolution", n=n, R=3.0, r=1.0), "torus")
+    assert calls == [(n, n)]
 
 
 def test_classify_estimates_the_noise_once(monkeypatch):
@@ -160,7 +180,7 @@ def test_classify_reports():
     assert rep.verdict == "conformally minimal in ℝ³"
     rep = CL.classify(make_surface("revolution_profile"), n=128)
     assert rep.verdict == "not conformally CMC"
-    assert rep.q_holomorphy >= 1e-2
+    assert rep.numbers.q_holomorphy >= 1e-2
 
 
 def test_classify_rejects_umbilic():
@@ -336,7 +356,7 @@ def test_q_holomorphy_reads_the_direct_q():
     rep = CL.classify_data(data)
     cong = C.conformal_gauss_map(models.representation(data, "s3"))
     q = lorentz_product(cong.Yzz, cong.Yzz)
-    assert rep.q_holomorphy == G.interior_max(cong.grid.dzbar(q))
+    assert rep.numbers.q_holomorphy == G.interior_max(cong.grid.dzbar(q))
 
 
 def test_classify_builds_one_congruence(monkeypatch):
@@ -373,7 +393,8 @@ MOVED_CHART_ERRORS = re.compile(
     "inversion center on surface|image meets the point at infinity"
     "|chart meets the north pole|chart leaves the Poincare ball"
     "|degenerate jet|chart is not conformal within tolerance"
-    "|jet has non-finite values|umbilic surface|degenerate congruence")
+    "|jet has non-finite values|umbilic surface|degenerate congruence"
+    "|stencil derivatives overflow")
 
 
 @pytest.fixture(scope="module")

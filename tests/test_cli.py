@@ -209,6 +209,10 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     (["transform", "cylinder", "--word", "dil:300 inv dil:300"],
      "the SO(4,1) matrix of the word is lost to cancellation: factors whose"
      " sizes multiply to 9.4e+259 give one of size 6.8e+243"),
+    # the stencils divide by h_u; the classifier's first band overflows
+    (["analyze", "cylinder", "--domain", "0,1e-100,0,1"],
+     "stencil derivatives overflow: grid spacing h_u = 3.13e-102, h_v = 0.0312"
+     " is too fine for the chart"),
 ])
 def test_far_out_input_exits_1(capsys, argv, message):
     # RuntimeWarnings are errors in the test run: an overflow warning fails it
