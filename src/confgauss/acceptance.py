@@ -1,14 +1,18 @@
 """Acceptance suite: the verification criteria as machine-checkable runs.
 
-Each criterion samples the relevant catalog surfaces, evaluates the stated
-residuals at their stated tolerances and returns a ``CriterionResult``.
-``run_all`` drives the full suite; the command line exposes it as
-``check-invariants``.
+Each criterion samples the relevant catalog surfaces and evaluates the
+stated residuals.  Every check is one record in the criterion's details:
+``{"value": v, "max": t, "passed": p}`` for a ceiling, ``"min"`` for a floor
+or ``"expected"`` for an exact match, so the key that holds the bound says
+which way it points.  A criterion passes when it holds at least one record
+and every record passed.  ``run_all`` drives the full suite; the command
+line exposes it as ``check-invariants``.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +68,36 @@ EQUIVARIANCE_WORDS = 20
 CONVERGENCE_GRIDS = (65, 129)  # criterion 11: a grid and its half step
 
 
+_HOLDS = {"max": operator.le, "min": operator.ge, "expected": operator.eq}
+
+
+def _check(value, **bound):
+    """One check record: ``_check(v, max=t)``, ``_check(v, min=t)`` or
+    ``_check(v, expected=e)``.  A NaN value fails either inequality."""
+    ((key, limit),) = bound.items()
+    return {"value": value, key: limit, "passed": bool(_HOLDS[key](value, limit))}
+
+
+def _records(details: dict):
+    """Every check record in a details tree, depth first."""
+    for value in details.values():
+        if isinstance(value, dict) and "passed" in value:
+            yield value
+        elif isinstance(value, dict):
+            yield from _records(value)
+
+
 @dataclass
 class CriterionResult:
     name: str
-    passed: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """At least one record, and every record passed; the error path
+        ``{"error": message}`` holds none, so it fails."""
+        checks = list(_records(self.details))
+        return bool(checks) and all(r["passed"] for r in checks)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -78,15 +107,13 @@ class CriterionResult:
 def _criterion(title: str):
     """Report a criterion under ``title`` whether it passes, fails or raises.
 
-    The decorated function returns ``(passed, details)``; the wrapper makes
-    the ``CriterionResult`` and carries ``title`` for ``run_all``'s error
-    path.
+    The decorated function returns its details tree; the wrapper makes the
+    ``CriterionResult`` and carries ``title`` for ``run_all``'s error path.
     """
     def decorate(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs) -> CriterionResult:
-            passed, details = fn(*args, **kwargs)
-            return CriterionResult(title, passed, details)
+            return CriterionResult(title, fn(*args, **kwargs))
 
         run.title = title
         return run
@@ -109,52 +136,43 @@ def _data(name, params, n, domain=None):
 def criterion_structure_equations(n: int = 128):
     """1. Gauss-Codazzi and structure identities on the whole zoo."""
     details = {}
-    passed = True
     for name, params in ALL_SURFACES:
         tol = 1e-6 if name == "revolution_profile" else 1e-7
         data = _data(name, params, n)
-        sr = structure_residuals(data)
-        gc = interior_max(gauss_codazzi_residual(data))
-        worst = max(sr, gc)
-        details[_key(name, params)] = {"structure": sr, "gauss_codazzi": gc, "tol": tol}
-        passed &= worst <= tol
-    return passed, details
+        details[_key(name, params)] = {
+            "structure": _check(structure_residuals(data), max=tol),
+            "gauss_codazzi": _check(interior_max(gauss_codazzi_residual(data)), max=tol),
+        }
+    return details
 
 
 @_criterion("geodesic sphere law")
 def criterion_sphere_law(n: int = 128):
     """2. Geodesic spheres: h = (1-R^2)/(2R) within 1e-8."""
     details = {}
-    passed = True
     for radius in (0.3, 0.5, 0.9):
         data = _data("sphere", {"R": radius}, min(n, SPHERE_LAW_MAX_GRID))
         expected = (1.0 - radius ** 2) / (2.0 * radius)
         err = float(np.max(np.abs(representation(data, "s3").H - expected)))
-        details[f"R={radius}"] = err
-        passed &= err <= 1e-8
-    return passed, details
+        details[f"R={radius}"] = _check(err, max=1e-8)
+    return details
 
 
 @_criterion("conformal Gauss map suite")
 def criterion_gauss_map(n: int = 128):
     """3. <Y,Y>=1, envelope, metric law, three-representation agreement."""
     details = {}
-    passed = True
     for name, params in ALL_SURFACES:
         if name in ("plane", "sphere"):
             continue  # umbilic charts: congruence constant
         data = _data(name, params, n)
         cong = cg.conformal_gauss_map(data)
         e1, e2 = cg.envelope_residuals(cong, lift(data.grid.pos, data.model))
-        entry = {
-            "norm": cong.norm_defect(),
-            "envelope": max(e1, e2),
-            "metric_law": cg.metric_law_residual(cong, data),
+        details[_key(name, params)] = {
+            "norm": _check(cong.norm_defect(), max=1e-10),
+            "envelope": _check(max(e1, e2), max=1e-6),
+            "metric_law": _check(cg.metric_law_residual(cong, data), max=1e-6),
         }
-        details[_key(name, params)] = entry
-        passed &= entry["norm"] <= 1e-10
-        passed &= entry["envelope"] <= 1e-6
-        passed &= entry["metric_law"] <= 1e-6
     # three-representation agreement on ball-contained charts
     for name, params, domain in [
         ("cylinder", {"rho": 0.4}, ((-0.4, 0.4), (-0.9, 0.9))),
@@ -166,9 +184,8 @@ def criterion_gauss_map(n: int = 128):
         y_h3 = cg.conformal_gauss_map(representation(data, "h3")).Y
         agree = max(float(np.max(np.abs(y_r3 - y_s3))),
                     float(np.max(np.abs(y_r3 - y_h3))))
-        details[f"three-rep {name}"] = agree
-        passed &= agree <= 1e-8
-    return passed, details
+        details[f"three-rep {name}"] = _check(agree, max=1e-8)
+    return details
 
 
 @_criterion("Moebius equivariance")
@@ -177,8 +194,7 @@ def criterion_moebius_equivariance(n: int = 128):
     rng = np.random.default_rng(2024)
     data = _data("catenoid", {}, EQUIVARIANCE_GRID)
     cong = cg.conformal_gauss_map(data)
-    details = {"worst_y": 0.0, "worst_mu": 0.0, "verdict_mismatches": 0}
-    passed = True
+    worst_y = worst_mu = 0.0
     applied = []
     tries = 0
     while len(applied) < EQUIVARIANCE_WORDS and tries < 20 * EQUIVARIANCE_WORDS:
@@ -191,11 +207,9 @@ def criterion_moebius_equivariance(n: int = 128):
         applied.append(word)
         y_err, mu_err = wl.equivariance_residuals(
             cong, cg.conformal_gauss_map(data2), word_matrix(word))
-        details["worst_y"] = max(details["worst_y"], y_err)
-        details["worst_mu"] = max(details["worst_mu"], mu_err)
-    passed &= details["worst_y"] <= 1e-5 and details["worst_mu"] <= 1e-5
-    passed &= len(applied) == EQUIVARIANCE_WORDS
+        worst_y, worst_mu = max(worst_y, y_err), max(worst_mu, mu_err)
 
+    mismatches = 0
     for base_name in ("cylinder", "clifford_torus"):
         base_data = _data(base_name, {}, n)
         base = classify_data(base_data, base_name)
@@ -205,34 +219,32 @@ def criterion_moebius_equivariance(n: int = 128):
                 moved = cg.transform_immersion(base_r3, word)
                 rep = classify_data(moved, base_name)
             except ValueError:
-                details["verdict_mismatches"] += 1
+                mismatches += 1
                 continue
             if (rep.kappa != base.kappa
                     or rep.hyperplane.vtype != base.hyperplane.vtype):
-                details["verdict_mismatches"] += 1
-    passed &= details["verdict_mismatches"] == 0
-    return passed, details
+                mismatches += 1
+    return {"worst_y": _check(worst_y, max=1e-5), "worst_mu": _check(worst_mu, max=1e-5),
+            "verdict_mismatches": _check(mismatches, expected=0),
+            "words_applied": _check(len(applied), expected=EQUIVARIANCE_WORDS)}
 
 
 @_criterion("Willmore vs minimal-Y separation")
 def criterion_willmore_separation(n: int = 128):
     """5. Harmonicity residual small iff the surface is Willmore."""
     details = {}
-    passed = True
-    for surfaces, willmore in ((WILLMORE_SET, True), (NON_WILLMORE_SET, False)):
+    for surfaces, bound in ((WILLMORE_SET, {"max": 1e-4}), (NON_WILLMORE_SET, {"min": 1e-2})):
         for name, params in surfaces:
             data = _data(name, params, n)
             res = interior_max(wl.harmonicity_residual(cg.conformal_gauss_map(data)))
-            details[_key(name, params)] = res
-            passed &= res <= 1e-4 if willmore else res >= 1e-2
-    return passed, details
+            details[_key(name, params)] = _check(res, **bound)
+    return details
 
 
 @_criterion("conserved-quantity block theorem")
 def criterion_conserved_blocks(n: int = 128):
     """6. mu-block extraction matches direct currents; divergences."""
     details = {}
-    passed = True
     for name, params in WILLMORE_SET:
         data = representation(_data(name, params, n), "r3")
         cong = cg.conformal_gauss_map(data)
@@ -245,13 +257,12 @@ def criterion_conserved_blocks(n: int = 128):
             wl._max_current_diff(ext.v_inv, cur.v_inv),
         )
         div_tra = wl.divergence_residual(cur.v_tra, data.grid)
-        details[_key(name, params)] = {"block_vs_direct": worst, "div_tra": div_tra}
-        passed &= worst <= 1e-5 and div_tra <= 1e-3
+        details[_key(name, params)] = {"block_vs_direct": _check(worst, max=1e-5),
+                                       "div_tra": _check(div_tra, max=1e-3)}
     off = _data("cylinder", {}, n)
     div_off = wl.divergence_residual(wl.direct_currents(off).v_tra, off.grid)
-    details["cylinder_off_shell_div"] = div_off
-    passed &= div_off >= 1e-2
-    return passed, details
+    details["cylinder_off_shell_div"] = _check(div_off, min=1e-2)
+    return details
 
 
 @_criterion("inversion exchange law")
@@ -259,11 +270,8 @@ def criterion_inversion_exchange(n: int = 128):
     """7. V_tra <-> V_inv, V_dil -> -V_dil, V~_rot fixed under inversion."""
     data = _data("catenoid", {}, n, domain=((-0.5, 0.5), (-1.2, 1.2)))
     moved = cg.transform_immersion(data, [Generator("tra", (3.0, 0.0, 0.0))])
-    report = wl.inversion_exchange_check(moved)
-    worst = max(report[k] for k in
-                ("tra_vs_inv", "inv_vs_tra", "dil_flip", "rot_tilde_fixed"))
-    passed = worst <= 1e-4 and report["mu_transport"] <= 1e-5
-    return passed, report
+    return {key: _check(value, max=1e-5 if key == "mu_transport" else 1e-4)
+            for key, value in wl.inversion_exchange_check(moved).items()}
 
 
 @_criterion("classification matrix")
@@ -273,22 +281,20 @@ def criterion_classification(n: int = 128):
              ("torus_revolution", {"R": 3.0, "r": 1.0}),
              ("hyperbolic_cylinder", {"d": 0.5}), ("revolution_profile", {})]
     details = {}
-    passed = True
     for name, params in cases:
         spec = make_surface(name, **params)
         rep, want = classify(spec, n=n), spec.expected
         if want.get("not_cmc"):
-            ok = rep.verdict == "not conformally CMC" and rep.numbers.q_holomorphy >= 1e-2
-            row = {"verdict": rep.verdict, "q_holomorphy": rep.numbers.q_holomorphy}
+            row = {"verdict": _check(rep.verdict, expected="not conformally CMC"),
+                   "q_holomorphy": _check(rep.numbers.q_holomorphy, min=1e-2)}
         else:
             hp = rep.hyperplane
-            ok = (rep.kappa == want["kappa"] and hp.vtype == want["normal_type"]
-                  and hp.linear == want["linear"] and hp.rms <= 1e-6)
-            row = {"kappa": rep.kappa, "type": hp.vtype, "linear": hp.linear,
-                   "rms": hp.rms, "verdict": rep.verdict}
-        details[_key(name, params)] = {**row, "ok": ok}
-        passed &= ok
-    return passed, details
+            row = {"kappa": _check(rep.kappa, expected=want["kappa"]),
+                   "type": _check(hp.vtype, expected=want["normal_type"]),
+                   "linear": _check(hp.linear, expected=want["linear"]),
+                   "rms": _check(hp.rms, max=1e-6), "verdict": rep.verdict}
+        details[_key(name, params)] = row
+    return details
 
 
 @_criterion("Bryant functional consistency")
@@ -296,45 +302,40 @@ def criterion_q_consistency(n: int = 128):
     """9. Direct vs closed-form Q; quantitative holomorphy identity."""
     details = {}
     identities = {}
-    passed = True
     for name, params in [("cylinder", {}), ("catenoid", {}),
                          ("torus_revolution", {"R": np.sqrt(2.0), "r": 1.0}),
                          ("inverted_catenoid", {}), ("clifford_torus", {}),
                          ("hyperbolic_cylinder", {})]:
         data = _data(name, params, n)
         data_s3 = s3_fields(data)
-        entry = {"qx_vs_direct": interior_max(bryant_q(data_s3) - data_s3.q)}
+        entry = {"qx_vs_direct": _check(interior_max(bryant_q(data_s3) - data_s3.q), max=1e-5)}
         if data.model == "r3":
-            entry["qphi_vs_direct"] = interior_max(bryant_q(data) - data_s3.q)
+            entry["qphi_vs_direct"] = _check(interior_max(bryant_q(data) - data_s3.q),
+                                             max=1e-5)
         details[_key(name, params)] = entry
-        passed &= all(v <= 1e-5 for v in entry.values())
         if name in ("cylinder", "torus_revolution"):  # the sqrt2 torus
-            ident = holomorphy_identity_residual(data_s3)
-            identities[f"holomorphy identity {name}"] = ident
-            passed &= ident <= 1e-4
+            identities[f"holomorphy identity {name}"] = _check(
+                holomorphy_identity_residual(data_s3), max=1e-4)
     details.update(identities)
-    return passed, details
+    return details
 
 
 @_criterion("dual surfaces")
 def criterion_duals(n: int = 128):
     """10. Dual surfaces: cylinder, clifford, sqrt2-torus, catenoid error."""
     details = {}
-    passed = True
 
     data = _data("cylinder", {}, n)
     dual = cg.dual_surface_r3(data)
     rad = np.sqrt(dual[..., 0] ** 2 + dual[..., 1] ** 2)
     err = max(float(np.max(np.abs(rad - 3.0))),
               float(np.max(np.abs(dual[..., 2] - data.grid.pos[..., 2]))))
-    details["cylinder_dual_radius"] = err
-    passed &= err <= 1e-8
+    details["cylinder_dual_radius"] = _check(err, max=1e-8)
 
     data = _data("clifford_torus", {}, n)
     dual = cg.dual_surface_s3(data)
     err = float(np.max(np.abs(dual + data.grid.pos)))
-    details["clifford_dual_antipodal"] = err
-    passed &= err <= 1e-8
+    details["clifford_dual_antipodal"] = _check(err, max=1e-8)
 
     data = _data("torus_revolution", {"R": np.sqrt(2.0), "r": 1.0}, n)
     data_s3 = representation(data, "s3")
@@ -342,23 +343,22 @@ def criterion_duals(n: int = 128):
     g = data_s3.grid
     dual_z = g.dz(dual)
     defect = interior_max(dot(dual_z, dual_z))
-    details["sqrt2_torus_dual_conformality"] = defect
-    passed &= defect <= 1e-6
+    details["sqrt2_torus_dual_conformality"] = _check(defect, max=1e-6)
 
     try:
         cg.dual_surface_r3(_data("catenoid", {}, n))
-        details["catenoid_dual_error_path"] = "no error raised"
-        passed = False
+        raised, message = False, "no error raised"
     except ValueError as exc:
-        details["catenoid_dual_error_path"] = str(exc)
-    return passed, details
+        raised, message = True, str(exc)
+    details["catenoid_dual_raises"] = _check(raised, expected=True)
+    details["catenoid_dual_error_path"] = message
+    return details
 
 
 @_criterion("stencil convergence")
 def criterion_convergence():
     """11. Halving the step cuts stencil residuals by >= 10x."""
     details = {}
-    passed = True
     n_coarse, n_fine = CONVERGENCE_GRIDS
 
     def ratio(fn):
@@ -388,10 +388,8 @@ def criterion_convergence():
                       ("metric_law(catenoid)", metric_catenoid),
                       ("harmonicity(sqrt2 torus)", harmonicity_torus),
                       ("q_agreement(inverted_catenoid)", q_agreement_inverted)]:
-        r = ratio(fn)
-        details[label] = r
-        passed &= r >= 10.0
-    return passed, details
+        details[label] = _check(ratio(fn), min=10.0)
+    return details
 
 
 CRITERIA = [
@@ -423,7 +421,7 @@ def run_all(n: int = 128, echo: bool = False) -> list:
             # the convergence criterion fixes its own pair of grids
             res = crit() if crit is criterion_convergence else crit(n)
         except ValueError as exc:
-            res = CriterionResult(crit.title, False, {"error": str(exc)})
+            res = CriterionResult(crit.title, {"error": str(exc)})
         res.name = f"{idx}. {res.name}"
         results.append(res)
         if echo:

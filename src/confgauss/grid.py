@@ -147,12 +147,16 @@ class ChartGrid:
                 raise ValueError(f"jet has non-finite values in {name}")
         # first fundamental form: <p_z, p_zbar> = (E + G) / 4 and
         # |<p_z, p_z>| = hypot(E - G, 2F) / 4; a degenerate node anywhere
-        # is named before a non-conformal one
+        # is named before a non-conformal one, and an overflowing one (whose
+        # NaNs would pass both tests) before either
         conformal = True
         for rows in row_blocks(lead):
             du, dv = jet.du[rows], jet.dv[rows]
-            e, f, g = self._dot(du, du), self._dot(du, dv), self._dot(dv, dv)
-            trace = e + g
+            with np.errstate(over="ignore", invalid="ignore"):
+                e, f, g = self._dot(du, du), self._dot(du, dv), self._dot(dv, dv)
+                trace = e + g
+            if not (np.isfinite(trace).all() and np.isfinite(f).all()):
+                raise ValueError("first fundamental form overflows: E + G or F is not finite")
             if np.any(trace <= 4.0 * IMM_EPS):
                 raise ValueError("degenerate jet: immersion condition fails")
             conformal = conformal and not np.any(np.hypot(e - g, 2.0 * f) > CONF_TOL * trace)

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import ChartGrid
+from .grid import MIN_GRID, ChartGrid
 from .jets import Jet2, push_word
 from .lorentz import Generator
 
@@ -47,12 +47,19 @@ def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
     """Sample a surface on an n x n grid; validates conformality at build.
 
     The jet functions take the u axis as a column and the v axis as a row,
-    so that a factor of one coordinate is computed once per line.
+    so that a factor of one coordinate is computed once per line.  They run
+    with numpy's warnings off: an overflow leaves a non-finite jet, which
+    ``ChartGrid`` names.
     """
     (u0, u1), (v0, v1) = domain if domain is not None else spec.domain
-    u = np.linspace(u0, u1, n)
-    v = np.linspace(v0, v1, n)
-    jet = spec.jet_fn(u[:, None], v[None, :])
+    if not np.all(np.isfinite([u0, u1, v0, v1])):
+        raise ValueError(f"domain bounds must be finite, got {u0:g},{u1:g},{v0:g},{v1:g}")
+    if n < MIN_GRID:
+        raise ValueError("grid too small")
+    with np.errstate(all="ignore"):
+        u = np.linspace(u0, u1, n)
+        v = np.linspace(v0, v1, n)
+        jet = spec.jet_fn(u[:, None], v[None, :])
     return ChartGrid(spec.model, u, v, jet)
 
 
@@ -189,12 +196,18 @@ def _adaptive_simpson(f, a, b, tol):
     def simpson(fa, fm, fb, a_, b_):
         return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
 
+    def finite(estimate, a_, b_):
+        # a NaN never meets the tolerance: it would recurse to full depth
+        if not math.isfinite(estimate):
+            raise ValueError(f"profile quadrature is not finite on [{a_:.6g}, {b_:.6g}]")
+
     def recurse(a_, b_, fa, fm, fb, whole, tol_, depth):
         m = 0.5 * (a_ + b_)
         lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
         flm, frm = f(lm), f(rm)
         left = simpson(fa, flm, fm, a_, m)
         right = simpson(fm, frm, fb, m, b_)
+        finite(left + right, a_, b_)
         if depth <= 0 or abs(left + right - whole) <= 15.0 * tol_:
             return left + right + (left + right - whole) / 15.0
         return recurse(a_, m, fa, flm, fm, left, tol_ / 2.0, depth - 1) + recurse(
@@ -204,6 +217,7 @@ def _adaptive_simpson(f, a, b, tol):
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = simpson(fa, fm, fb, a, b)
+    finite(whole, a, b)
     return recurse(a, b, fa, fm, fb, whole, tol * max(1.0, abs(whole)), 50)
 
 
@@ -237,7 +251,12 @@ class _RevolutionProfile:
         return np.sqrt(self.rho(t, 1) ** 2 + self.zeta(t, 1) ** 2)
 
     def _rate(self, t):
+        # callers run with numpy's warnings off (make_surface and sample do);
+        # an overflow is named here
         rate = float(self.speed(t) / self.rho(t))
+        if not math.isfinite(rate):
+            raise ValueError(f"profile quadrature is not finite: speed / rho = {rate}"
+                             f" at t = {t:.6g}")
         if not rate > 0.0:
             raise ValueError(f"profile speed vanishes at t = {t:.6g}; "
                              "the revolved chart is not immersed there")
@@ -349,6 +368,9 @@ def _torus(R, r):
         raise ValueError("torus needs R > r > 0")
     if R > TORUS_MAX_R:
         raise ValueError(f"torus needs R <= {TORUS_MAX_R:g}, got R = {R:g}")
+    if not R ** 2 - r ** 2 > 0.0:
+        raise ValueError(f"torus needs R^2 - r^2 > 0 in floating point, got R = {R:g},"
+                         f" r = {r:g}")
     uhalf = 0.15 * np.pi * r / math.sqrt(R ** 2 - r ** 2)
     willmore = abs(R / r - math.sqrt(2.0)) < 1e-12
     domain = ((-uhalf, uhalf), (-np.pi / 2.0, np.pi / 2.0))
@@ -369,10 +391,11 @@ def _hyperbolic_cylinder(d):
 
 def _revolution(rho0, cos1, sin2, zslope):
     profile = _RevolutionProfile(rho0, cos1, sin2, zslope)
-    if np.min(profile.rho(np.linspace(-PROFILE_T, PROFILE_T, 301))) < 0.1:
-        raise ValueError("profile radius too close to the axis")
-    domain = ((0.6 * profile.iso_coord(-1.0), 0.6 * profile.iso_coord(1.0)),
-              (-np.pi / 2.0, np.pi / 2.0))
+    with np.errstate(all="ignore"):
+        if np.min(profile.rho(np.linspace(-PROFILE_T, PROFILE_T, 301))) < 0.1:
+            raise ValueError("profile radius too close to the axis")
+        domain = ((0.6 * profile.iso_coord(-1.0), 0.6 * profile.iso_coord(1.0)),
+                  (-np.pi / 2.0, np.pi / 2.0))
     return domain, partial(_revolution_jets, profile=profile), {
         "willmore": False, "kappa": None, "umbilic": False, "not_cmc": True}
 

@@ -74,6 +74,43 @@ def test_raising_criterion_keeps_its_name(monkeypatch):
     assert failing.details == {"error": "representation failed"}
 
 
+_HOLDS = {"max": lambda v, t: v <= t, "min": lambda v, t: v >= t,
+          "expected": lambda v, e: v == e}
+
+
+def _records(details):
+    for value in details.values():
+        if isinstance(value, dict) and "passed" in value:
+            yield value
+        elif isinstance(value, dict):
+            yield from _records(value)
+
+
+def _assert_pass_rule(res):
+    if "error" in res.details:
+        assert res.details == {"error": res.details["error"]} and not res.passed
+        return
+    records = list(_records(res.details))
+    assert records, res.name
+    for record in records:
+        (bound,) = set(record) - {"value", "passed"}
+        assert record["passed"] is bool(_HOLDS[bound](record["value"], record[bound])), record
+    assert res.passed is all(r["passed"] for r in records), res.name
+
+
+def test_every_check_is_a_record_and_passed_is_all_records(results):
+    for res in results.values():
+        _assert_pass_rule(res)
+
+
+def test_pass_rule_holds_on_a_failing_grid():
+    # at N = 16 most criteria fail and two cannot be evaluated
+    small = acceptance.run_all(n=16)
+    assert sum(r.passed for r in small) < len(small)
+    for res in small:
+        _assert_pass_rule(res)
+
+
 def test_detail_keys_carry_plain_floats(results):
     def keys(details):
         for key, value in details.items():

@@ -213,6 +213,31 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     (["analyze", "cylinder", "--domain", "0,1e-100,0,1"],
      "stencil derivatives overflow: grid spacing h_u = 3.13e-102, h_v = 0.0312"
      " is too fine for the chart"),
+    # the profile speed overflows; the quadrature used to recurse for ever
+    (["analyze", "revolution_profile", "--zslope", "1e200"],
+     "profile quadrature is not finite: speed / rho = inf at t = 0"),
+    (["analyze", "revolution_profile", "--cos1", "1e300"],
+     "profile quadrature is not finite: speed / rho = inf at t = -1"),
+    # R^2 - r^2 underflows to 0
+    (["analyze", "torus_revolution", "--R", "1e-300", "--r", "1e-301"],
+     "torus needs R^2 - r^2 > 0 in floating point, got R = 1e-300, r = 1e-301"),
+    # finite jets whose E, F and G overflow
+    (["analyze", "sphere", "--R", "1e200"],
+     "first fundamental form overflows: E + G or F is not finite"),
+    (["analyze", "hyperbolic_cylinder", "--d", "400"],
+     "first fundamental form overflows: E + G or F is not finite"),
+    (["transform", "catenoid", "--word", "dil:700"],
+     "first fundamental form overflows: E + G or F is not finite"),
+    (["transform", "cylinder", "--word", "dil:500"],
+     "first fundamental form overflows: E + G or F is not finite"),
+    (["transform", "clifford_torus", "--word", "dil:500"],
+     "first fundamental form overflows: E + G or F is not finite"),
+    # the jet functions overflow; the chart names the field
+    (["analyze", "hyperbolic_cylinder", "--d", "800"], "jet has non-finite values in pos"),
+    (["analyze", "revolution_profile", "--rho0", "1e300"], "jet has non-finite values in duu"),
+    (["analyze", "catenoid", "--domain=-1e50,1e50,0,1"], "jet has non-finite values in pos"),
+    (["analyze", "cylinder", "--domain", "inf,1,0,1"],
+     "domain bounds must be finite, got inf,1,0,1"),
 ])
 def test_far_out_input_exits_1(capsys, argv, message):
     # RuntimeWarnings are errors in the test run: an overflow warning fails it
@@ -220,6 +245,14 @@ def test_far_out_input_exits_1(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("grid", ["-3", "0"])
+def test_grid_below_minimum_exits_1(capsys, grid):
+    code, out, err = run_cli(capsys, "analyze", "cylinder", f"--grid={grid}")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: grid too small"]
 
 
 def test_transform_word_with_a_tab_is_valid_json(capsys):

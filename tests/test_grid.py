@@ -247,6 +247,20 @@ def test_degenerate_jet_rejected():
         G.ChartGrid("r3", u, u, jet)
 
 
+@pytest.mark.parametrize("model, scale", [("r3", 1e200), ("h3", 1e160)])
+def test_overflowing_first_fundamental_form_rejected(model, scale):
+    # finite 1-jets whose E, F, G overflow: E - G = inf - inf would be NaN,
+    # which passes the immersion and conformality tests
+    n = 9
+    u = np.linspace(-1, 1, n)
+    e = np.eye(4)[:, :3 if model == "r3" else 4]
+    pos = np.broadcast_to(e[3] if model == "h3" else e[2], (n, n, len(e[0]))).copy()
+    du, dv = (np.broadcast_to(scale * e[i], pos.shape) for i in (0, 1))
+    zero = np.zeros(pos.shape)
+    with pytest.raises(ValueError, match="first fundamental form overflows"):
+        G.ChartGrid(model, u, u, Jet2(pos, du, dv, zero, zero, zero))
+
+
 def test_degenerate_s3_normal_rejected():
     # p_u along the position vector: a conformal 1-jet, but p, p_u and p_v
     # span only a plane, so the cross product of S^3 vanishes

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +138,40 @@ def test_torus_radius_is_bounded_up_front():
         make_surface("torus_revolution", R=1e160)
     assert zoo.SURFACES["torus_revolution"].ranges["R"] == "r < R <= 1e+150"
     make_surface("torus_revolution", R=1e150)
+
+
+def test_tiny_torus_is_a_named_error():
+    # R^2 - r^2 underflows to 0, which the domain formula would divide by
+    for R, r in ((1e-300, 1e-301), (1e-200, 1e-201)):
+        with pytest.raises(ValueError, match=r"torus needs R\^2 - r\^2 > 0"):
+            make_surface("torus_revolution", R=R, r=r)
+
+
+def test_overflowing_profile_speed_returns_named_error():
+    # the speed overflowed to inf, and the quadrature's NaN comparisons
+    # recursed to depth 50; run apart, so that a hang fails after 60 s
+    code = ("import warnings; warnings.simplefilter('ignore')\n"
+            "from confgauss.zoo import make_surface\n"
+            "try:\n"
+            "    make_surface('revolution_profile', zslope=1e200)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(zoo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.stdout.startswith("profile quadrature is not finite"), done
+
+
+@pytest.mark.parametrize("domain, n, message", [
+    (((float("inf"), 1.0), (0.0, 1.0)), 17, "domain bounds must be finite, got inf,1,0,1"),
+    (((0.0, 1.0), (0.0, float("nan"))), 17, "domain bounds must be finite, got 0,1,0,nan"),
+    (None, -3, "grid too small"),
+    (None, 0, "grid too small"),
+])
+def test_sample_names_bad_domains_and_sizes(domain, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample(make_surface("cylinder"), n, domain=domain)
 
 
 def test_revolution_profile_inversion_is_bounded():
