@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map
-from .grid import MIN_GRID, FundamentalData, interior_max
+from .grid import MIN_GRID, ChartGrid, FundamentalData, interior_max
 from . import jets as _jets
 from .lorentz import EPSILON, classify_vector, lorentz_product
 from .models import representation
@@ -61,6 +61,7 @@ class _S3Fields(FundamentalData):
 
     The congruence, W_{S3}, Q = <Y_zz, Y_zz> and Q_zbar are computed on
     first use and kept on this object, so they live as long as it does.
+    A streamed view (``_streamed_view``) holds no jets and no n.
     """
 
     @cached_property
@@ -86,7 +87,8 @@ class _S3Fields(FundamentalData):
         Y are pointwise, so they are the sub-grid's own; its derivative
         fields are taken anew."""
         view = _S3Fields(self.grid.subgrid(rows, step), self.orientation)
-        view._fields = tuple(f[rows][::step, ::step] for f in self._fields)
+        view._fields = tuple(f if f is None else f[rows][::step, ::step]
+                             for f in self._fields)
         view.cong = CongruenceGrid(view.grid, self.cong.Y[rows][::step, ::step])
         return view
 
@@ -101,6 +103,47 @@ def s3_fields(data: FundamentalData) -> _S3Fields:
     if "_fields" in vars(data):  # an S^3 chart's fields already read: shared
         view._fields = data._fields
     return view
+
+
+def _streamed_view(grid: ChartGrid, blocks) -> _S3Fields:
+    """The classifier's S^3 view of the chart whose axes are ``grid``'s and
+    whose rows are ``blocks``, fundamental data in any model, in order.
+
+    Each block is pushed to S^3 (``representation``, which checks the
+    pushed jets), and its lam, H, Omega and Y are written into whole-grid
+    arrays; its jets and n die with it, so the view keeps 72 B/node and no
+    jets.  Each step is pointwise, and a block of ``jets.row_blocks`` is
+    one block of the whole-grid pass, so the view's fields are those of
+    ``s3_fields`` to the bit.
+    """
+    n, m = grid.shape
+    lam, h_field, omega = np.empty((n, m)), np.empty((n, m)), np.empty((n, m), complex)
+    y = np.empty((n, m, 5))
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + len(block.grid.u))
+        block = representation(block, "s3")
+        lam[rows], _, h_field[rows], omega[rows] = block._fields
+        y[rows] = conformal_gauss_map(block).Y
+        start = rows.stop
+    view = _S3Fields(grid.with_jet(None, "s3"), block.orientation)
+    view._fields = (lam, None, h_field, omega)
+    view.cong = CongruenceGrid(view.grid, y)
+    return view
+
+
+def _classifier_view(data: FundamentalData) -> _S3Fields:
+    """``data`` if it is an S^3 view already, else the streamed view of the
+    row slices ``jets.row_blocks`` of its chart.  An S^3 chart whose fields
+    are read already is viewed as it is: nothing is pushed, and its fields
+    and jets, which its caller holds, are shared rather than copied."""
+    if isinstance(data, _S3Fields):
+        return data
+    if data.model == "s3" and "_fields" in vars(data):
+        return s3_fields(data)
+    g = data.grid
+    return _streamed_view(g, (FundamentalData(g.subgrid(rows), data.orientation)
+                              for rows in _jets.row_blocks(g.shape)))
 
 
 def bryant_q(data: FundamentalData) -> np.ndarray:
@@ -245,13 +288,18 @@ class ClassificationReport:
 def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None) -> ClassificationReport:
     """Classification pipeline on any model's data: one
-    ``classification_value`` of its S^3 view, gated, and the fit of Y."""
+    ``classification_value`` of its S^3 view, gated, and the fit of Y.
+
+    A caller's view (``s3_fields``) is read as it is and keeps the fields
+    the classifier takes; any other chart is streamed into a view without
+    jets, one row block at a time, as ``classify`` streams the sampler.
+    """
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
             " so that its 2h restriction is still a grid"
         )
-    view = s3_fields(data)
+    view = _classifier_view(data)
     # umbilicity is conformally invariant: one flag in every model's gauge
     if view.has_umbilic():
         raise ValueError(
@@ -276,23 +324,25 @@ def classify_data(data: FundamentalData, surface: str = "custom",
         verdict = f"conformally minimal in {_SPACE_BY_KAPPA[kappa]}"
     else:
         verdict = f"conformally CMC in {_SPACE_BY_KAPPA[kappa]}"
-    return ClassificationReport(surface, params or {}, data.grid.pos.shape[0],
+    return ClassificationReport(surface, params or {}, data.grid.shape[0],
                                 kappa, plane, verdict, numbers)
 
 
 def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     """Sample a catalog surface and run the full classification pipeline.
 
-    Only its S^3 chart goes on to ``classify_data``, so the sampled chart
-    is freed once it is pushed there.
+    One streamed pass from the sampler to the classifier's inputs: each row
+    block ``jets.row_blocks((n, n))`` is sampled, checked, pushed to S^3,
+    checked there and read off, and only lam, H, Omega and Y are kept whole
+    (72 B/node).  No whole-grid jets exist; the band reduction of
+    ``classification_value`` and the fit of Y then run on those four.
     """
     from .grid import fundamental_data
-    from .zoo import sample
+    from .zoo import sample_rows
 
-    data = fundamental_data(sample(spec, n, domain=domain))
-    # rebinding drops the sampled chart: its S^3 chart holds no reference
-    data = representation(data, "s3")
-    return classify_data(data, surface=spec.name, params=spec.params)
+    axes, blocks = sample_rows(spec, n, domain=domain)
+    view = _streamed_view(axes, map(fundamental_data, blocks))
+    return classify_data(view, surface=spec.name, params=spec.params)
 
 
 def classification_value(data: FundamentalData) -> ClassifierNumbers:
@@ -312,7 +362,7 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
     starts.  Maxima are exact, so no number depends on the band count; one
     that is not finite is a ValueError.
     """
-    view = s3_fields(data)
+    view = _classifier_view(data)
     n, m = view.grid.shape
     coarse = view.sub(step=2)
     n_coarse = coarse.grid.shape[0]

@@ -199,5 +199,5 @@ def transform_immersion(data: FundamentalData, word) -> FundamentalData:
     data = representation(data, "r3")
     g = data.grid
     jet = push_word(g.jet, word)
-    return oriented_data(ChartGrid("r3", g.u, g.v, jet), data)
+    return oriented_data(g.with_jet(jet), data)
 

@@ -131,20 +131,30 @@ def _check_axis(name: str, axis: np.ndarray) -> None:
 
 @dataclass
 class ChartGrid:
-    """Rectangular sample grid over a conformal chart with analytic 2-jets."""
+    """Rectangular sample grid over a conformal chart with analytic 2-jets.
+
+    ``jet`` is None on a grid that keeps only its axes: the classifier's
+    S^3 view, whose fields are read off one row block at a time.
+    """
 
     model: str
     u: np.ndarray
     v: np.ndarray
-    jet: Jet2
+    jet: Jet2 | None
 
     def __post_init__(self):
         self._check_axes()
+        if self.jet is not None:
+            self._check_jet()
+
+    def _check_jet(self):
+        """Finite, immersed and conformal jets, node by node."""
         jet, lead = self.jet, self.jet.pos.shape[:-1]
         for name in ("pos", "du", "dv", "duu", "duv", "dvv"):
             part = getattr(jet, name)
             if not all(np.isfinite(part[rows]).all() for rows in row_blocks(lead)):
-                raise ValueError(f"jet has non-finite values in {name}")
+                raise ValueError(f"jet has non-finite values in {name}"
+                                 f" of the {self.model} chart")
         # first fundamental form: <p_z, p_zbar> = (E + G) / 4 and
         # |<p_z, p_z>| = hypot(E - G, 2F) / 4; a degenerate node anywhere
         # is named before a non-conformal one, and an overflowing one (whose
@@ -184,10 +194,22 @@ class ChartGrid:
         """
         sub = copy.copy(self)
         sub.u, sub.v = self.u[rows][::step], self.v[::step]
-        sub.jet = Jet2(*(a[rows][::step, ::step] for a in vars(self.jet).values()))
+        if self.jet is not None:
+            sub.jet = Jet2(*(a[rows][::step, ::step] for a in vars(self.jet).values()))
         if step != 1:
             sub._check_axes()
         return sub
+
+    def with_jet(self, jet: Jet2 | None, model: str | None = None) -> "ChartGrid":
+        """This grid's nodes and spacings with ``jet`` in ``model`` (this
+        grid's by default): the jets are checked, the axes are not again, so
+        a row band shorter than ``MIN_GRID`` is valid.  ``None`` keeps the
+        axes only."""
+        grid = copy.copy(self)
+        grid.model, grid.jet = model or self.model, jet
+        if jet is not None:
+            grid._check_jet()
+        return grid
 
     # -- chart data -----------------------------------------------------
     def _dot(self, a, b):
@@ -195,7 +217,7 @@ class ChartGrid:
 
     @property
     def shape(self):
-        return self.jet.pos.shape[:2]
+        return len(self.u), len(self.v)
 
     @property
     def pos(self):

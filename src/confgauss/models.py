@@ -52,4 +52,4 @@ def representation(data: FundamentalData, target: str) -> FundamentalData:
         jet = (_jets.push_stereo if source == "s3" else _jets.push_hyper)(g.jet)
     else:
         jet = _jets._push(g.jet, source, target, message="chart leaves the Poincare ball")
-    return oriented_data(ChartGrid(target, g.u, g.v, jet), data)
+    return oriented_data(g.with_jet(jet, target), data)

@@ -15,16 +15,22 @@ from functools import partial
 import numpy as np
 
 from .grid import MIN_GRID, ChartGrid
-from .jets import Jet2, push_word
+from .jets import Jet2, push_word, row_blocks
 from .lorentz import Generator
 
 __all__ = ["SurfaceKind", "SurfaceSpec", "SURFACES", "CATALOG", "make_surface",
-           "sample", "list_surfaces"]
+           "sample", "sample_rows", "list_surfaces"]
 
 
 @dataclass
 class SurfaceSpec:
-    """A catalog surface: chart domain, analytic jet generator, expectations."""
+    """A catalog surface: chart domain, analytic jet generator, expectations.
+
+    ``jet_fn`` takes the row coordinate of each row as a column and v as a
+    row.  The row coordinate is u itself, or ``row_coordinate(u)`` solved
+    once over all rows of a grid (the profile parameter of a numerically
+    isothermal chart), so that a row block is sampled as the whole grid is.
+    """
 
     name: str
     model: str
@@ -32,6 +38,7 @@ class SurfaceSpec:
     domain: tuple  # ((u0, u1), (v0, v1))
     jet_fn: callable
     expected: dict
+    row_coordinate: callable = None
 
     def describe(self) -> dict:
         return {
@@ -43,14 +50,9 @@ class SurfaceSpec:
         }
 
 
-def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
-    """Sample a surface on an n x n grid; validates conformality at build.
-
-    The jet functions take the u axis as a column and the v axis as a row,
-    so that a factor of one coordinate is computed once per line.  They run
-    with numpy's warnings off: an overflow leaves a non-finite jet, which
-    ``ChartGrid`` names.
-    """
+def _axes(spec: SurfaceSpec, n: int, domain):
+    """The checked axes of an n x n grid (a ChartGrid without jets) and the
+    row coordinate of each row."""
     (u0, u1), (v0, v1) = domain if domain is not None else spec.domain
     if not np.all(np.isfinite([u0, u1, v0, v1])):
         raise ValueError(f"domain bounds must be finite, got {u0:g},{u1:g},{v0:g},{v1:g}")
@@ -59,8 +61,39 @@ def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
     with np.errstate(all="ignore"):
         u = np.linspace(u0, u1, n)
         v = np.linspace(v0, v1, n)
-        jet = spec.jet_fn(u[:, None], v[None, :])
-    return ChartGrid(spec.model, u, v, jet)
+        rows = u if spec.row_coordinate is None else spec.row_coordinate(u)
+    return ChartGrid(spec.model, u, v, None), rows
+
+
+def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
+    """Sample a surface on an n x n grid; validates conformality at build.
+
+    The jet functions take the row coordinate as a column and the v axis as
+    a row, so that a factor of one coordinate is computed once per line.
+    They run with numpy's warnings off: an overflow leaves a non-finite jet,
+    which ``ChartGrid`` names.
+    """
+    axes, rows = _axes(spec, n, domain)
+    with np.errstate(all="ignore"):
+        jet = spec.jet_fn(rows[:, None], axes.v[None, :])
+    return axes.with_jet(jet)
+
+
+def sample_rows(spec: SurfaceSpec, n: int, domain=None):
+    """``sample(spec, n, domain)`` one row block ``jets.row_blocks((n, n))``
+    at a time: the grid's axes, checked once (a ChartGrid without jets), and
+    a generator of its row blocks in order, each a ChartGrid of its rows
+    whose jets are checked.  Every node is sampled as ``sample`` samples it.
+    """
+    axes, rows_at = _axes(spec, n, domain)
+
+    def blocks():
+        for rows in row_blocks((n, n)):
+            with np.errstate(all="ignore"):
+                jet = spec.jet_fn(rows_at[rows, None], axes.v[None, :])
+            yield axes.subgrid(rows).with_jet(jet)
+
+    return axes, blocks()
 
 
 def _vectors(u, v):
@@ -296,9 +329,9 @@ class _RevolutionProfile:
         return out
 
 
-def _revolution_jets(u, v, profile: _RevolutionProfile):
-    # the isothermal coordinate depends on the row only; invert per row
-    t = profile.invert_many(u[:, 0])[:, None]
+def _revolution_jets(t, v, profile: _RevolutionProfile):
+    # t is the row coordinate: the profile parameter that
+    # ``profile.invert_many`` solves for the isothermal u of each row
     rho = profile.rho(t)
     rho1 = profile.rho(t, 1)
     rho2 = profile.rho(t, 2)
@@ -310,7 +343,7 @@ def _revolution_jets(u, v, profile: _RevolutionProfile):
     dtt = rho * (rho1 * sigma - rho * sigma1) / sigma ** 3  # d^2 t / du^2
 
     cv, sv = np.cos(v), np.sin(v)
-    vec = _vectors(u, v)
+    vec = _vectors(t, v)
     return Jet2(
         vec(rho * cv, rho * sv, profile.zeta(t)),
         vec(rho1 * cv * dt, rho1 * sv * dt, zeta1 * dt),
@@ -332,8 +365,9 @@ class SurfaceKind:
 
     ``defaults`` names every parameter the surface takes and ``ranges``
     states where each is valid.  ``build(**params)`` raises ``ValueError``
-    outside those ranges, or returns ``(domain, jet_fn, expected)``; the
-    inverted catenoid's band is checked on the sampled chart instead.
+    outside those ranges, or returns ``(domain, jet_fn, expected)``, with
+    the ``row_coordinate`` of ``SurfaceSpec`` last where the jets read one;
+    the inverted catenoid's band is checked on the sampled chart instead.
     """
 
     model: str
@@ -392,12 +426,16 @@ def _hyperbolic_cylinder(d):
 def _revolution(rho0, cos1, sin2, zslope):
     profile = _RevolutionProfile(rho0, cos1, sin2, zslope)
     with np.errstate(all="ignore"):
-        if np.min(profile.rho(np.linspace(-PROFILE_T, PROFILE_T, 301))) < 0.1:
+        rho = profile.rho(np.linspace(-PROFILE_T, PROFILE_T, 301))
+        if not np.all(np.isfinite(rho)):
+            raise ValueError(f"profile radius is not finite on |t| <= {PROFILE_T}")
+        if np.min(rho) < 0.1:
             raise ValueError("profile radius too close to the axis")
         domain = ((0.6 * profile.iso_coord(-1.0), 0.6 * profile.iso_coord(1.0)),
                   (-np.pi / 2.0, np.pi / 2.0))
     return domain, partial(_revolution_jets, profile=profile), {
-        "willmore": False, "kappa": None, "umbilic": False, "not_cmc": True}
+        "willmore": False, "kappa": None, "umbilic": False, "not_cmc": True
+    }, profile.invert_many
 
 
 _MIN_RHO = f"min rho >= 0.1 on |t| <= {PROFILE_T}"
@@ -460,8 +498,7 @@ def make_surface(name: str, **params) -> SurfaceSpec:
                              f"{', '.join(kind.defaults) or 'none'}")
     values = {key: type(default)(params.get(key, default))
               for key, default in kind.defaults.items()}
-    domain, jet_fn, expected = kind.build(**values)
-    return SurfaceSpec(name, kind.model, values, domain, jet_fn, expected)
+    return SurfaceSpec(name, kind.model, values, *kind.build(**values))
 
 
 def list_surfaces() -> list:

@@ -11,6 +11,7 @@ from confgauss import classify as CL
 from confgauss import grid as G
 from confgauss import jets as J
 from confgauss import models, zoo
+from confgauss.cli import to_json
 from confgauss.congruence import transform_immersion
 from confgauss.lorentz import parse_word
 from confgauss.zoo import CATALOG, make_surface, sample
@@ -128,30 +129,93 @@ def test_row_bands_split_evenly():
 
 
 def test_classify_frees_the_sampled_chart_before_the_first_band(monkeypatch):
-    sampled = []
+    """No whole-grid jets: the chart is sampled in row blocks, and each
+    block and its S^3 image are freed before the band reduction starts."""
+    refs, heights = [], []
 
-    def recorded(*args, _orig=zoo.sample, **kwargs):
-        grid = _orig(*args, **kwargs)
-        sampled.extend([weakref.ref(grid), weakref.ref(grid.jet.du)])
-        return grid
+    def record(jet):
+        refs.append(weakref.ref(jet.du))
+        heights.append(jet.du.shape[0])
+
+    def recorded(*args, _orig=zoo.sample_rows, **kwargs):
+        axes, sampled = _orig(*args, **kwargs)
+
+        def each():
+            for grid in sampled:
+                record(grid.jet)
+                yield grid
+
+        return axes, each()
+
+    def pushed(data, target, _orig=CL.representation):
+        image = _orig(data, target)
+        record(image.grid.jet)
+        return image
 
     alive = []
 
     def sub(self, rows=slice(None), step=1, _orig=CL._S3Fields.sub):
-        alive.append([ref() is not None for ref in sampled])
+        alive.append([ref() is not None for ref in refs])
         return _orig(self, rows, step)
 
-    monkeypatch.setattr(zoo, "sample", recorded)
+    monkeypatch.setattr(zoo, "sample_rows", recorded)
+    monkeypatch.setattr(CL, "representation", pushed)
     monkeypatch.setattr(CL._S3Fields, "sub", sub)
+    monkeypatch.setattr(J, "BLOCK_NODES", FEW_ROWS)
     monkeypatch.setattr(J, "BAND_ROWS", FEW_BAND_ROWS)
     CL.classify(make_surface("torus_revolution"), n=N)
-    assert len(sampled) == 2 and alive
-    assert not any(any(refs) for refs in alive)
+    assert len(refs) == 2 * 22 and max(heights) == 3 and alive
+    assert not any(any(live) for live in alive)
+
+
+# every catalog surface with a verdict
+STREAM_CASES = [name for name in CATALOG if not make_surface(name).expected["umbilic"]]
+
+
+@pytest.mark.parametrize("n, block_nodes", [(257, None), (N, FEW_ROWS)])
+@pytest.mark.parametrize("name", STREAM_CASES)
+def test_streamed_classify_equals_the_whole_grid_view(monkeypatch, name, n, block_nodes):
+    """Sampled, pushed and read one row block at a time, byte for byte as
+    the whole sampled chart's view; 257 rows are two bands and five row
+    blocks, the last of 5 rows, and 3-row blocks are shorter than MIN_GRID.
+    ``revolution_profile`` solves its row coordinate once over all rows,
+    ``inverted_catenoid`` checks its safety band in each block."""
+    if block_nodes:
+        monkeypatch.setattr(J, "BLOCK_NODES", block_nodes)
+    blocks = [len(range(n)[rows]) for rows in J.row_blocks((n, n))]
+    assert blocks[-1:] + [len(blocks)] == ([5, 5] if n == 257 else [2, 22])
+    spec = make_surface(name)
+    whole = CL.classify_data(CL.s3_fields(G.fundamental_data(sample(spec, n))),
+                             spec.name, spec.params)
+    assert to_json(CL.classify(spec, n).to_dict()) == to_json(whole.to_dict())
+
+
+def test_streamed_classify_names_the_first_defective_block(monkeypatch):
+    """Two defects in two row blocks: the whole-grid checks name the later
+    block's degenerate node first, the streamed pass the first block's
+    non-conformal one."""
+    monkeypatch.setattr(J, "BLOCK_NODES", FEW_ROWS)
+    spec = make_surface("cylinder")
+    u = np.linspace(*spec.domain[0], N)
+
+    def defective(rows, v, _orig=spec.jet_fn):
+        jet = _orig(rows, v)
+        jet.du[rows[:, 0] == u[1], 4] *= 2.0  # not conformal, first block
+        last = rows[:, 0] == u[60]
+        jet.du[last, 7] = jet.dv[last, 7] = 0.0  # degenerate, a later block
+        return jet
+
+    spec.jet_fn = defective
+    with pytest.raises(ValueError, match="degenerate jet: immersion condition fails"):
+        sample(spec, N)
+    with pytest.raises(ValueError, match="chart is not conformal within tolerance"):
+        CL.classify(spec, N)
 
 
 def test_banded_classify_peak_memory():
     """tracemalloc peak of a two-band classify, sampling included, per
-    node: measured 487, plus about 30 (a whole-grid run peaks at 836)."""
+    node: measured 256, plus about 25 (480 with whole-grid jets, 836 for a
+    whole-grid run)."""
     n = 257
     assert len(J.row_bands(n)) == 2
     tracemalloc.start()
@@ -160,4 +224,4 @@ def test_banded_classify_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n ** 2 <= 520
+    assert peak / n ** 2 <= 280

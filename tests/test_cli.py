@@ -187,9 +187,10 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # |x|^2 of the torus overflows in the push into S^3
+    # |x|^2 of the torus overflows in the push into S^3: the R^3 chart is
+    # finite, its S^3 image is not
     (["analyze", "torus_revolution", "--R", "1e103", "--r", "1"],
-     "jet has non-finite values in duu"),
+     "jet has non-finite values in duu of the s3 chart"),
     # the translated R^3 chart is exact; its S^3 image shrinks below the
     # absolute immersion threshold
     (["transform", "cylinder", "--word", "tra:1e120,0,0"],
@@ -233,11 +234,20 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     (["transform", "clifford_torus", "--word", "dil:500"],
      "first fundamental form overflows: E + G or F is not finite"),
     # the jet functions overflow; the chart names the field
-    (["analyze", "hyperbolic_cylinder", "--d", "800"], "jet has non-finite values in pos"),
-    (["analyze", "revolution_profile", "--rho0", "1e300"], "jet has non-finite values in duu"),
-    (["analyze", "catenoid", "--domain=-1e50,1e50,0,1"], "jet has non-finite values in pos"),
+    (["analyze", "hyperbolic_cylinder", "--d", "800"],
+     "jet has non-finite values in pos of the h3 chart"),
+    (["analyze", "revolution_profile", "--rho0", "1e300"],
+     "jet has non-finite values in duu of the r3 chart"),
+    (["analyze", "catenoid", "--domain=-1e50,1e50,0,1"],
+     "jet has non-finite values in pos of the r3 chart"),
     (["analyze", "cylinder", "--domain", "inf,1,0,1"],
      "domain bounds must be finite, got inf,1,0,1"),
+    # a finite R^3 chart whose S^3 image overflows
+    (["analyze", "cylinder", "--rho", "1e300"],
+     "jet has non-finite values in pos of the s3 chart"),
+    # the profile radius itself overflows
+    (["analyze", "revolution_profile", "--rho0", "1e308", "--cos1", "1e308"],
+     "profile radius is not finite on |t| <= 1.5"),
 ])
 def test_far_out_input_exits_1(capsys, argv, message):
     # RuntimeWarnings are errors in the test run: an overflow warning fails it
@@ -281,9 +291,10 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. TiB for an array")
 
-    # analyze samples through classify.classify, analyze --out through cli
+    # analyze streams the sampler's row blocks through classify.classify,
+    # analyze --out samples through cli
     monkeypatch.setattr(cli, "sample", out_of_memory)
-    monkeypatch.setattr(zoo, "sample", out_of_memory)
+    monkeypatch.setattr(zoo, "sample_rows", out_of_memory)
     code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "10000000")
     assert code == 1
     assert out == ""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from confgauss import grid as G
+from confgauss import jets
 from confgauss import models
 from confgauss import zoo
 from confgauss.zoo import CATALOG, list_surfaces, make_surface, sample
@@ -161,6 +162,33 @@ def test_overflowing_profile_speed_returns_named_error():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert done.stdout.startswith("profile quadrature is not finite"), done
+
+
+def test_overflowing_profile_radius_is_named():
+    # rho = inf passed the radius check, and the quadrature then blamed the speed
+    with pytest.raises(ValueError, match=r"^profile radius is not finite on \|t\| <= 1.5$"):
+        make_surface("revolution_profile", rho0=1e308, cos1=1e308)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_row_blocks_are_sampled_as_the_whole_grid(monkeypatch, name):
+    # 3-row blocks, shorter than MIN_GRID; the profile's row coordinate is
+    # solved once over all rows
+    n = 33
+    monkeypatch.setattr(jets, "BLOCK_NODES", 3 * n)
+    spec = make_surface(name)
+    whole = sample(spec, n)
+    axes, blocks = zoo.sample_rows(spec, n)
+    assert np.array_equal(axes.u, whole.u) and np.array_equal(axes.v, whole.v)
+    assert (axes.hu, axes.hv, axes.jet) == (whole.hu, whole.hv, None)
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + len(block.u))
+        assert (block.hu, block.hv) == (whole.hu, whole.hv)
+        for part, ref in zip(vars(block.jet).values(), vars(whole.jet).values()):
+            assert np.array_equal(part, ref[rows])
+        start = rows.stop
+    assert start == n and len(list(jets.row_blocks((n, n)))) == 11
 
 
 @pytest.mark.parametrize("domain, n, message", [
