@@ -85,7 +85,7 @@ class _S3Fields(FundamentalData):
         """Nodes ``[rows][::step, ::step]`` of this view (``ChartGrid.subgrid``):
         its (lam, n, H, Omega) and Y there, no copy, no check.  All four and
         Y are pointwise, so they are the sub-grid's own; its derivative
-        fields are taken anew."""
+        fields are taken anew, its Q by ``_reduce_band``."""
         view = _S3Fields(self.grid.subgrid(rows, step), self.orientation)
         view._fields = tuple(f if f is None else f[rows][::step, ::step]
                              for f in self._fields)
@@ -144,6 +144,26 @@ def _classifier_view(data: FundamentalData) -> _S3Fields:
     g = data.grid
     return _streamed_view(g, (FundamentalData(g.subgrid(rows), data.orientation)
                               for rows in _jets.row_blocks(g.shape)))
+
+
+def _reduce_band(band: _S3Fields, mine: slice | None = None):
+    """Q of a band sub-view (``_S3Fields.sub``), kept as its ``q``, and its
+    harmonicity residual on its rows ``mine`` if given, returned.
+
+    Y's derivatives are taken one row block at a time
+    (``CongruenceGrid.row_blocks``) and go straight into both, so none is
+    held whole-band and the band's ``cong`` keeps none of them.
+    """
+    band.q = np.empty(band.grid.shape, complex)
+    residual = None if mine is None else np.empty((mine.stop - mine.start, band.grid.shape[1]))
+    for rows, block in band.cong.row_blocks():
+        band.q[rows] = lorentz_product(block.Yzz, block.Yzz)
+        if mine is not None:
+            lo, hi = max(rows.start, mine.start), min(rows.stop, mine.stop)
+            if lo < hi:
+                residual[lo - mine.start:hi - mine.start] = \
+                    harmonicity_residual(block)[lo - rows.start:hi - rows.start]
+    return residual
 
 
 def bryant_q(data: FundamentalData) -> np.ndarray:
@@ -353,11 +373,13 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
     of 1e-7 of its scale or ten times its 2h noise estimate if larger; a
     sign needs >= 99% coverage of interior nodes.
 
-    A band is a sub-view (``_S3Fields.sub``) of its own rows and a halo;
-    its derivative fields die with it.  A band whose rows and halo cover
-    the grid is the view itself, which keeps them for its caller.  What
-    outlives a band is the real sign field on its own rows and each
-    maximum over them, merged by the NaN-keeping ``np.maximum``; its 2h
+    A band is a sub-view (``_S3Fields.sub``) of its own rows and a halo,
+    which takes Y's derivatives one row block at a time (``_reduce_band``),
+    and its derivative fields die with it; so is every 2h band.  A band
+    whose rows and halo cover the grid is the view itself, which takes
+    them whole and keeps them for its caller.  What outlives a band is
+    the real sign field on its own rows and each maximum over them,
+    merged by the NaN-keeping ``np.maximum``; its 2h
     band compares the fine values at its even nodes before the next band
     starts.  Maxima are exact, so no number depends on the band count; one
     that is not finite is a ValueError.
@@ -387,10 +409,11 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
         """Reduce the band of rows ``own``; return its sign field and Q_zbar
         at its even nodes."""
         band, mine = band_of(view, own, n)
+        peak("willmore", harmonicity_residual(band.cong)[mine] if band is view
+             else _reduce_band(band, mine), own.start, n, 2)
         q_zbar = band.q_zbar[mine]
         peak("holo", q_zbar, own.start, n, 2)
         peak("holo_inner", q_zbar, own.start, n, SIGN_BAND)
-        peak("willmore", harmonicity_residual(band.cong)[mine], own.start, n, 2)
         omega = band.Omega[mine]
         witness = np.conj(omega) ** 2 * band.q[mine]
         peak("witness", witness, own.start, n, 2)
@@ -410,6 +433,7 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
     def band_2h(own, fine_field, fine_q_zbar):
         """Reduce the 2h band of rows ``own`` against the fine values."""
         band, mine = band_of(coarse, own, n_coarse)
+        _reduce_band(band)
         w, term, _ = _sign_terms(band, mine)
         diff = w ** 2 - term - fine_field
         peak("noise_field", diff.real, own.start, n_coarse, SIGN_BAND)

@@ -12,8 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ChartGrid, FundamentalData, interior_max
-from .jets import push_word
+from .grid import ChartGrid, FundamentalData, interior_max, rows_read
+from .jets import push_word, row_blocks
 from .lorentz import lift, lorentz_product
 from .models import oriented_data, representation
 
@@ -55,18 +55,30 @@ class CongruenceGrid:
 
     @cached_property
     def _second_derivatives(self):
-        """(Y_zz, Y_zzbar) from the three real passes Y_uv, Y_uu and Y_vv."""
-        g = self.grid
+        """(Y_zz, Y_zzbar) from the three real passes Y_uu, Y_uv and Y_vv."""
         y_u, y_v = self.grad_Y
-        yzz = np.empty(y_u.shape, complex)
-        yzz.imag = g.d_v(y_u)
-        yzz.imag *= -0.5
-        y_uu, y_vv = g.d_u(y_u), g.d_v(y_v)
-        np.subtract(y_uu, y_vv, out=yzz.real)
-        yzz.real *= 0.25
-        y_uu += y_vv
-        y_uu *= 0.25
-        return yzz, y_uu
+        return _zz_pair(self.grid, y_u, y_v, self.grid.d_u(y_u))
+
+    def row_blocks(self):
+        """(rows, congruence on those rows) for each row block
+        ``jets.row_blocks`` of the grid, whose Y's derivatives are those of
+        ``grad_Y``, ``Yzz`` and ``Yzzb`` node for node; none is kept here.
+
+        Y_u is taken on the block's rows and a 2-row halo, from Y's rows
+        +-4 (``grid.rows_read`` of each), Y_v on the block's rows, and the
+        second derivatives on the block's rows from those two.  A block's
+        congruence holds its derivatives and takes no stencil pass.
+        """
+        g, n = self.grid, self.grid.shape[0]
+        for rows in row_blocks(self.Y.shape[:-1]):
+            halo = rows_read(rows, n)
+            y_u = g.d_u_rows(self.Y[rows_read(halo, n)], halo)
+            y_v = g.d_v(self.Y[rows])
+            block = CongruenceGrid(g.subgrid(rows), self.Y[rows])
+            block.grad_Y = y_u[rows.start - halo.start:rows.stop - halo.start], y_v
+            block._second_derivatives = _zz_pair(g, block.grad_Y[0], y_v,
+                                                 g.d_u_rows(y_u, rows))
+            yield rows, block
 
     @property
     def Yzz(self):
@@ -86,6 +98,21 @@ class CongruenceGrid:
 
     def norm_defect(self) -> float:
         return float(np.max(np.abs(lorentz_product(self.Y, self.Y) - 1.0)))
+
+
+def _zz_pair(grid: ChartGrid, y_u, y_v, y_uu):
+    """(Y_zz, Y_zzbar) = ((Y_uu - Y_vv)/4 - i Y_uv/2, (Y_uu + Y_vv)/4) on
+    the rows of Y_u and Y_v, whose v-passes are Y_uv and Y_vv; Y_uu is
+    overwritten by Y_zzbar."""
+    yzz = np.empty(y_u.shape, complex)
+    yzz.imag = grid.d_v(y_u)
+    yzz.imag *= -0.5
+    y_vv = grid.d_v(y_v)
+    np.subtract(y_uu, y_vv, out=yzz.real)
+    yzz.real *= 0.25
+    y_uu += y_vv
+    y_uu *= 0.25
+    return yzz, y_uu
 
 
 def conformal_gauss_map(data: FundamentalData) -> CongruenceGrid:

@@ -12,6 +12,7 @@ checks and extractions run over ``jets.row_blocks``.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .lorentz import dot
 __all__ = [
     "ChartGrid",
     "FundamentalData",
+    "rows_read",
     "chart_normal",
     "fundamental_data",
     "gauss_codazzi_residual",
@@ -57,34 +59,69 @@ _EDGE = np.stack([_onesided_weights(0), _onesided_weights(1)])
 _EDGE_END = -_EDGE[::-1, ::-1]
 
 
-def _axis_derivative(f, h: float, n: int, axis: int) -> np.ndarray:
+def rows_read(rows: slice, n: int) -> slice:
+    """The rows of an n-row field that its derivative along the rows reads
+    on ``rows``: two more on each side, and all 7 edge rows where ``rows``
+    reaches into a two-row edge band."""
+    lo, hi = max(rows.start - 2, 0), min(rows.stop + 2, n)
+    if rows.start < 2:
+        hi = max(hi, 7)
+    if rows.stop > n - 2:
+        lo = min(lo, n - 7)
+    return slice(lo, hi)
+
+
+def _axis_derivative(f, h: float, n: int, axis: int, rows: slice | None = None) -> np.ndarray:
     """First derivative along ``axis`` (0 or 1) of a field on n uniform nodes.
 
     Central 4th-order stencil (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / 12h
-    in the interior, applied by slicing at O(n) cost per line; one-sided
-    7-node stencils (6th order) on the two-node boundary bands.  Trailing
-    component axes are carried along, and a real field gives a real result.
-    """
-    f = np.asarray(f)
-    if f.shape[axis] != n:
-        raise ValueError(
-            f"field has {f.shape[axis]} nodes along axis {axis}, grid has {n}")
-    out = np.empty(f.shape, np.result_type(f.dtype, np.float64))
+    in the interior, one-sided 7-node stencils (6th order) on the two-node
+    boundary bands.  Trailing component axes are carried along, and a real
+    field gives a real result.
 
-    def along(start, stop=None):
+    ``rows`` is a row window of an axis-0 pass: the field's rows
+    ``rows_read(rows, n)`` go in and the derivative's rows ``rows`` come
+    out, each node as the whole-grid pass (``rows`` None) computes it.
+    The interior stencil is one pass over the flattened field, whose axis
+    neighbours are ``step`` elements apart; what it writes across the
+    line ends of an axis-1 pass, the edge stencils overwrite.
+    """
+    f = np.ascontiguousarray(f)
+    if rows is None:
+        rows = read = slice(0, n)
+    else:
+        read = rows_read(rows, n)
+    if f.shape[axis] != read.stop - read.start:
+        raise ValueError(f"field has {f.shape[axis]} nodes along axis {axis}, grid has {n}"
+                         + ("" if read == slice(0, n) else
+                            f", of which rows {read.start}..{read.stop - 1} are read"))
+    a, b = rows.start, rows.stop
+    out = np.empty(f.shape[:axis] + (b - a,) + f.shape[axis + 1:],
+                   np.result_type(f.dtype, np.float64))
+
+    def along(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
-    inner = out[along(2, -2)]
-    np.subtract(f[along(3, -1)], f[along(1, -3)], out=inner)
-    inner *= 8.0
-    inner += f[along(0, -4)]
-    inner -= f[along(4)]
-    inner *= 1.0 / (12.0 * h)
-    for rows, weights, nodes in ((along(0, 2), _EDGE, along(0, 7)),
-                                 (along(-2), _EDGE_END, along(-7))):
-        block = np.moveaxis(f[nodes], axis, 0)
-        band = (weights / h) @ block.reshape(7, -1)
-        out[rows] = np.moveaxis(band.reshape((2,) + block.shape[1:]), 0, axis)
+    step = math.prod(f.shape[axis + 1:])
+    first, last = max(a, 2), min(b, n - 2)  # the interior rows out holds
+    if last > first:
+        src = f.reshape(-1)[(first - 2 - read.start) * step:
+                            f.size - (read.stop - last - 2) * step]
+        inner = out.reshape(-1)[(first - a) * step:out.size - (b - last) * step]
+        np.subtract(src[3 * step:src.size - step], src[step:src.size - 3 * step], out=inner)
+        inner *= 8.0
+        inner += src[:src.size - 4 * step]
+        inner -= src[4 * step:]
+        inner *= 1.0 / (12.0 * h)
+    for edge, weights, nodes in ((0, _EDGE, 0), (n - 2, _EDGE_END, n - 7)):
+        lo, hi = max(a, edge), min(b, edge + 2)
+        if lo >= hi:
+            continue
+        nodes -= read.start
+        block = np.moveaxis(f[along(nodes, nodes + 7)], axis, 0)
+        band = ((weights / h) @ block.reshape(7, -1))[lo - edge:hi - edge]
+        out[along(lo - a, hi - a)] = np.moveaxis(
+            band.reshape((hi - lo,) + block.shape[1:]), 0, axis)
     return out
 
 
@@ -246,6 +283,11 @@ class ChartGrid:
 
     def d_v(self, f):
         return _axis_derivative(f, self.hv, len(self.v), 1)
+
+    def d_u_rows(self, f, rows: slice):
+        """Rows ``rows`` of ``d_u`` of a field whose rows ``rows_read(rows,
+        N)`` are ``f``; a v-pass needs no window, as each row is its own."""
+        return _axis_derivative(f, self.hu, len(self.u), 0, rows)
 
     def dz(self, f):
         """Discrete d/dz = (d/du - i d/dv)/2 of a sampled field."""

@@ -61,16 +61,16 @@ class Jet2:
 
 def row_blocks(lead: tuple):
     """Slices of whole rows along the first axis of node arrays of leading
-    shape ``lead``, about ``BLOCK_NODES`` nodes each; one ``...`` for a
-    single node.  Every pointwise kernel runs block by block over them and
-    writes into preallocated outputs, so each node's arithmetic is that of
-    the whole-grid pass."""
+    shape ``lead``, about ``BLOCK_NODES`` nodes each, whose stop is at most
+    ``lead[0]``; one ``...`` for a single node.  Every pointwise kernel
+    runs block by block over them and writes into preallocated outputs, so
+    each node's arithmetic is that of the whole-grid pass."""
     if not lead:
         yield ...
         return
     rows = max(1, BLOCK_NODES // max(1, math.prod(lead[1:])))
     for start in range(0, lead[0], rows):
-        yield slice(start, start + rows)
+        yield slice(start, min(start + rows, lead[0]))
 
 
 def row_bands(n: int) -> list:

@@ -128,6 +128,56 @@ def test_row_bands_split_evenly():
     assert [b.stop - b.start for b in J.row_bands(1024)] == [256] * 4
 
 
+@pytest.mark.parametrize("lead", [(129, 512), (257, 257), (300, 300, 5), (65, 3), (1, 9)])
+def test_row_blocks_stop_at_the_last_row(lead):
+    blocks = list(J.row_blocks(lead))
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert blocks[0].start == 0 and blocks[-1].stop == lead[0]
+    assert all(b.stop - b.start == len(range(lead[0])[b]) for b in blocks)
+    assert list(J.row_blocks(())) == [...]
+
+
+@pytest.mark.parametrize("n", [300, 513])
+def test_few_row_blocks_of_y_derivatives_equal_the_default(monkeypatch, n):
+    """Each band sub-view takes Y's derivatives one row block at a time: at
+    1024 nodes a block is 3 rows at N = 300 and 1 row at N = 513, so that
+    every block's window reaches past its neighbours'."""
+    spec = make_surface("torus_revolution")
+    default = CL.classify(spec, n).to_dict()
+    monkeypatch.setattr(J, "BLOCK_NODES", 1024)
+    assert CL.classify(spec, n).to_dict() == default
+
+
+def _record_sub_views(monkeypatch):
+    views = []
+
+    def sub(self, rows=slice(None), step=1, _orig=CL._S3Fields.sub):
+        views.append(_orig(self, rows, step))
+        return views[-1]
+
+    monkeypatch.setattr(CL._S3Fields, "sub", sub)
+    return views
+
+
+@pytest.mark.parametrize("band_rows", [None, FEW_BAND_ROWS])
+def test_band_sub_views_keep_no_y_derivatives(monkeypatch, band_rows):
+    """A band sub-view's Y derivatives die with each row block; a caller's
+    view that is its own one band keeps them for ``analyze --out``."""
+    if band_rows:
+        monkeypatch.setattr(J, "BAND_ROWS", band_rows)
+    view = CL.s3_fields(G.fundamental_data(sample(make_surface("torus_revolution"), N)))
+    views = _record_sub_views(monkeypatch)
+    CL.classify_data(view, "torus_revolution")
+    # the 2h view, and without one band each fine band and each 2h band
+    assert len(views) == (1 if band_rows is None else 1 + 2 * len(J.row_bands(N)))
+    reduced = [band for band in views if "q" in vars(band)]
+    assert len(reduced) == (1 if band_rows is None else 2 * len(J.row_bands(N)))
+    for band in views:
+        assert not {"grad_Y", "_second_derivatives"} & set(vars(band.cong))
+    kept = {"grad_Y", "_second_derivatives"} <= set(vars(view.cong))
+    assert kept == (band_rows is None)
+
+
 def test_classify_frees_the_sampled_chart_before_the_first_band(monkeypatch):
     """No whole-grid jets: the chart is sampled in row blocks, and each
     block and its S^3 image are freed before the band reduction starts."""
@@ -214,8 +264,8 @@ def test_streamed_classify_names_the_first_defective_block(monkeypatch):
 
 def test_banded_classify_peak_memory():
     """tracemalloc peak of a two-band classify, sampling included, per
-    node: measured 256, plus about 25 (480 with whole-grid jets, 836 for a
-    whole-grid run)."""
+    node: measured 210, plus about 20 (256 with whole-band Y derivatives,
+    480 with whole-grid jets, 836 for a whole-grid run)."""
     n = 257
     assert len(J.row_bands(n)) == 2
     tracemalloc.start()
@@ -224,4 +274,4 @@ def test_banded_classify_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n ** 2 <= 280
+    assert peak / n ** 2 <= 230

@@ -82,6 +82,72 @@ def test_axis_derivative_rejects_mismatched_field():
         g.d_v(np.zeros((9, 9)))
 
 
+def _field(rng, n, kind, m=11):
+    shape = (n, m) + ((5,) if kind == "vector" else ())
+    f = rng.normal(size=shape)
+    return f + 1j * rng.normal(size=shape) if kind == "complex" else f
+
+
+def _windows(n):
+    """Row windows that touch either edge, lie inside, cover one row, and
+    end in a last row block shorter than 7 rows."""
+    wins = [slice(0, n), slice(0, 1), slice(1, 2), slice(0, 3), slice(n - 1, n),
+            slice(n - 2, n), slice(n - 3, n - 1), slice(n - 5, n), slice(2, n - 2)]
+    if n > 20:
+        wins += [slice(3, 9), slice(n // 2 - 4, n // 2 + 5), slice(0, 16), slice(n - 16, n)]
+    return [w for w in wins if w.start < w.stop]
+
+
+@pytest.mark.parametrize("n", [9, 129, 300])
+@pytest.mark.parametrize("kind", ["real", "complex", "vector"])
+def test_row_window_is_the_slice_of_the_whole_pass(rng, n, kind):
+    # rows [a, b) from rows_read([a, b)) of the field, bit for bit as the
+    # whole-grid pass, also for an edge window of fewer than 7 rows, as a
+    # short last row block is
+    f = _field(rng, n, kind)
+    whole = G._axis_derivative(f, 0.013, n, 0)
+    for rows in _windows(n):
+        read = G.rows_read(rows, n)
+        assert read.start <= max(rows.start - 2, 0) and read.stop >= min(rows.stop + 2, n)
+        got = G._axis_derivative(f[read], 0.013, n, 0, rows)
+        assert got.dtype == whole.dtype
+        assert np.array_equal(got, whole[rows]), rows
+    with pytest.raises(ValueError, match="nodes along axis 0"):
+        G._axis_derivative(f[1:], 0.013, n, 0, slice(0, 3))
+
+
+def _strided_derivative(f, h, axis):
+    """The stencil by slices along ``axis``, one line at a time in effect:
+    a reference for the flattened interior pass."""
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty(f.shape, np.result_type(f.dtype, np.float64))
+    inner = out[2:-2]
+    np.subtract(f[3:-1], f[1:-3], out=inner)
+    inner *= 8.0
+    inner += f[:-4]
+    inner -= f[4:]
+    inner *= 1.0 / (12.0 * h)
+    for rows, weights, nodes in ((slice(0, 2), G._EDGE, slice(0, 7)),
+                                 (slice(-2, None), G._EDGE_END, slice(-7, None))):
+        out[rows] = ((weights / h) @ f[nodes].reshape(7, -1)).reshape((2,) + f.shape[1:])
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("n", [9, 129, 300])
+@pytest.mark.parametrize("kind", ["real", "complex", "vector"])
+def test_flattened_pass_is_the_strided_pass(rng, n, kind):
+    # the interior pass runs over the flattened field and writes across line
+    # ends, which the edge stencils overwrite: every node as a pass by line
+    f = _field(rng, n, kind, m=n)
+    for axis in (0, 1):
+        assert np.array_equal(G._axis_derivative(f, 0.021, n, axis),
+                              _strided_derivative(f, 0.021, axis)), axis
+    # a strided view gives what its contiguous copy gives
+    view = f[::2]
+    assert np.array_equal(G._axis_derivative(view, 0.021, n, 1),
+                          G._axis_derivative(view.copy(), 0.021, n, 1))
+
+
 def test_cross4_is_the_determinant_cofactor(rng):
     a, b, c, t = rng.normal(size=(4, 50, 4))
     got = np.sum(G._cross4(a, b, c) * t, axis=-1)
