@@ -9,6 +9,8 @@ agree with that sign.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -16,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .congruence import CongruenceGrid, conformal_gauss_map
-from .grid import MIN_GRID, ChartGrid, FundamentalData, interior_max
+from .grid import MIN_GRID, ChartGrid, FundamentalData, _extract, interior_max
 from . import jets as _jets
 from .lorentz import EPSILON, classify_vector, lorentz_product
 from .models import representation
@@ -105,28 +107,95 @@ def s3_fields(data: FundamentalData) -> _S3Fields:
     return view
 
 
-def _streamed_view(grid: ChartGrid, blocks) -> _S3Fields:
-    """The classifier's S^3 view of the chart whose axes are ``grid``'s and
-    whose rows are ``blocks``, fundamental data in any model, in order.
+def _pool_size() -> int:
+    """The cores this process may run on: its affinity mask's, or all of
+    them where the platform has no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Each block is pushed to S^3 (``representation``, which checks the
-    pushed jets), and its lam, H, Omega and Y are written into whole-grid
-    arrays; its jets and n die with it, so the view keeps 72 B/node and no
-    jets.  Each step is pointwise, and a block of ``jets.row_blocks`` is
-    one block of the whole-grid pass, so the view's fields are those of
-    ``s3_fields`` to the bit.
+
+def _on_blocks(task, lead: tuple) -> list:
+    """``task(rows)`` for the row blocks of node arrays of leading shape
+    ``lead``, their results in block order; on ``_pool_size()`` cores W.
+
+    A grid of one ``jets.row_blocks`` block, or one core, is the serial
+    loop, and no thread starts.  Else the blocks have BLOCK_NODES // W
+    nodes, and the main thread and W - 1 pool threads each take the next
+    block in order, so the nodes in flight stay at BLOCK_NODES.  Tasks
+    write disjoint rows of their outputs, so every number is the serial
+    loop's.  Each thread runs its tasks in the caller's numpy error state,
+    which a new thread does not inherit.  A block that raises stops the
+    handing out; once the blocks in flight are done, the error of the
+    earliest block that raised is raised, as the serial loop raises it.
+    """
+    workers = _pool_size()
+    blocks = list(_jets.row_blocks(lead))
+    if workers == 1 or len(blocks) == 1:
+        return [task(rows) for rows in blocks]
+    # imported only where a pool runs: with the logging module it imports,
+    # it adds 0.7 MB to the RSS of every process that imports it
+    from concurrent.futures import ThreadPoolExecutor
+
+    blocks = list(_jets.row_blocks(lead, workers))
+    results, errors = [None] * len(blocks), {}
+    queue, lock, state = iter(enumerate(blocks)), threading.Lock(), np.geterr()
+
+    def work():
+        with np.errstate(**state):
+            while True:
+                with lock:
+                    item = None if errors else next(queue, None)
+                if item is None:
+                    return
+                k, rows = item
+                try:
+                    results[k] = task(rows)
+                except Exception as exc:
+                    with lock:
+                        errors[k] = exc
+
+    helpers = min(workers, len(blocks)) - 1
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        try:
+            work()
+        except BaseException:  # an interrupt: no further block starts
+            with lock:
+                for _ in queue:
+                    pass
+            raise
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _streamed_view(grid: ChartGrid, block) -> _S3Fields:
+    """The classifier's S^3 view of the chart whose axes are ``grid``'s and
+    whose rows ``rows`` are ``block(rows)``, fundamental data in any model.
+
+    Each row block (``_on_blocks``) is pushed to S^3 (``representation``,
+    which checks the pushed jets), and its lam, H, Omega and Y are written
+    into whole-grid arrays; its jets and n die with it, so the view keeps
+    72 B/node and no jets.  Each step is pointwise, so the view's fields
+    are those of ``s3_fields`` to the bit, whatever the blocks.
     """
     n, m = grid.shape
     lam, h_field, omega = np.empty((n, m)), np.empty((n, m)), np.empty((n, m), complex)
     y = np.empty((n, m, 5))
-    start = 0
-    for block in blocks:
-        rows = slice(start, start + len(block.grid.u))
-        block = representation(block, "s3")
-        lam[rows], _, h_field[rows], omega[rows] = block._fields
-        y[rows] = conformal_gauss_map(block).Y
-        start = rows.stop
-    view = _S3Fields(grid.with_jet(None, "s3"), block.orientation)
+
+    def stream(rows):
+        data = representation(block(rows), "s3")
+        # set, not read: the first read of a cached_property takes a lock
+        # that all instances share (Python < 3.12)
+        data._fields = _extract(data.grid, data.orientation)
+        lam[rows], _, h_field[rows], omega[rows] = data._fields
+        y[rows] = conformal_gauss_map(data).Y
+        return data.orientation
+
+    view = _S3Fields(grid.with_jet(None, "s3"), _on_blocks(stream, grid.shape)[0])
     view._fields = (lam, None, h_field, omega)
     view.cong = CongruenceGrid(view.grid, y)
     return view
@@ -134,16 +203,15 @@ def _streamed_view(grid: ChartGrid, blocks) -> _S3Fields:
 
 def _classifier_view(data: FundamentalData) -> _S3Fields:
     """``data`` if it is an S^3 view already, else the streamed view of the
-    row slices ``jets.row_blocks`` of its chart.  An S^3 chart whose fields
-    are read already is viewed as it is: nothing is pushed, and its fields
-    and jets, which its caller holds, are shared rather than copied."""
+    row slices of its chart.  An S^3 chart whose fields are read already
+    is viewed as it is: nothing is pushed, and its fields and jets, which
+    its caller holds, are shared rather than copied."""
     if isinstance(data, _S3Fields):
         return data
     if data.model == "s3" and "_fields" in vars(data):
         return s3_fields(data)
     g = data.grid
-    return _streamed_view(g, (FundamentalData(g.subgrid(rows), data.orientation)
-                              for rows in _jets.row_blocks(g.shape)))
+    return _streamed_view(g, lambda rows: FundamentalData(g.subgrid(rows), data.orientation))
 
 
 def _reduce_band(band: _S3Fields, mine: slice | None = None):
@@ -151,18 +219,24 @@ def _reduce_band(band: _S3Fields, mine: slice | None = None):
     harmonicity residual on its rows ``mine`` if given, returned.
 
     Y's derivatives are taken one row block at a time
-    (``CongruenceGrid.row_blocks``) and go straight into both, so none is
-    held whole-band and the band's ``cong`` keeps none of them.
+    (``CongruenceGrid.row_block`` on ``_on_blocks``) and go straight into
+    both, so none is held whole-band and the band's ``cong`` keeps none of
+    them.
     """
-    band.q = np.empty(band.grid.shape, complex)
+    cong, q = band.cong, np.empty(band.grid.shape, complex)
     residual = None if mine is None else np.empty((mine.stop - mine.start, band.grid.shape[1]))
-    for rows, block in band.cong.row_blocks():
-        band.q[rows] = lorentz_product(block.Yzz, block.Yzz)
+
+    def reduce(rows):
+        block = cong.row_block(rows)
+        q[rows] = lorentz_product(block.Yzz, block.Yzz)
         if mine is not None:
             lo, hi = max(rows.start, mine.start), min(rows.stop, mine.stop)
             if lo < hi:
                 residual[lo - mine.start:hi - mine.start] = \
                     harmonicity_residual(block)[lo - rows.start:hi - rows.start]
+
+    _on_blocks(reduce, band.grid.shape)
+    band.q = q
     return residual
 
 
@@ -352,16 +426,16 @@ def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     """Sample a catalog surface and run the full classification pipeline.
 
     One streamed pass from the sampler to the classifier's inputs: each row
-    block ``jets.row_blocks((n, n))`` is sampled, checked, pushed to S^3,
-    checked there and read off, and only lam, H, Omega and Y are kept whole
-    (72 B/node).  No whole-grid jets exist; the band reduction of
+    block (``_on_blocks``) is sampled, checked, pushed to S^3, checked there
+    and read off, and only lam, H, Omega and Y are kept whole (72 B/node).
+    No whole-grid jets exist; the band reduction of
     ``classification_value`` and the fit of Y then run on those four.
     """
     from .grid import fundamental_data
     from .zoo import sample_rows
 
-    axes, blocks = sample_rows(spec, n, domain=domain)
-    view = _streamed_view(axes, map(fundamental_data, blocks))
+    axes, block = sample_rows(spec, n, domain=domain)
+    view = _streamed_view(axes, lambda rows: fundamental_data(block(rows)))
     return classify_data(view, surface=spec.name, params=spec.params)
 
 
@@ -407,28 +481,41 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
 
     def fine_band(own):
         """Reduce the band of rows ``own``; return its sign field and Q_zbar
-        at its even nodes."""
+        at its even nodes.  Q, Q_zbar and W_{S3} are whole-band fields, the
+        pointwise rest is taken one row block at a time."""
         band, mine = band_of(view, own, n)
         peak("willmore", harmonicity_residual(band.cong)[mine] if band is view
              else _reduce_band(band, mine), own.start, n, 2)
         q_zbar = band.q_zbar[mine]
         peak("holo", q_zbar, own.start, n, 2)
         peak("holo_inner", q_zbar, own.start, n, SIGN_BAND)
-        omega = band.Omega[mine]
-        witness = np.conj(omega) ** 2 * band.q[mine]
-        peak("witness", witness, own.start, n, 2)
-        peak("witness_imag", witness.imag, own.start, n, 2)
-        peak("omega4", np.abs(omega) ** 4, own.start, n, 2)
-        w, term, e2l_cong = _sign_terms(band, mine)
-        w2 = w ** 2
-        peak("w2", w2, own.start, n, 2)
-        peak("term", term, own.start, n, 2)
-        peak("reference", (e2l_cong / 2.0) ** 2, own.start, n, 2)
-        fieldc = w2 - term
-        peak("imag", fieldc.imag, own.start, n, SIGN_BAND)
-        fld[own] = fieldc.real
-        even = slice(own.start % 2, None, 2)
-        return fieldc[even, ::2].copy(), q_zbar[even, ::2].copy()
+        # the even rows of ``own`` are rows (own.start + 1) // 2 on of the 2h grid
+        fine_field = np.empty(((own.stop + 1) // 2 - (own.start + 1) // 2, (m + 1) // 2),
+                              complex)
+        # W_{S3} before the row blocks: taken among the first block's
+        # temporaries, it left holes in the heap that raised the peak RSS
+        # of classify at N = 512 by 7 MB
+        band.willmore
+        for rows in _jets.row_blocks((own.stop - own.start, m)):
+            at = slice(mine.start + rows.start, mine.start + rows.stop)
+            first, stop = own.start + rows.start, own.start + rows.stop
+            omega = band.Omega[at]
+            witness = np.conj(omega) ** 2 * band.q[at]
+            peak("witness", witness, first, n, 2)
+            peak("witness_imag", witness.imag, first, n, 2)
+            peak("omega4", np.abs(omega) ** 4, first, n, 2)
+            w, term, e2l_cong = _sign_terms(band, at)
+            w2 = w ** 2
+            peak("w2", w2, first, n, 2)
+            peak("term", term, first, n, 2)
+            peak("reference", (e2l_cong / 2.0) ** 2, first, n, 2)
+            fieldc = w2 - term
+            peak("imag", fieldc.imag, first, n, SIGN_BAND)
+            fld[first:stop] = fieldc.real
+            even = fieldc[first % 2::2, ::2]
+            k = (first + 1) // 2 - (own.start + 1) // 2
+            fine_field[k:k + len(even)] = even
+        return fine_field, q_zbar[own.start % 2::2, ::2].copy()
 
     def band_2h(own, fine_field, fine_q_zbar):
         """Reduce the 2h band of rows ``own`` against the fine values."""

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import ChartGrid, FundamentalData, interior_max, rows_read
-from .jets import push_word, row_blocks
+from .jets import push_word
 from .lorentz import lift, lorentz_product
 from .models import oriented_data, representation
 
@@ -59,10 +59,10 @@ class CongruenceGrid:
         y_u, y_v = self.grad_Y
         return _zz_pair(self.grid, y_u, y_v, self.grid.d_u(y_u))
 
-    def row_blocks(self):
-        """(rows, congruence on those rows) for each row block
-        ``jets.row_blocks`` of the grid, whose Y's derivatives are those of
-        ``grad_Y``, ``Yzz`` and ``Yzzb`` node for node; none is kept here.
+    def row_block(self, rows: slice) -> "CongruenceGrid":
+        """The congruence on the grid rows ``rows``, whose Y's derivatives
+        are those of ``grad_Y``, ``Yzz`` and ``Yzzb`` node for node; none is
+        kept here, so blocks may be taken on several threads at once.
 
         Y_u is taken on the block's rows and a 2-row halo, from Y's rows
         +-4 (``grid.rows_read`` of each), Y_v on the block's rows, and the
@@ -70,15 +70,14 @@ class CongruenceGrid:
         congruence holds its derivatives and takes no stencil pass.
         """
         g, n = self.grid, self.grid.shape[0]
-        for rows in row_blocks(self.Y.shape[:-1]):
-            halo = rows_read(rows, n)
-            y_u = g.d_u_rows(self.Y[rows_read(halo, n)], halo)
-            y_v = g.d_v(self.Y[rows])
-            block = CongruenceGrid(g.subgrid(rows), self.Y[rows])
-            block.grad_Y = y_u[rows.start - halo.start:rows.stop - halo.start], y_v
-            block._second_derivatives = _zz_pair(g, block.grad_Y[0], y_v,
-                                                 g.d_u_rows(y_u, rows))
-            yield rows, block
+        halo = rows_read(rows, n)
+        y_u = g.d_u_rows(self.Y[rows_read(halo, n)], halo)
+        y_v = g.d_v(self.Y[rows])
+        block = CongruenceGrid(g.subgrid(rows), self.Y[rows])
+        block.grad_Y = y_u[rows.start - halo.start:rows.stop - halo.start], y_v
+        block._second_derivatives = _zz_pair(g, block.grad_Y[0], y_v,
+                                             g.d_u_rows(y_u, rows))
+        return block
 
     @property
     def Yzz(self):

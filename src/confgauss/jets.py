@@ -38,7 +38,9 @@ __all__ = [
 
 # Nodes per block of a pointwise kernel, so that a block's (rows, width, k)
 # temporaries stay in a 4 MiB L2 cache; a grid of at most this many nodes
-# is one block.
+# is one block.  Where W threads classify a grid of more blocks
+# (``classify._on_blocks``), each block has BLOCK_NODES // W nodes, so
+# that the nodes in flight stay at BLOCK_NODES.
 BLOCK_NODES = 16384
 
 # Largest band height of a banded classification (``classify.classify_data``):
@@ -59,16 +61,16 @@ class Jet2:
     dvv: np.ndarray
 
 
-def row_blocks(lead: tuple):
+def row_blocks(lead: tuple, workers: int = 1):
     """Slices of whole rows along the first axis of node arrays of leading
-    shape ``lead``, about ``BLOCK_NODES`` nodes each, whose stop is at most
-    ``lead[0]``; one ``...`` for a single node.  Every pointwise kernel
-    runs block by block over them and writes into preallocated outputs, so
-    each node's arithmetic is that of the whole-grid pass."""
+    shape ``lead``, about ``BLOCK_NODES // workers`` nodes each, whose stop
+    is at most ``lead[0]``; one ``...`` for a single node.  Every pointwise
+    kernel runs block by block over them and writes into preallocated
+    outputs, so each node's arithmetic is that of the whole-grid pass."""
     if not lead:
         yield ...
         return
-    rows = max(1, BLOCK_NODES // max(1, math.prod(lead[1:])))
+    rows = max(1, BLOCK_NODES // workers // max(1, math.prod(lead[1:])))
     for start in range(0, lead[0], rows):
         yield slice(start, min(start + rows, lead[0]))
 

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .grid import MIN_GRID, ChartGrid
-from .jets import Jet2, push_word, row_blocks
+from .jets import Jet2, push_word
 from .lorentz import Generator
 
 __all__ = ["SurfaceKind", "SurfaceSpec", "SURFACES", "CATALOG", "make_surface",
@@ -80,20 +80,20 @@ def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
 
 
 def sample_rows(spec: SurfaceSpec, n: int, domain=None):
-    """``sample(spec, n, domain)`` one row block ``jets.row_blocks((n, n))``
-    at a time: the grid's axes, checked once (a ChartGrid without jets), and
-    a generator of its row blocks in order, each a ChartGrid of its rows
-    whose jets are checked.  Every node is sampled as ``sample`` samples it.
+    """``sample(spec, n, domain)`` one row block at a time: the grid's axes,
+    checked once (a ChartGrid without jets), and a function that samples
+    the rows of a slice into a ChartGrid of those rows whose jets are
+    checked.  Every node is sampled as ``sample`` samples it, so blocks may
+    be sampled in any order, and on several threads at once.
     """
     axes, rows_at = _axes(spec, n, domain)
 
-    def blocks():
-        for rows in row_blocks((n, n)):
-            with np.errstate(all="ignore"):
-                jet = spec.jet_fn(rows_at[rows, None], axes.v[None, :])
-            yield axes.subgrid(rows).with_jet(jet)
+    def block(rows: slice) -> ChartGrid:
+        with np.errstate(all="ignore"):
+            jet = spec.jet_fn(rows_at[rows, None], axes.v[None, :])
+        return axes.subgrid(rows).with_jet(jet)
 
-    return axes, blocks()
+    return axes, block
 
 
 def _vectors(u, v):

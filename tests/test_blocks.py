@@ -1,6 +1,9 @@
 """Pointwise kernels run over row blocks and the classifier over row bands:
 block and band boundaries change nothing."""
 
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -180,29 +183,28 @@ def test_band_sub_views_keep_no_y_derivatives(monkeypatch, band_rows):
 
 def test_classify_frees_the_sampled_chart_before_the_first_band(monkeypatch):
     """No whole-grid jets: the chart is sampled in row blocks, and each
-    block and its S^3 image are freed before the band reduction starts."""
-    refs, heights = [], []
+    block and its S^3 image are freed before the band reduction starts;
+    on two threads, each block has half the nodes."""
+    refs, heights, alive = [], [], []
 
     def record(jet):
         refs.append(weakref.ref(jet.du))
         heights.append(jet.du.shape[0])
 
     def recorded(*args, _orig=zoo.sample_rows, **kwargs):
-        axes, sampled = _orig(*args, **kwargs)
+        axes, sample_block = _orig(*args, **kwargs)
 
-        def each():
-            for grid in sampled:
-                record(grid.jet)
-                yield grid
+        def each(rows):
+            grid = sample_block(rows)
+            record(grid.jet)
+            return grid
 
-        return axes, each()
+        return axes, each
 
     def pushed(data, target, _orig=CL.representation):
         image = _orig(data, target)
         record(image.grid.jet)
         return image
-
-    alive = []
 
     def sub(self, rows=slice(None), step=1, _orig=CL._S3Fields.sub):
         alive.append([ref() is not None for ref in refs])
@@ -213,9 +215,13 @@ def test_classify_frees_the_sampled_chart_before_the_first_band(monkeypatch):
     monkeypatch.setattr(CL._S3Fields, "sub", sub)
     monkeypatch.setattr(J, "BLOCK_NODES", FEW_ROWS)
     monkeypatch.setattr(J, "BAND_ROWS", FEW_BAND_ROWS)
-    CL.classify(make_surface("torus_revolution"), n=N)
-    assert len(refs) == 2 * 22 and max(heights) == 3 and alive
-    assert not any(any(live) for live in alive)
+    for workers, blocks, height in ((1, 22, 3), (2, 65, 1)):
+        monkeypatch.setattr(CL, "_pool_size", lambda: workers)
+        for seen in (refs, heights, alive):
+            seen.clear()
+        CL.classify(make_surface("torus_revolution"), n=N)
+        assert len(refs) == 2 * blocks and max(heights) == height and alive
+        assert not any(any(live) for live in alive)
 
 
 # every catalog surface with a verdict
@@ -262,10 +268,129 @@ def test_streamed_classify_names_the_first_defective_block(monkeypatch):
         CL.classify(spec, N)
 
 
+def test_streamed_classify_names_a_pool_threads_earlier_defect(monkeypatch):
+    """The earlier defect in a block that the pool thread samples, a later
+    one in a block of the main thread, which raises first: the earlier
+    block's error is still the one named."""
+    monkeypatch.setattr(J, "BLOCK_NODES", FEW_ROWS)
+    monkeypatch.setattr(CL, "_pool_size", lambda: 2)
+    spec = make_surface("cylinder")
+    helper_rows, helper_started, main_raised = [], threading.Event(), threading.Event()
+
+    def defective(rows, v, _orig=spec.jet_fn):
+        jet = _orig(rows, v)
+        if threading.current_thread() is not threading.main_thread():
+            if not helper_rows:
+                helper_rows.append(rows[0, 0])
+                jet.du[0, 4] *= 2.0  # not conformal
+                helper_started.set()
+                main_raised.wait(10)
+        elif helper_started.wait(10) and rows[0, 0] > helper_rows[0]:
+            jet.du[0, 7] = jet.dv[0, 7] = 0.0  # degenerate
+        return jet
+
+    def recorded(*args, _orig=zoo.sample_rows, **kwargs):
+        axes, sample_block = _orig(*args, **kwargs)
+
+        def each(rows):
+            try:
+                return sample_block(rows)
+            except ValueError:
+                if threading.current_thread() is threading.main_thread():
+                    main_raised.set()
+                raise
+
+        return axes, each
+
+    spec.jet_fn = defective
+    monkeypatch.setattr(zoo, "sample_rows", recorded)
+    with pytest.raises(ValueError, match="chart is not conformal within tolerance"):
+        CL.classify(spec, N)
+    assert helper_rows and main_raised.is_set()
+
+
+def test_pooled_blocks_run_once_each(monkeypatch):
+    """Eight threads on a short switch interval: each block runs once and
+    the results come in block order; with two failing blocks, the earlier
+    one's error is raised, after every block before it ran; an interrupt
+    of the main thread starts no further block."""
+    monkeypatch.setattr(CL, "_pool_size", lambda: 8)
+    lead = (1000, 64)
+    starts = [rows.start for rows in J.row_blocks(lead, 8)]
+    assert len(starts) == 32
+    ran = []
+
+    def task(rows):
+        ran.append(rows.start)
+        if rows.start in fail:
+            raise ValueError(f"block at row {rows.start}")
+        return rows.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fail = ()
+        assert CL._on_blocks(task, lead) == starts
+        assert sorted(ran) == starts
+        ran.clear()
+        fail = (starts[9], starts[5])
+        with pytest.raises(ValueError, match=f"^block at row {starts[5]}$"):
+            CL._on_blocks(task, lead)
+        assert set(starts[:6]) <= set(ran) and len(ran) == len(set(ran))
+    finally:
+        sys.setswitchinterval(interval)
+
+    def interrupted(rows):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        time.sleep(0.01)
+        ran.append(rows.start)
+
+    ran.clear()
+    with pytest.raises(KeyboardInterrupt):
+        CL._on_blocks(interrupted, lead)
+    assert len(ran) < len(starts) - 1
+
+
+def _report(run):
+    """The JSON report of ``run()``, or its error."""
+    try:
+        return to_json(run().to_dict())
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("n", [129, 300, 513])
+@pytest.mark.parametrize("name", CATALOG)
+def test_pooled_classify_equals_the_serial_loop(monkeypatch, name, n):
+    """Row blocks of the streamed view and of each band on two threads,
+    byte for byte as on one; 129 rows are two blocks of the view, 300 and
+    513 rows two bands, each of several blocks."""
+    spec = make_surface(name)
+    monkeypatch.setattr(CL, "_pool_size", lambda: 1)
+    serial = _report(lambda: CL.classify(spec, n))
+    monkeypatch.setattr(CL, "_pool_size", lambda: 2)
+    assert _report(lambda: CL.classify(spec, n)) == serial
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_classify_data_of_a_callers_chart_equals_the_serial_loop(monkeypatch,
+                                                                        workers):
+    """A caller's R^3 chart, streamed into its S^3 view on ``workers``
+    threads, byte for byte as on one."""
+    data = G.fundamental_data(sample(make_surface("torus_revolution"), 300))
+    monkeypatch.setattr(CL, "_pool_size", lambda: 1)
+    serial = _report(lambda: CL.classify_data(data, "torus_revolution"))
+    monkeypatch.setattr(CL, "_pool_size", lambda: workers)
+    assert _report(lambda: CL.classify_data(data, "torus_revolution")) == serial
+
+
 def test_banded_classify_peak_memory():
     """tracemalloc peak of a two-band classify, sampling included, per
-    node: measured 210, plus about 20 (256 with whole-band Y derivatives,
-    480 with whole-grid jets, 836 for a whole-grid run)."""
+    node: measured 188 on one thread and 183 on two, plus about 20 (210
+    with the sign field's pointwise terms taken whole-band, 256 with
+    whole-band Y derivatives, 480 with whole-grid jets, 836 for a
+    whole-grid run)."""
     n = 257
     assert len(J.row_bands(n)) == 2
     tracemalloc.start()
@@ -274,4 +399,4 @@ def test_banded_classify_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n ** 2 <= 230
+    assert peak / n ** 2 <= 210

@@ -1,3 +1,4 @@
+import concurrent.futures  # noqa: F401 -- the first pooled classify imports it
 import re
 import tracemalloc
 
@@ -262,12 +263,14 @@ def test_classify_takes_each_derivative_once(monkeypatch):
     assert len(set(passes)) == len(passes)
 
 
-@pytest.mark.parametrize("name, limit", [("torus_revolution", 680),
-                                         ("clifford_torus", 425)])
-def test_classify_bytes_per_node(name, limit):
+BYTES_PER_NODE = {"torus_revolution": 435, "clifford_torus": 405}
+
+
+@pytest.mark.parametrize("name", BYTES_PER_NODE)
+def test_classify_bytes_per_node(name):
     """tracemalloc peak of one classify_data above its input, per node:
-    measured 660.3 and 404.0, plus about 20 B/node."""
-    n = 129
+    measured 414.9 and 382.8 on one to eight threads, plus about 20 B/node."""
+    n, limit = 129, BYTES_PER_NODE[name]
     data = G.fundamental_data(sample(make_surface(name), n))
     data.Omega  # the input's own fields are extracted on first read: read them here
     tracemalloc.start()

@@ -1,10 +1,11 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from confgauss import cli, jets, zoo
+from confgauss import classify, cli, jets, zoo
 from confgauss.classify import ClassificationReport
 from confgauss.cli import main
 from confgauss.congruence import conformal_gauss_map
@@ -255,6 +256,21 @@ def test_far_out_input_exits_1(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_overflow_on_a_pool_thread_is_named(capsys, monkeypatch):
+    """At N = 300 each band's row blocks run on two threads, and a pool
+    thread starts in numpy's default error state unless it takes the
+    caller's; at N = 129 the bands are the whole view, reduced serially."""
+    monkeypatch.setattr(classify, "_pool_size", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "analyze", "cylinder", "--domain", "0,1e-100,0,1",
+                                 "--grid", "300")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: stencil derivatives overflow: grid spacing"
+                                " h_u = 3.34e-103, h_v = 0.00334 is too fine for the chart"]
 
 
 @pytest.mark.parametrize("grid", ["-3", "0"])
