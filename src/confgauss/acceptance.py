@@ -247,20 +247,11 @@ def criterion_conserved_blocks(n: int = 128):
     details = {}
     for name, params in WILLMORE_SET:
         data = representation(_data(name, params, n), "r3")
-        cong = cg.conformal_gauss_map(data)
-        ext = wl.extract_from_mu(wl.conserved_matrix(cong))
-        cur = wl.direct_currents(data)
-        worst = max(
-            wl._max_current_diff(ext.v_tra, cur.v_tra),
-            wl._max_current_diff(ext.v_dil, cur.v_dil),
-            wl._max_current_diff(ext.v_rot_tilde, cur.v_rot_tilde),
-            wl._max_current_diff(ext.v_inv, cur.v_inv),
-        )
-        div_tra = wl.divergence_residual(cur.v_tra, data.grid)
-        details[_key(name, params)] = {"block_vs_direct": _check(worst, max=1e-5),
-                                       "div_tra": _check(div_tra, max=1e-3)}
-    off = _data("cylinder", {}, n)
-    div_off = wl.divergence_residual(wl.direct_currents(off).v_tra, off.grid)
+        res = wl.conserved_residuals(data, cg.conformal_gauss_map(data))
+        details[_key(name, params)] = {
+            "block_vs_direct": _check(res["block_vs_direct"], max=1e-5),
+            "div_tra": _check(res["div_tra"], max=1e-3)}
+    div_off = wl.conserved_residuals(_data("cylinder", {}, n))["div_tra"]
     details["cylinder_off_shell_div"] = _check(div_off, min=1e-2)
     return details
 

@@ -298,15 +298,21 @@ class ChartGrid:
         return (self.d_u(f) + 1j * self.d_v(f)) / 2.0
 
 
-def interior_max(f, band: int = 2) -> float:
+def interior_max(f, band: int = 2, rows: slice | None = None, n: int = 0) -> float:
     """Max norm over the grid interior, excluding the boundary band.
 
     Vector fields are reduced by the euclidean norm of the components.
+    ``f`` may be the rows ``rows`` of an ``n``-row grid: the max is then
+    over those of its rows in the grid interior, 0 where none is, so that
+    ``np.maximum`` over row blocks gives the whole grid's value, NaN kept.
     """
-    f = np.asarray(f)[band:-band, band:-band]
+    f = np.asarray(f)
+    if rows is None:
+        rows, n = slice(0, len(f)), len(f)
+    f = f[max(band - rows.start, 0):max(n - band - rows.start, 0), band:-band]
     if f.ndim > 2:
         f = np.sqrt((np.abs(f) ** 2).sum(axis=tuple(range(2, f.ndim))))
-    return float(np.max(np.abs(f)))
+    return float(np.max(np.abs(f), initial=0.0))
 
 
 @dataclass
@@ -365,10 +371,11 @@ class FundamentalData:
     def H_z(self):
         return (self.grad_H[0] - 1j * self.grad_H[1]) / 2.0  # as ChartGrid.dz
 
-    def tracefree_form(self):
-        """Real-notation tracefree second fundamental form (A11, A12)."""
-        e = np.exp(-2.0 * self.lam)
-        return self.Omega.real * e, -self.Omega.imag * e
+    def tracefree_form(self, rows=slice(None)):
+        """Real-notation tracefree second fundamental form (A11, A12), on
+        the grid rows ``rows``."""
+        e = np.exp(-2.0 * self.lam[rows])
+        return self.Omega.real[rows] * e, -self.Omega.imag[rows] * e
 
 
 def chart_normal(grid: ChartGrid) -> np.ndarray:

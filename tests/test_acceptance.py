@@ -1,5 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
+import tracemalloc
+
 import pytest
 
 from confgauss import acceptance
@@ -120,3 +122,20 @@ def test_detail_keys_carry_plain_floats(results):
 
     for name, res in results.items():
         assert not [k for k in keys(res.details) if "np." in k], name
+
+
+@pytest.mark.parametrize("criterion, limit_mb", [
+    (acceptance.criterion_conserved_blocks, 21.0),  # measured 18.4 MB; 33.1 whole-grid
+    (acceptance.criterion_inversion_exchange, 25.0),  # measured 22.0 MB; 39.9 whole-grid
+], ids=["6", "7"])
+def test_current_criteria_peak_memory(criterion, limit_mb):
+    """tracemalloc peak of criteria 6 and 7 at N = 128, sampling included:
+    their currents and mu are taken one row block at a time."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert criterion(128).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= limit_mb

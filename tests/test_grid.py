@@ -116,6 +116,27 @@ def test_row_window_is_the_slice_of_the_whole_pass(rng, n, kind):
         G._axis_derivative(f[1:], 0.013, n, 0, slice(0, 3))
 
 
+@pytest.mark.parametrize("band", [2, 4])
+def test_row_window_maxima_merge_to_the_interior_max(band):
+    # a spike or a NaN on any one row, the first and last interior rows
+    # included, is in the np.maximum of the row windows' maxima exactly
+    # when the whole grid's interior max counts it
+    n, m = 21, 12
+    for row in range(n):
+        for value, norm in (((3.0, 4.0, 0.0), 5.0), (np.nan, np.nan)):
+            f = np.zeros((n, m, 3))
+            f[row, m // 2] = value
+            whole = G.interior_max(f, band)
+            assert np.array_equal(whole, norm if band <= row < n - band else 0.0,
+                                  equal_nan=True)
+            for size in (1, 2, 5, n):
+                merged = 0.0
+                for start in range(0, n, size):
+                    rows = slice(start, min(start + size, n))
+                    merged = np.maximum(merged, G.interior_max(f[rows], band, rows=rows, n=n))
+                assert np.array_equal(merged, whole, equal_nan=True), (row, size)
+
+
 def _strided_derivative(f, h, axis):
     """The stencil by slices along ``axis``, one line at a time in effect:
     a reference for the flattened interior pass."""

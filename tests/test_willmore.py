@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from confgauss import congruence as C
 from confgauss import grid as G
+from confgauss import jets as J
 from confgauss import willmore as W
 from confgauss.grid import ChartGrid, fundamental_data
 from confgauss.jets import push_word
@@ -184,3 +187,103 @@ def test_mu_transport_under_inversion():
     residuals = W.equivariance_residuals(
         C.conformal_gauss_map(data), C.conformal_gauss_map(moved), m)
     assert abs(residuals[1] - err) <= 1e-12
+
+
+# one row of 300, three of 129 and seven of 65 nodes per block
+FEW_NODES = 1024
+
+
+def _whole_mu_transport(cong, moved, m):
+    """The whole-grid mu residual: both directions of ``conserved_matrix``."""
+    mu, mu_moved = W.conserved_matrix(cong), W.conserved_matrix(moved)
+    return np.maximum(*(G.interior_max(mu_moved[k] - m @ mu[k] @ m.T) for k in range(2)))
+
+
+@pytest.mark.parametrize("n", [65, 129, 300])
+def test_blocked_residuals_are_the_whole_grid_formulas(monkeypatch, n):
+    """Row blocks of a few rows give the whole-grid values to the bit."""
+    monkeypatch.setattr(J, "BLOCK_NODES", FEW_NODES)
+    data = _translated_catenoid(n)
+    word = [Generator("tra", (0.5, -0.25, 1.0)), Generator("inv"), Generator("dil", (0.3,))]
+    m = word_matrix(word)
+    cong = C.conformal_gauss_map(data)
+    moved = C.conformal_gauss_map(C.transform_immersion(data, word))
+    y_err, mu_err = W.equivariance_residuals(cong, moved, m)
+    assert y_err == float(np.max(np.abs(moved.Y - cong.Y @ m.T)))
+    assert mu_err == _whole_mu_transport(cong, moved, m)
+    # the same from the rows of the kept grad_Y, which the line above took
+    assert W.equivariance_residuals(cong, moved, m) == (y_err, mu_err)
+
+    ext = W.extract_from_mu(W.conserved_matrix(cong))
+    cur = W.direct_currents(data)
+    worst = max(W._max_current_diff(getattr(ext, name), getattr(cur, name))
+                for name in ("v_tra", "v_dil", "v_rot_tilde", "v_inv"))
+    div_tra = W.divergence_residual(cur.v_tra, data.grid)
+    assert W.conserved_residuals(data, cong) == {"div_tra": div_tra, "block_vs_direct": worst}
+    assert W.conserved_residuals(data) == {"div_tra": div_tra}
+
+    inv = [Generator("inv")]
+    cur_inv = W.direct_currents(C.transform_immersion(data, inv))
+    assert W.inversion_exchange_check(data) == {
+        "tra_vs_inv": W._max_current_diff(cur_inv.v_tra, cur.v_inv),
+        "inv_vs_tra": W._max_current_diff(cur_inv.v_inv, cur.v_tra),
+        "dil_flip": W._max_current_diff(cur_inv.v_dil, -cur.v_dil),
+        "rot_tilde_fixed": W._max_current_diff(cur_inv.v_rot_tilde, cur.v_rot_tilde),
+        "mu_transport": _whole_mu_transport(
+            cong, C.conformal_gauss_map(C.transform_immersion(data, inv)),
+            word_matrix(inv)),
+    }
+
+
+def test_row_windows_are_the_whole_grid_rows():
+    """``direct_currents`` and ``conserved_matrix`` on a row window are the
+    whole grid's rows, at either edge and inside."""
+    data = _translated_catenoid(65)
+    cong = C.conformal_gauss_map(data)
+    cur, mu = W.direct_currents(data), W.conserved_matrix(cong)
+    for rows in (slice(0, 1), slice(0, 9), slice(30, 33), slice(58, 65), slice(64, 65)):
+        part = W.direct_currents(data, rows)
+        for name in ("v_tra", "v_dil", "v_rot", "v_rot_tilde", "v_inv"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(cur, name)[:, rows])
+        for k, mu_k in enumerate(W.conserved_matrix(cong, rows)):
+            np.testing.assert_array_equal(mu_k, mu[k][rows])
+
+
+@pytest.mark.parametrize("row", [2, 40, 62])
+def test_a_nan_in_a_later_block_is_kept(monkeypatch, row):
+    """A NaN in Y or in the currents of any block, the first and last
+    interior rows included, is a NaN residual, as the whole grid's
+    ``np.max`` gives; Python's ``max``, which keeps the maximum so far
+    against a NaN, would drop it."""
+    monkeypatch.setattr(J, "BLOCK_NODES", FEW_NODES)  # blocks of 7 rows
+    data = fundamental_data(_translated_catenoid(65).grid)  # fields of its own
+    data.H[row, 30] = np.nan
+    cong = C.conformal_gauss_map(_translated_catenoid(65))
+    moved = C.CongruenceGrid(cong.grid, cong.Y.copy())
+    moved.Y[row, 30] = np.nan
+    assert np.isnan(W.equivariance_residuals(cong, moved, np.eye(5))[1])
+    assert np.isnan(_whole_mu_transport(cong, moved, np.eye(5)))
+    res = W.conserved_residuals(data, cong)
+    assert np.isnan(res["div_tra"]) and np.isnan(res["block_vs_direct"])
+    assert all(np.isnan(v) for v in W.inversion_exchange_check(data).values())
+
+
+def test_equivariance_residuals_peak_memory():
+    """tracemalloc peak of ``equivariance_residuals`` at N = 257 above its
+    two congruences, per node: one row block and one direction of mu at a
+    time, and the whole-grid Y residual (measured 116 B/node; 1362 with
+    whole-grid mu)."""
+    n = 257
+    data = fundamental_data(sample(make_surface("cylinder"), n))
+    word = [Generator("tra", (4.0, 0.0, 0.0)), Generator("inv"), Generator("dil", (0.3,))]
+    cong = C.conformal_gauss_map(data)
+    moved = C.conformal_gauss_map(C.transform_immersion(data, word))
+    m = word_matrix(word)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        W.equivariance_residuals(cong, moved, m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / n ** 2 <= 160
