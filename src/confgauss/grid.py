@@ -478,9 +478,13 @@ def export_csv(path, grid: ChartGrid, fields: dict) -> None:
     Rows run u-major (u outer, v inner); every value is %.17g, and a complex
     component is written as <name>_re, <name>_im.  The bytes are those of
     ``np.savetxt(path, table, delimiter=",", header=header, comments="",
-    fmt="%.17g")``, written one grid line at a time: each u and v value is
-    formatted once, and a line's field values go through one format string.
+    fmt="%.17g")``, written one row block at a time: each u and v value is
+    formatted once, the field values of a block by the numpy kernel of
+    ``confgauss._g17`` into fixed byte slots, and the 0 bytes of the
+    block's unused slots are deleted in one pass.
     """
+    from ._g17 import g17_slots
+
     u = np.asarray(grid.u, dtype=float)
     v = np.asarray(grid.v, dtype=float)
     cols = []
@@ -501,15 +505,28 @@ def export_csv(path, grid: ChartGrid, fields: dict) -> None:
             else:
                 cols += [comp]
                 names += [cname]
-    block = np.empty((u.size, v.size, len(cols)))
-    for k, col in enumerate(cols):
-        block[..., k] = col
-    # "%.17g" text contains no "%", so formatted axis values can sit in a
-    # format string
-    v_rows = [",".join(["%.17g" % vj] + ["%.17g"] * len(cols)) + "\n"
-              for vj in v.tolist()]
+
+    def texts(values):
+        """%.17g of each value, zero-padded to the longest: (n, width) uint8."""
+        t = np.array([("%.17g" % x).encode() for x in values.tolist()])
+        return t.view(np.uint8).reshape(values.size, -1)
+
+    u_text, v_text = texts(u), texts(v)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for ui, line in zip(u.tolist(), block):
-            u_text = "%.17g," % ui
-            fh.write((u_text + u_text.join(v_rows)) % tuple(line.ravel().tolist()))
+        for rows in row_blocks((u.size, v.size, 2 + len(cols))):
+            n = rows.stop - rows.start
+            slots = g17_slots(np.array([col[rows] for col in cols], dtype=float))
+            slots = slots[slots.any(axis=1)]  # the slots some value uses
+            # a line is 2 + len(cols) fields, u, v, then the columns, of
+            # equal width and a separator, whose last one is the newline
+            width = max(len(slots), u_text.shape[1], v_text.shape[1])
+            line = np.zeros((n, v.size, 2 + len(cols), width + 1), np.uint8)
+            line[..., width] = ord(",")
+            line[..., -1, width] = ord("\n")
+            line[:, :, 0, :u_text.shape[1]] = u_text[rows, None]
+            line[:, :, 1, :v_text.shape[1]] = v_text
+            line[:, :, 2:, :len(slots)] = slots.reshape(
+                len(slots), len(cols), n, v.size).transpose(2, 3, 1, 0)
+            # drop the unused slots
+            fh.write(line.tobytes().translate(None, b"\0").decode("ascii"))

@@ -222,9 +222,22 @@ def _hyperbolic_cylinder_jets(u, v, d):
 # generic surface of revolution with quadrature isothermal coordinate
 # ----------------------------------------------------------------------
 
+# Bounds of one adaptive Simpson quadrature: its bisection depth, and its
+# integrand evaluations (a converging profile quadrature took at most 4313
+# over 1500 revolution_profile charts drawn at +-10^k and in [-3, 3])
+SIMPSON_DEPTH = 50
+SIMPSON_EVALUATIONS = 100_000
+
+
 def _adaptive_simpson(f, a, b, tol):
     """Adaptive Simpson quadrature of a scalar callable, to ``tol`` times
-    max(1, |first Simpson estimate|)."""
+    max(1, |first Simpson estimate|).
+
+    Raises ``ValueError`` where it does not converge: an interval
+    ``SIMPSON_DEPTH`` bisections deep misses its tolerance, or the
+    integrand has been evaluated ``SIMPSON_EVALUATIONS`` times.
+    """
+    evaluations = 3
 
     def simpson(fa, fm, fb, a_, b_):
         return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
@@ -235,14 +248,19 @@ def _adaptive_simpson(f, a, b, tol):
             raise ValueError(f"profile quadrature is not finite on [{a_:.6g}, {b_:.6g}]")
 
     def recurse(a_, b_, fa, fm, fb, whole, tol_, depth):
+        nonlocal evaluations
         m = 0.5 * (a_ + b_)
         lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
         flm, frm = f(lm), f(rm)
+        evaluations += 2
         left = simpson(fa, flm, fm, a_, m)
         right = simpson(fm, frm, fb, m, b_)
         finite(left + right, a_, b_)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol_:
+        if abs(left + right - whole) <= 15.0 * tol_:
             return left + right + (left + right - whole) / 15.0
+        if depth <= 0 or evaluations >= SIMPSON_EVALUATIONS:
+            raise ValueError(f"profile quadrature does not converge on [{a:.6g}, {b:.6g}]:"
+                             f" near t = {m:.6g} after {evaluations} evaluations")
         return recurse(a_, m, fa, flm, fm, left, tol_ / 2.0, depth - 1) + recurse(
             m, b_, fm, frm, fb, right, tol_ / 2.0, depth - 1
         )
@@ -251,7 +269,7 @@ def _adaptive_simpson(f, a, b, tol):
     fm = f(0.5 * (a + b))
     whole = simpson(fa, fm, fb, a, b)
     finite(whole, a, b)
-    return recurse(a, b, fa, fm, fb, whole, tol * max(1.0, abs(whole)), 50)
+    return recurse(a, b, fa, fm, fb, whole, tol * max(1.0, abs(whole)), SIMPSON_DEPTH)
 
 
 PROFILE_T = 1.5  # the profile range on which the radius is checked

@@ -164,6 +164,33 @@ def test_overflowing_profile_speed_returns_named_error():
     assert done.stdout.startswith("profile quadrature is not finite"), done
 
 
+def test_nonconverging_profile_quadrature_is_named():
+    # rho0 + sin2 sin 2t touches 0.21 at t = -pi/4, between the radius
+    # check's samples, where speed / rho is rounding noise; the quadrature
+    # used to bisect for hours; run apart, so that a hang fails after 60 s
+    code = ("import warnings; warnings.simplefilter('ignore')\n"
+            "from confgauss.zoo import make_surface\n"
+            "try:\n"
+            "    make_surface('revolution_profile', rho0=1e128, sin2=1e128)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(zoo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.stdout.startswith("profile quadrature does not converge on [0, -1]:"
+                                  " near t = -0.77"), done
+
+
+@pytest.mark.parametrize("bound, value", [("SIMPSON_DEPTH", 3), ("SIMPSON_EVALUATIONS", 41)])
+def test_profile_quadrature_stops_at_its_bounds(monkeypatch, bound, value):
+    # the default profile's u(1) converges after 421 evaluations
+    profile = zoo._RevolutionProfile(1.5, 0.3, 0.1, 1.5)
+    monkeypatch.setattr(zoo, bound, value)
+    with pytest.raises(ValueError, match=r"^profile quadrature does not converge on \[0, 1\]"):
+        profile.iso_coord(1.0)
+
+
 def test_overflowing_profile_radius_is_named():
     # rho = inf passed the radius check, and the quadrature then blamed the speed
     with pytest.raises(ValueError, match=r"^profile radius is not finite on \|t\| <= 1.5$"):
