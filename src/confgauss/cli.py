@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .classify import classify, classify_data, s3_fields
+from .classify import _streamed_view, classify, classify_data, s3_fields
 from .congruence import isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
 from .willmore import direct_currents, equivariance_residuals, willmore_scalar
-from .zoo import SURFACES, list_surfaces, make_surface, sample
+from .zoo import SURFACES, list_surfaces, make_surface, sample, sample_rows
 
 DETERMINATE_VERDICT_PREFIXES = (
     "conformally CMC in",
@@ -154,10 +154,13 @@ def cmd_transform(args) -> int:
     domain = _parse_domain(args.domain) if args.domain else None
     word = parse_word(args.word)
     matrix = word_matrix(word)
-    data = fundamental_data(sample(spec, args.grid, domain=domain))
-    view = s3_fields(data)
+    # both views stream from one sampler: each row block is pushed to S^3
+    # as it is and moved by the word, as ``classify`` streams one chart
+    axes, block = sample_rows(spec, args.grid, domain=domain)
+    view = _streamed_view(axes, lambda rows: fundamental_data(block(rows)))
     base = classify_data(view, surface=spec.name, params=spec.params)
-    moved = s3_fields(transform_immersion(data, word))
+    moved = _streamed_view(
+        axes, lambda rows: transform_immersion(fundamental_data(block(rows)), word))
     rep = classify_data(moved, surface=f"{spec.name} (transformed)",
                         params=spec.params)
     y_err, mu_err = equivariance_residuals(view.cong, moved.cong, matrix)

@@ -50,9 +50,27 @@ class SurfaceSpec:
         }
 
 
-def _axes(spec: SurfaceSpec, n: int, domain):
-    """The checked axes of an n x n grid (a ChartGrid without jets) and the
-    row coordinate of each row."""
+def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
+    """Sample a surface on an n x n grid; validates conformality at build.
+
+    ``sample_rows``'s block of all rows: the whole grid's jets, checked at
+    once.
+    """
+    return sample_rows(spec, n, domain)[1](slice(None))
+
+
+def sample_rows(spec: SurfaceSpec, n: int, domain=None):
+    """Sample a surface on an n x n grid one row block at a time: the grid's
+    axes, checked once (a ChartGrid without jets), and a function that
+    samples the rows of a slice into a ChartGrid of those rows whose jets
+    are checked.  Each node is sampled on its own, so blocks may be sampled
+    in any order, and on several threads at once.
+
+    The jet functions take the row coordinate as a column and the v axis as
+    a row, so that a factor of one coordinate is computed once per line.
+    They run with numpy's warnings off: an overflow leaves a non-finite jet,
+    which ``ChartGrid`` names.
+    """
     (u0, u1), (v0, v1) = domain if domain is not None else spec.domain
     if not np.all(np.isfinite([u0, u1, v0, v1])):
         raise ValueError(f"domain bounds must be finite, got {u0:g},{u1:g},{v0:g},{v1:g}")
@@ -61,32 +79,8 @@ def _axes(spec: SurfaceSpec, n: int, domain):
     with np.errstate(all="ignore"):
         u = np.linspace(u0, u1, n)
         v = np.linspace(v0, v1, n)
-        rows = u if spec.row_coordinate is None else spec.row_coordinate(u)
-    return ChartGrid(spec.model, u, v, None), rows
-
-
-def sample(spec: SurfaceSpec, n: int, domain=None) -> ChartGrid:
-    """Sample a surface on an n x n grid; validates conformality at build.
-
-    The jet functions take the row coordinate as a column and the v axis as
-    a row, so that a factor of one coordinate is computed once per line.
-    They run with numpy's warnings off: an overflow leaves a non-finite jet,
-    which ``ChartGrid`` names.
-    """
-    axes, rows = _axes(spec, n, domain)
-    with np.errstate(all="ignore"):
-        jet = spec.jet_fn(rows[:, None], axes.v[None, :])
-    return axes.with_jet(jet)
-
-
-def sample_rows(spec: SurfaceSpec, n: int, domain=None):
-    """``sample(spec, n, domain)`` one row block at a time: the grid's axes,
-    checked once (a ChartGrid without jets), and a function that samples
-    the rows of a slice into a ChartGrid of those rows whose jets are
-    checked.  Every node is sampled as ``sample`` samples it, so blocks may
-    be sampled in any order, and on several threads at once.
-    """
-    axes, rows_at = _axes(spec, n, domain)
+        rows_at = u if spec.row_coordinate is None else spec.row_coordinate(u)
+    axes = ChartGrid(spec.model, u, v, None)
 
     def block(rows: slice) -> ChartGrid:
         with np.errstate(all="ignore"):

@@ -285,7 +285,7 @@ def test_classify_bytes_per_node(name):
 def test_classified_view_holds_only_its_fields():
     """tracemalloc of what a caller's one-band view holds after
     classify_data, per node: Y and its derivatives, Q, Q_zbar, W_{S3} and
-    grad H, which ``analyze --out`` and ``transform`` read afterwards.
+    grad H, which ``analyze --out`` reads afterwards.
     Measured 296.8, plus about 20 B/node."""
     n = 129
     view = CL.s3_fields(G.fundamental_data(sample(make_surface("clifford_torus"), n)))

@@ -1,16 +1,18 @@
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from confgauss import classify, cli, jets, zoo
-from confgauss.classify import ClassificationReport
+from confgauss.classify import ClassificationReport, classify_data, s3_fields
 from confgauss.cli import main
-from confgauss.congruence import conformal_gauss_map
+from confgauss.congruence import conformal_gauss_map, transform_immersion
 from confgauss.grid import ChartGrid, fundamental_data
-from confgauss.willmore import willmore_scalar
+from confgauss.lorentz import parse_word, word_matrix
+from confgauss.willmore import equivariance_residuals, willmore_scalar
 from confgauss.zoo import SURFACES, make_surface, sample
 
 # one catalog chart per model: R^3, S^3, H^3
@@ -308,14 +310,16 @@ def test_memory_error_exits_1(capsys, monkeypatch):
         raise MemoryError("Unable to allocate 745. TiB for an array")
 
     # analyze streams the sampler's row blocks through classify.classify,
-    # analyze --out samples through cli
+    # transform through cli, analyze --out samples through cli
     monkeypatch.setattr(cli, "sample", out_of_memory)
+    monkeypatch.setattr(cli, "sample_rows", out_of_memory)
     monkeypatch.setattr(zoo, "sample_rows", out_of_memory)
-    code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "10000000")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "745. TiB" in err
+    for argv in (["analyze", "cylinder"], ["transform", "cylinder", "--word", "inv"]):
+        code, out, err = run_cli(capsys, *argv, "--grid", "10000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "745. TiB" in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -458,6 +462,54 @@ def test_transform_base_is_the_analyze_report(capsys, name):
     _, analyzed, _ = run_cli(capsys, "analyze", name, "--grid", "33")
     _, moved, _ = run_cli(capsys, "transform", name, "--grid", "33", "--word", WORD)
     assert json.loads(moved)["base"] == json.loads(analyzed)
+
+
+@pytest.mark.parametrize("n", [129, 300])
+@pytest.mark.parametrize("word", ["tra:4,0,0 inv dil:0.3", "inv"])
+@pytest.mark.parametrize("name", ["cylinder", "clifford_torus", "hyperbolic_cylinder"])
+def test_transform_is_the_whole_grid_pipeline(capsys, name, word, n):
+    """transform streams both views from one sampler, byte for byte as the
+    whole sampled chart's view and the view of its whole pushed image; 300
+    rows are two bands."""
+    spec, moves = make_surface(name), parse_word(word)
+    data = fundamental_data(sample(spec, n))
+    view = s3_fields(data)
+    base = classify_data(view, spec.name, spec.params)
+    moved = s3_fields(transform_immersion(data, moves))
+    rep = classify_data(moved, f"{spec.name} (transformed)", spec.params)
+    y_err, mu_err = equivariance_residuals(view.cong, moved.cong, word_matrix(moves))
+    payload = {
+        "surface": spec.name,
+        "word": word,
+        "base": base.to_dict(),
+        "transformed": rep.to_dict(),
+        "verdict_unchanged": (base.kappa == rep.kappa
+                              and base.hyperplane.vtype == rep.hyperplane.vtype),
+        "gauss_map_equivariance": y_err,
+        "mu_transport": mu_err,
+    }
+    code, out, err = run_cli(capsys, "transform", name, "--word", word, "--grid", str(n))
+    assert (code, err) == (0, "")
+    assert out == cli.to_json(payload) + "\n"
+
+
+@pytest.mark.parametrize("name", ["cylinder", "clifford_torus", "hyperbolic_cylinder"])
+def test_transform_peak_memory(capsys, name):
+    """tracemalloc peak of a two-band transform, sampling included, per
+    node: measured 268-288, plus about 30 (759-951 with both charts
+    sampled and pushed whole, and views that keep their jets)."""
+    n = 257
+    assert len(jets.row_bands(n)) == 2
+    tracemalloc.start()
+    try:
+        code = main(["transform", name, "--word", "tra:4,0,0 inv dil:0.3",
+                     "--grid", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak / n ** 2 <= 320
 
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)
