@@ -63,6 +63,8 @@ class _S3Fields(FundamentalData):
 
     The congruence, W_{S3}, Q = <Y_zz, Y_zz> and Q_zbar are computed on
     first use and kept on this object, so they live as long as it does.
+    The classifier reads them off its band sub-views (``sub``) only, which
+    die with their band, so the view it is given keeps its fields and Y.
     A streamed view (``_streamed_view``) holds no jets and no n.
     """
 
@@ -101,10 +103,7 @@ def s3_fields(data: FundamentalData) -> _S3Fields:
     if isinstance(data, _S3Fields):
         return data
     data = representation(data, "s3")
-    view = _S3Fields(data.grid, data.orientation)
-    if "_fields" in vars(data):  # an S^3 chart's fields already read: shared
-        view._fields = data._fields
-    return view
+    return _S3Fields(data.grid, data.orientation)
 
 
 def _pool_size() -> int:
@@ -203,13 +202,9 @@ def _streamed_view(grid: ChartGrid, block) -> _S3Fields:
 
 def _classifier_view(data: FundamentalData) -> _S3Fields:
     """``data`` if it is an S^3 view already, else the streamed view of the
-    row slices of its chart.  An S^3 chart whose fields are read already
-    is viewed as it is: nothing is pushed, and its fields and jets, which
-    its caller holds, are shared rather than copied."""
+    row slices of its chart, in any model."""
     if isinstance(data, _S3Fields):
         return data
-    if data.model == "s3" and "_fields" in vars(data):
-        return s3_fields(data)
     g = data.grid
     return _streamed_view(g, lambda rows: FundamentalData(g.subgrid(rows), data.orientation))
 
@@ -384,9 +379,10 @@ def classify_data(data: FundamentalData, surface: str = "custom",
     """Classification pipeline on any model's data: one
     ``classification_value`` of its S^3 view, gated, and the fit of Y.
 
-    A caller's view (``s3_fields``) is read as it is and keeps the fields
-    the classifier takes; any other chart is streamed into a view without
-    jets, one row block at a time, as ``classify`` streams the sampler.
+    A caller's view (``s3_fields``) is read as it is and keeps only its
+    fields and Y, since every derivative field is taken on a band and dies
+    with it; any other chart is streamed into a view without jets, one row
+    block at a time, as ``classify`` streams the sampler.
     """
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
@@ -447,16 +443,14 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
     of 1e-7 of its scale or ten times its 2h noise estimate if larger; a
     sign needs >= 99% coverage of interior nodes.
 
-    A band is a sub-view (``_S3Fields.sub``) of its own rows and a halo,
-    which takes Y's derivatives one row block at a time (``_reduce_band``),
-    and its derivative fields die with it; so is every 2h band.  A band
-    whose rows and halo cover the grid is the view itself, which takes
-    them whole and keeps them for its caller.  What outlives a band is
-    the real sign field on its own rows and each maximum over them,
-    merged by the NaN-keeping ``np.maximum``; its 2h
-    band compares the fine values at its even nodes before the next band
-    starts.  Maxima are exact, so no number depends on the band count; one
-    that is not finite is a ValueError.
+    Every band, a grid's only one too, is a sub-view (``_S3Fields.sub``)
+    of its own rows and a halo, which takes Y's derivatives one row block
+    at a time (``_reduce_band``), and its derivative fields die with it;
+    so is every 2h band.  What outlives a band is the real sign field on
+    its own rows and each maximum over them, merged by the NaN-keeping
+    ``np.maximum``; its 2h band compares the fine values at its even
+    nodes before the next band starts.  Maxima are exact, so no number
+    depends on the band count; one that is not finite is a ValueError.
     """
     view = _classifier_view(data)
     n, m = view.grid.shape
@@ -476,16 +470,14 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
         """The band of rows ``own`` and their halo, and where ``own`` lies
         in it."""
         rows = slice(max(own.start - BAND_HALO, 0), min(own.stop + BAND_HALO, size))
-        band = parent if rows == slice(0, size) else parent.sub(rows)
-        return band, slice(own.start - rows.start, own.stop - rows.start)
+        return parent.sub(rows), slice(own.start - rows.start, own.stop - rows.start)
 
     def fine_band(own):
         """Reduce the band of rows ``own``; return its sign field and Q_zbar
         at its even nodes.  Q, Q_zbar and W_{S3} are whole-band fields, the
         pointwise rest is taken one row block at a time."""
         band, mine = band_of(view, own, n)
-        peak("willmore", harmonicity_residual(band.cong)[mine] if band is view
-             else _reduce_band(band, mine), own.start, n, 2)
+        peak("willmore", _reduce_band(band, mine), own.start, n, 2)
         q_zbar = band.q_zbar[mine]
         peak("holo", q_zbar, own.start, n, 2)
         peak("holo_inner", q_zbar, own.start, n, SIGN_BAND)

@@ -58,12 +58,10 @@ def _mu(y, y_d):
 
 
 def _gradient_rows(cong: CongruenceGrid, rows: slice):
-    """(Y, Y_u, Y_v) on the grid rows ``rows``: those rows of ``grad_Y``
-    where ``cong`` keeps it, else Y_u from a ``d_u_rows`` window of Y and
-    Y_v from Y's rows, node for node the same; none is kept."""
+    """(Y, Y_u, Y_v) on the grid rows ``rows``: Y_u from a ``d_u_rows``
+    window of Y and Y_v from Y's rows, node for node those rows of
+    ``grad_Y``; none is kept."""
     y = cong.Y[rows]
-    if "grad_Y" in vars(cong):
-        return (y,) + tuple(d[rows] for d in cong.grad_Y)
     g = cong.grid
     return y, g.d_u_rows(cong.Y[rows_read(rows, g.shape[0])], rows), g.d_v(y)
 

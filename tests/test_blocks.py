@@ -164,21 +164,19 @@ def _record_sub_views(monkeypatch):
 
 @pytest.mark.parametrize("band_rows", [None, FEW_BAND_ROWS])
 def test_band_sub_views_keep_no_y_derivatives(monkeypatch, band_rows):
-    """A band sub-view's Y derivatives die with each row block; a caller's
-    view that is its own one band keeps them for ``analyze --out``."""
+    """Every band is a sub-view, a grid's only band too, whose Y
+    derivatives die with each row block; the caller's view keeps none."""
     if band_rows:
         monkeypatch.setattr(J, "BAND_ROWS", band_rows)
     view = CL.s3_fields(G.fundamental_data(sample(make_surface("torus_revolution"), N)))
     views = _record_sub_views(monkeypatch)
     CL.classify_data(view, "torus_revolution")
-    # the 2h view, and without one band each fine band and each 2h band
-    assert len(views) == (1 if band_rows is None else 1 + 2 * len(J.row_bands(N)))
+    # the 2h view, each fine band and each 2h band
+    assert len(views) == 1 + 2 * len(J.row_bands(N))
     reduced = [band for band in views if "q" in vars(band)]
-    assert len(reduced) == (1 if band_rows is None else 2 * len(J.row_bands(N)))
-    for band in views:
-        assert not {"grad_Y", "_second_derivatives"} & set(vars(band.cong))
-    kept = {"grad_Y", "_second_derivatives"} <= set(vars(view.cong))
-    assert kept == (band_rows is None)
+    assert len(reduced) == 2 * len(J.row_bands(N))
+    for cong in [band.cong for band in views] + [view.cong]:
+        assert not {"grad_Y", "_second_derivatives"} & set(vars(cong))
 
 
 def test_classify_frees_the_sampled_chart_before_the_first_band(monkeypatch):

@@ -269,7 +269,9 @@ BYTES_PER_NODE = {"torus_revolution": 435, "clifford_torus": 405}
 @pytest.mark.parametrize("name", BYTES_PER_NODE)
 def test_classify_bytes_per_node(name):
     """tracemalloc peak of one classify_data above its input, per node:
-    measured 414.9 and 382.8 on one to eight threads, plus about 20 B/node."""
+    measured at most 407.1 and 396.6 on one and two threads, plus about
+    10 B/node.  Both charts are streamed, the S^3 clifford_torus too
+    (382.9 when its read fields were classified as they were)."""
     n, limit = 129, BYTES_PER_NODE[name]
     data = G.fundamental_data(sample(make_surface(name), n))
     data.Omega  # the input's own fields are extracted on first read: read them here
@@ -283,10 +285,11 @@ def test_classify_bytes_per_node(name):
 
 
 def test_classified_view_holds_only_its_fields():
-    """tracemalloc of what a caller's one-band view holds after
-    classify_data, per node: Y and its derivatives, Q, Q_zbar, W_{S3} and
-    grad H, which ``analyze --out`` reads afterwards.
-    Measured 296.8, plus about 20 B/node."""
+    """tracemalloc of what a caller's view holds after classify_data, per
+    node: only its fields, read before, and Y, since every derivative
+    field dies with its band.  Measured 41.0 on one thread and 47.4 on
+    two, of which Y is 40 (296.8 when a one-band view kept Y's
+    derivatives, Q, Q_zbar, W_{S3} and grad H)."""
     n = 129
     view = CL.s3_fields(G.fundamental_data(sample(make_surface("clifford_torus"), n)))
     view.Omega  # the view's own fields are extracted on first read: read them here
@@ -296,7 +299,7 @@ def test_classified_view_holds_only_its_fields():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / n ** 2 <= 315
+    assert held / n ** 2 <= 60
 
 
 def _count_chart_normals(monkeypatch):

@@ -372,8 +372,10 @@ def test_list_surfaces_has_no_grid_flag(capsys):
 
 
 def _record_analysis_work(monkeypatch):
-    """Record the model of every Gauss map built and every axis pass input."""
-    maps, passes = [], []
+    """Record the model of every Gauss map built, and every axis pass input
+    by stage: one list for each ``classify_data`` call of the CLI, and one
+    for the passes before, between and after them."""
+    maps, stages = [], [[]]
     orig = conformal_gauss_map
 
     def counted_map(data):
@@ -387,29 +389,42 @@ def _record_analysis_work(monkeypatch):
     for axis, name in enumerate(("d_u", "d_v")):
         def counted(self, f, _orig=getattr(ChartGrid, name), _axis=axis):
             field = np.ascontiguousarray(f)
-            passes.append((_axis, field.shape, field.dtype.str, field.tobytes()))
+            stages[-1].append((_axis, field.shape, field.dtype.str, field.tobytes()))
             return _orig(self, f)
 
         monkeypatch.setattr(ChartGrid, name, counted)
-    return maps, passes
+
+    def classified(*args, _orig=cli.classify_data, **kwargs):
+        stages.append([])
+        report = _orig(*args, **kwargs)
+        stages.append([])
+        return report
+
+    monkeypatch.setattr(cli, "classify_data", classified)
+    return maps, stages
 
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)
 def test_analyze_out_builds_one_gauss_map(tmp_path, capsys, monkeypatch, name):
-    maps, passes = _record_analysis_work(monkeypatch)
+    maps, stages = _record_analysis_work(monkeypatch)
     code, _, _ = run_cli(capsys, "analyze", name, "--grid", "33",
                          "--out", str(tmp_path))
     assert code == 0
     assert maps == ["s3"]
-    assert len(set(passes)) == len(passes)
+    # no pass repeated inside classify_data, nor inside the export, which
+    # takes Y's and W_{S3}'s passes again after the bands freed theirs
+    before, classified, export = stages
+    assert not before and classified and export
+    for passes in (classified, export):
+        assert len(set(passes)) == len(passes)
 
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)
 def test_analyze_out_classifies_one_band_on_its_own_view(tmp_path, capsys,
                                                          monkeypatch, name):
-    # a one-band grid is reduced on the caller's view, whose Y and W_{S3}
-    # the export reads: the S^3 Gauss map and Willmore scalar run once on
-    # the grid, the scalar once more on the 2h view
+    # a one-band grid is reduced on a band sub-view, as every band is: the
+    # S^3 Gauss map runs once, on the caller's view; the S^3 Willmore
+    # scalar runs on the band, on the 2h band and once more in the export
     scalars = []
     orig = willmore_scalar
 
@@ -426,7 +441,8 @@ def test_analyze_out_classifies_one_band_on_its_own_view(tmp_path, capsys,
                          "--out", str(tmp_path))
     assert code == 0
     assert maps == ["s3"]
-    assert [shape for model, shape in scalars if model == "s3"] == [(65, 65), (33, 33)]
+    assert [shape for model, shape in scalars if model == "s3"] == [
+        (65, 65), (33, 33), (65, 65)]
 
 
 def test_few_row_bands_write_the_one_band_output(tmp_path, capsys, monkeypatch):
@@ -450,11 +466,16 @@ def test_few_row_bands_write_the_one_band_output(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)
 def test_transform_builds_two_gauss_maps(capsys, monkeypatch, name):
-    maps, passes = _record_analysis_work(monkeypatch)
+    maps, stages = _record_analysis_work(monkeypatch)
     code, _, _ = run_cli(capsys, "transform", name, "--grid", "33", "--word", WORD)
     assert code == 0
     assert maps == ["s3", "s3"]
-    assert len(set(passes)) == len(passes)
+    # no pass repeated inside either classify_data, nor inside the mu
+    # check, which takes Y_u and Y_v of both views again
+    before, base, between, moved, mu_check = stages
+    assert not before and not between and base and moved and mu_check
+    for passes in (base, moved, mu_check):
+        assert len(set(passes)) == len(passes)
 
 
 @pytest.mark.parametrize("name", ["clifford_torus", "cylinder", "hyperbolic_cylinder"])
@@ -493,13 +514,15 @@ def test_transform_is_the_whole_grid_pipeline(capsys, name, word, n):
     assert out == cli.to_json(payload) + "\n"
 
 
+@pytest.mark.parametrize("n", [256, 257])
 @pytest.mark.parametrize("name", ["cylinder", "clifford_torus", "hyperbolic_cylinder"])
-def test_transform_peak_memory(capsys, name):
-    """tracemalloc peak of a two-band transform, sampling included, per
-    node: measured 268-288, plus about 30 (759-951 with both charts
-    sampled and pushed whole, and views that keep their jets)."""
-    n = 257
-    assert len(jets.row_bands(n)) == 2
+def test_transform_peak_memory(capsys, name, n):
+    """tracemalloc peak of a transform, sampling included, per node, on
+    one band (N = 256) and on two (N = 257): measured 274-295, plus about
+    30 (757-769 at N = 256 with the one band reduced on the views
+    themselves, 759-951 with both charts sampled and pushed whole, and
+    views that keep their jets)."""
+    assert len(jets.row_bands(n)) == (1 if n == 256 else 2)
     tracemalloc.start()
     try:
         code = main(["transform", name, "--word", "tra:4,0,0 inv dil:0.3",
