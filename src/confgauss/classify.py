@@ -9,11 +9,12 @@ agree with that sign.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,12 @@ SIGN_BAND = 4
 # rows a classification band reads beyond its own: its deepest field,
 # Q_zbar, is three chained stencil passes, each spoiling two rows at a cut
 BAND_HALO = 6
+# rows a band's slab holds beyond the band's own: its 2h band's halo of
+# BAND_HALO coarse rows
+SLAB_HALO = 2 * BAND_HALO
+# nodes of Y that the hyperplane fit sums at a time: the (N - 4)^2
+# interior nodes of an N x N grid of one band (N <= 256) are one sum
+FIT_BLOCK_NODES = 1 << 16
 
 _SPACE_BY_KAPPA = {0: "ℝ³", -1: "S³", 1: "ℍ³"}
 _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
@@ -65,8 +72,14 @@ class _S3Fields(FundamentalData):
     first use and kept on this object, so they live as long as it does.
     The classifier reads them off its band sub-views (``sub``) only, which
     die with their band, so the view it is given keeps its fields and Y.
-    A streamed view (``_streamed_view``) holds no jets and no n.
+    A streamed view (``_streamed_view``) and a band's slab (``_slabs``)
+    hold no jets and no n.
     """
+
+    # (the chart's 2h grid, the chart row of this view's row 0), set on a
+    # band's slab: its restrictions (``sub`` with step 2) are rows of that
+    # grid, with the chart's spacings, not spacings of the slab's nodes
+    coarse: tuple | None = None
 
     @cached_property
     def cong(self) -> CongruenceGrid:
@@ -86,15 +99,41 @@ class _S3Fields(FundamentalData):
         return self.grid.dzbar(self.q)
 
     def sub(self, rows=slice(None), step: int = 1) -> "_S3Fields":
-        """Nodes ``[rows][::step, ::step]`` of this view (``ChartGrid.subgrid``):
-        its (lam, n, H, Omega) and Y there, no copy, no check.  All four and
-        Y are pointwise, so they are the sub-grid's own; its derivative
-        fields are taken anew, its Q by ``_reduce_band``."""
-        view = _S3Fields(self.grid.subgrid(rows, step), self.orientation)
-        view._fields = tuple(f if f is None else f[rows][::step, ::step]
-                             for f in self._fields)
-        view.cong = CongruenceGrid(view.grid, self.cong.Y[rows][::step, ::step])
-        return view
+        """Nodes ``[rows][::step, ::step]`` of this view: its (lam, n, H,
+        Omega) and Y there, no copy, no check, on ``ChartGrid.subgrid``, or
+        for a restriction of a view that knows its ``coarse`` grid, on the
+        rows of that grid.  All four and Y are pointwise, so they are the
+        sub-grid's own; its derivative fields are taken anew, its Q by
+        ``_reduce_band``."""
+        if step == 1 or self.coarse is None:
+            grid = self.grid.subgrid(rows, step)
+        else:
+            coarse, row = self.coarse
+            lo, hi, _ = rows.indices(self.grid.shape[0])
+            first = (row + lo) // step
+            grid = coarse.subgrid(slice(first, first + len(range(lo, hi, step))))
+        return _view(grid, self.orientation,
+                     [f if f is None else f[rows][::step, ::step] for f in self._fields],
+                     self.cong.Y[rows][::step, ::step])
+
+
+def _view(grid: ChartGrid, orientation: int, fields, y, coarse=None) -> _S3Fields:
+    """The S^3 view on ``grid`` whose (lam, n, H, Omega) are ``fields``,
+    whose Gauss map is ``y`` and whose ``coarse`` grid is given."""
+    view = _S3Fields(grid, orientation)
+    view._fields = tuple(fields)
+    view.cong = CongruenceGrid(grid, y)
+    view.coarse = coarse
+    return view
+
+
+@dataclass
+class _SampledChart(FundamentalData):
+    """A chart known by its axes (``grid`` holds no jets) and ``sample``,
+    which gives the fundamental data of any row slice of it, in any model,
+    with its orientation: ``classify``'s reading of the sampler."""
+
+    sample: Callable = None
 
 
 def s3_fields(data: FundamentalData) -> _S3Fields:
@@ -171,42 +210,81 @@ def _on_blocks(task, lead: tuple) -> list:
     return results
 
 
-def _streamed_view(grid: ChartGrid, block) -> _S3Fields:
-    """The classifier's S^3 view of the chart whose axes are ``grid``'s and
-    whose rows ``rows`` are ``block(rows)``, fundamental data in any model.
+def _stream(block, rows: slice, fields, y, at: int) -> int:
+    """Write the S^3 (lam, H, Omega) and Y of the chart rows ``rows`` into
+    ``fields`` and ``y`` from their row ``at`` on; the orientation there.
 
-    Each row block (``_on_blocks``) is pushed to S^3 (``representation``,
-    which checks the pushed jets), and its lam, H, Omega and Y are written
-    into whole-grid arrays; its jets and n die with it, so the view keeps
-    72 B/node and no jets.  Each step is pointwise, so the view's fields
-    are those of ``s3_fields`` to the bit, whatever the blocks.
+    Each row block (``_on_blocks``) is ``block(rows)``, fundamental data in
+    any model, pushed to S^3 (``representation``, which checks the pushed
+    jets) and read off; its jets and n die with it.  Each step is
+    pointwise, so the fields are those of ``s3_fields`` to the bit,
+    whatever the blocks.
     """
-    n, m = grid.shape
-    lam, h_field, omega = np.empty((n, m)), np.empty((n, m)), np.empty((n, m), complex)
-    y = np.empty((n, m, 5))
+    lam, h_field, omega = fields
 
-    def stream(rows):
-        data = representation(block(rows), "s3")
+    def stream(part):
+        src = slice(rows.start + part.start, rows.start + part.stop)
+        dst = slice(at + part.start, at + part.stop)
+        data = representation(block(src), "s3")
         # set, not read: the first read of a cached_property takes a lock
         # that all instances share (Python < 3.12)
         data._fields = _extract(data.grid, data.orientation)
-        lam[rows], _, h_field[rows], omega[rows] = data._fields
-        y[rows] = conformal_gauss_map(data).Y
+        lam[dst], _, h_field[dst], omega[dst] = data._fields
+        y[dst] = conformal_gauss_map(data).Y
         return data.orientation
 
-    view = _S3Fields(grid.with_jet(None, "s3"), _on_blocks(stream, grid.shape)[0])
-    view._fields = (lam, None, h_field, omega)
-    view.cong = CongruenceGrid(view.grid, y)
-    return view
+    return _on_blocks(stream, (rows.stop - rows.start, y.shape[1]))[0]
 
 
-def _classifier_view(data: FundamentalData) -> _S3Fields:
-    """``data`` if it is an S^3 view already, else the streamed view of the
-    row slices of its chart, in any model."""
-    if isinstance(data, _S3Fields):
-        return data
+def _new_fields(n: int, m: int):
+    """Empty (lam, H, Omega) and Y of n rows of m nodes, 72 B/node."""
+    return (np.empty((n, m)), np.empty((n, m)), np.empty((n, m), complex)), np.empty((n, m, 5))
+
+
+def _streamed_view(grid: ChartGrid, block) -> _S3Fields:
+    """The S^3 view of the chart whose axes are ``grid``'s and whose rows
+    ``rows`` are ``block(rows)``, fundamental data in any model, streamed
+    (``_stream``) into whole-grid arrays: it keeps 72 B/node and no jets."""
+    (lam, h_field, omega), y = _new_fields(*grid.shape)
+    orientation = _stream(block, slice(0, grid.shape[0]), (lam, h_field, omega), y, 0)
+    return _view(grid.with_jet(None, "s3"), orientation, (lam, None, h_field, omega), y)
+
+
+def _slabs(data: FundamentalData, bands: list, coarse: ChartGrid):
+    """For each band ``own`` of ``bands``, (lo, slab): an S^3 view whose row
+    0 is grid row ``lo`` and which holds rows ``own`` and SLAB_HALO rows on
+    each side, the rows its fine and 2h bands read; its restrictions lie
+    on ``coarse``, the 2h grid of the chart.
+
+    A caller's view (``s3_fields``) is every band's slab.  Any other chart
+    is streamed (``_stream``) band by band into one slab buffer, from
+    ``data.sample`` if it is a ``_SampledChart``, else from row slices of
+    its grid; the rows that a band's slab shares with the last one are
+    moved, not sampled again.
+    """
     g = data.grid
-    return _streamed_view(g, lambda rows: FundamentalData(g.subgrid(rows), data.orientation))
+    if isinstance(data, _S3Fields):
+        whole = _view(g, data.orientation, data._fields, data.cong.Y, (coarse, 0))
+        for _ in bands:
+            yield 0, whole
+        return
+    block = data.sample if isinstance(data, _SampledChart) else (
+        lambda rows: FundamentalData(g.subgrid(rows), data.orientation))
+    axes = g.with_jet(None, "s3")
+    n, m = g.shape
+    spans = [(max(own.start - SLAB_HALO, 0), min(own.stop + SLAB_HALO, n)) for own in bands]
+    fields, y = _new_fields(max(hi - lo for lo, hi in spans), m)
+    last, orientation = (0, 0), None
+    for lo, hi in spans:
+        held = last[1] - lo  # rows lo .. last[1] are in the buffer already
+        for f in (*fields, y):
+            f[:held] = f[lo - last[0]:last[1] - last[0]]
+        sampled = _stream(block, slice(lo + held, hi), fields, y, held)
+        orientation = sampled if orientation is None else orientation
+        lam, h_field, omega = (f[:hi - lo] for f in fields)
+        yield lo, _view(axes.subgrid(slice(lo, hi)), orientation,
+                        (lam, None, h_field, omega), y[:hi - lo], (coarse, lo))
+        last = lo, hi
 
 
 def _reduce_band(band: _S3Fields, mine: slice | None = None):
@@ -303,23 +381,70 @@ class HyperplaneFit:
     linear: bool
 
 
-def hyperplane_fit(samples: np.ndarray) -> HyperplaneFit:
-    """Fit the best affine hyperplane through congruence samples (..., 5).
+class _PlaneMoments:
+    """What the hyperplane fit reads off samples of Y (..., 5), added band
+    by band (``add``) and summed FIT_BLOCK_NODES nodes at a time: their
+    count, the 6x6 sum of z z^T over z = (Y, -1), and the sums of r^2 and
+    r z over the residuals r = <z, w0> about the plane w0 = (eps v0, eta0)
+    of the first blocks' own moments.
 
-    Smallest eigenvector of the 6x6 second-moment matrix of the stacked
-    vectors (eps Y, -1); v is reported with unit euclidean norm.
+    The squared residuals at any plane w then follow from the sums
+    (``squares``), in terms of w - w0, which is small where every band
+    lies on one plane: w^T (sum z z^T) w alone loses an rms of 2e-14 to
+    cancellation in the sum's rounding, 1e-8 and worse.  The samples of
+    blocks whose moments fix no plane yet (a thin band of a chart is nearly
+    a curve) are held until the merged moments do; for one block w = w0 to
+    the bit, so the sums are exactly the direct ones.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 500:
-        raise ValueError("need at least 100 samples")
-    # z = (Y, -1) is the only copy of the samples; the sign of eps goes
-    # onto the moments, which it flips exactly
-    z = np.empty(samples.shape[:-1] + (6,))
-    z[..., :5] = samples
-    z[..., 5] = -1.0
-    z = z.reshape(-1, 6)
+
+    def __init__(self):
+        self.count, self.zz, self.w0 = 0, None, None
+        self.r2, self.rz, self.held = 0.0, np.zeros(6), []
+
+    def add(self, samples: np.ndarray) -> None:
+        rows = max(1, FIT_BLOCK_NODES // max(1, math.prod(samples.shape[1:-1])))
+        for first in range(0, len(samples), rows):
+            self._add_block(samples[first:first + rows])
+
+    def _add_block(self, samples: np.ndarray) -> None:
+        # z = (Y, -1) is the only copy of the samples
+        z = np.empty(samples.shape[:-1] + (6,))
+        z[..., :5] = samples
+        z[..., 5] = -1.0
+        z = z.reshape(-1, 6)
+        if not len(z):
+            return
+        zz = z.T @ z
+        self.count += len(z)
+        self.zz = zz if self.zz is None else self.zz + zz
+        if self.w0 is None:
+            self.held.append(z)
+            try:
+                self.w0 = _plane_vector(*_plane(self.zz, self.count))
+            except ValueError:  # no plane yet: the next band may fix one
+                return
+            held, self.held = self.held, []
+        else:
+            held = [z]
+        for z in held:
+            r = z @ self.w0
+            self.r2 += np.sum(r ** 2)
+            self.rz += r @ z
+
+    def squares(self, w: np.ndarray):
+        """The sum of <z, w>^2 over the samples."""
+        sign = 1.0 if w @ self.w0 >= 0.0 else -1.0
+        d = w - sign * self.w0
+        return self.r2 + 2.0 * sign * (d @ self.rz) + d @ self.zz @ d
+
+
+def _plane(zz: np.ndarray, count: int):
+    """(v, eta) of the smallest eigenvector of the 6x6 second moment of
+    (eps Y, -1), from the sum ``zz`` of z z^T over ``count`` samples
+    z = (Y, -1); v has unit euclidean norm and a deterministic sign."""
+    # the sign of eps goes onto the moments, which it flips exactly
     flip = np.append(np.diag(EPSILON), 1.0)
-    moment = (z.T @ z) * np.outer(flip, flip) / z.shape[0]
+    moment = zz * np.outer(flip, flip) / count
     evals, evecs = np.linalg.eigh(moment)
     if evals[1] <= 1e-10 * max(evals[-1], 1e-30):
         raise ValueError("degenerate congruence")
@@ -337,7 +462,30 @@ def hyperplane_fit(samples: np.ndarray) -> HyperplaneFit:
     lead = next(k for k, m in enumerate(mag) if m >= cut)
     if v[lead] < 0:
         v, eta = -v, -eta
-    rms = float(np.sqrt(np.mean((z @ np.append(EPSILON @ v, eta)) ** 2)))
+    return v, eta
+
+
+def _plane_vector(v: np.ndarray, eta: float) -> np.ndarray:
+    """w with <z, w> = <Y, v> - eta for z = (Y, -1)."""
+    return np.append(EPSILON @ v, eta)
+
+
+def hyperplane_fit(samples) -> HyperplaneFit:
+    """Fit the best affine hyperplane through congruence samples (..., 5),
+    or through the samples whose moments a ``_PlaneMoments`` has summed.
+
+    Smallest eigenvector of the 6x6 second-moment matrix of the stacked
+    vectors (eps Y, -1); v is reported with unit euclidean norm.
+    """
+    moments = samples
+    if not isinstance(moments, _PlaneMoments):
+        moments = _PlaneMoments()
+        moments.add(np.asarray(samples, dtype=float))
+    if moments.count < 100:
+        raise ValueError(f"hyperplane fit needs at least 100 interior samples,"
+                         f" got {moments.count}")
+    v, eta = _plane(moments.zz, moments.count)
+    rms = float(np.sqrt(moments.squares(_plane_vector(v, eta)) / moments.count))
     return HyperplaneFit(v, eta, rms, classify_vector(v, NORMAL_TYPE_TOL),
                          abs(eta) <= LINEAR_ETA_TOL)
 
@@ -377,26 +525,22 @@ class ClassificationReport:
 def classify_data(data: FundamentalData, surface: str = "custom",
                   params: dict | None = None) -> ClassificationReport:
     """Classification pipeline on any model's data: one
-    ``classification_value`` of its S^3 view, gated, and the fit of Y.
+    ``classification_value`` of its S^3 view, gated, and the hyperplane
+    fit of the moments of Y that its bands add up.
 
     A caller's view (``s3_fields``) is read as it is and keeps only its
     fields and Y, since every derivative field is taken on a band and dies
-    with it; any other chart is streamed into a view without jets, one row
-    block at a time, as ``classify`` streams the sampler.
+    with it; any other chart is streamed band by band, as ``classify``
+    streams the sampler, and no whole-grid lam, H, Omega or Y exists.
     """
     if min(data.grid.shape) < MIN_CLASSIFY_GRID:
         raise ValueError(
             f"classification needs at least {MIN_CLASSIFY_GRID} nodes per side,"
             " so that its 2h restriction is still a grid"
         )
-    view = _classifier_view(data)
-    # umbilicity is conformally invariant: one flag in every model's gauge
-    if view.has_umbilic():
-        raise ValueError(
-            "umbilic surface: conformal Gauss map degenerate on the chart"
-        )
-    numbers = classification_value(view)
-    plane = hyperplane_fit(view.cong.Y[2:-2, 2:-2])
+    moments = _PlaneMoments()
+    numbers = classification_value(data, moments)
+    plane = hyperplane_fit(moments)
 
     # gate on the band-4 residual to stay commensurate with the noise
     # estimate; the reported residual keeps the band-2 convention
@@ -421,43 +565,54 @@ def classify_data(data: FundamentalData, surface: str = "custom",
 def classify(spec, n: int = 128, domain=None) -> ClassificationReport:
     """Sample a catalog surface and run the full classification pipeline.
 
-    One streamed pass from the sampler to the classifier's inputs: each row
-    block (``_on_blocks``) is sampled, checked, pushed to S^3, checked there
-    and read off, and only lam, H, Omega and Y are kept whole (72 B/node).
-    No whole-grid jets exist; the band reduction of
-    ``classification_value`` and the fit of Y then run on those four.
+    One streamed pass from the sampler to the verdict: each band's rows
+    and halo (``_slabs``) are sampled, checked, pushed to S^3, checked there
+    and read off one row block (``_on_blocks``) at a time, then reduced
+    and added to the fit.  No whole-grid jets, lam, H, Omega or Y exist;
+    what stays whole is the real sign field (8 B/node).
     """
     from .grid import fundamental_data
     from .zoo import sample_rows
 
     axes, block = sample_rows(spec, n, domain=domain)
-    view = _streamed_view(axes, lambda rows: fundamental_data(block(rows)))
-    return classify_data(view, surface=spec.name, params=spec.params)
+    chart = _SampledChart(axes, 1, lambda rows: fundamental_data(block(rows)))
+    return classify_data(chart, surface=spec.name, params=spec.params)
 
 
-def classification_value(data: FundamentalData) -> ClassifierNumbers:
+def classification_value(data: FundamentalData,
+                         moments: _PlaneMoments | None = None) -> ClassifierNumbers:
     """The classifier's numbers of the S^3 view of a chart in any model,
     reduced over its row bands ``jets.row_bands(N)`` and the 2h bands on
     their even rows.  kappa is the sign of the real field
-    W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q, which is not kept, against a floor
-    of 1e-7 of its scale or ten times its 2h noise estimate if larger; a
-    sign needs >= 99% coverage of interior nodes.
+    W_{S3}^2 - conj(omega)^2 e^{-4Lam} Q, against a floor of 1e-7 of its
+    scale or ten times its 2h noise estimate if larger; a sign needs >= 99%
+    coverage of interior nodes.  Each band's interior Y is added to
+    ``moments`` if given, for the hyperplane fit.
 
-    Every band, a grid's only one too, is a sub-view (``_S3Fields.sub``)
-    of its own rows and a halo, which takes Y's derivatives one row block
-    at a time (``_reduce_band``), and its derivative fields die with it;
-    so is every 2h band.  What outlives a band is the real sign field on
-    its own rows and each maximum over them, merged by the NaN-keeping
-    ``np.maximum``; its 2h band compares the fine values at its even
-    nodes before the next band starts.  Maxima are exact, so no number
-    depends on the band count; one that is not finite is a ValueError.
+    Each band's slab (``_slabs``) holds its rows and SLAB_HALO rows on each
+    side: a caller's view is read as it is, any other chart is streamed
+    into one slab buffer, band by band.  The band is a sub-view of the slab
+    (``_S3Fields.sub``) of its own rows and a BAND_HALO-row halo, which
+    takes Y's derivatives one row block at a time (``_reduce_band``), and
+    its derivative fields die with it; so is its 2h band, the slab's even
+    nodes on the 2h grid.  What outlives a band is the real sign field on
+    its own rows, kept whole for kappa's counts, each maximum over them,
+    merged by the NaN-keeping ``np.maximum``, and its moments of Y; its 2h
+    band compares the fine values at its even nodes before the next band
+    starts.  Maxima are exact, so no number depends on the band count.
+
+    Errors keep one order whatever the bands: a defective row block as it
+    is streamed, then an umbilic anywhere in the interior, which skips the
+    reduction of every later band, then a maximum that is not finite.
     """
-    view = _classifier_view(data)
-    n, m = view.grid.shape
-    coarse = view.sub(step=2)
-    n_coarse = coarse.grid.shape[0]
+    n, m = data.grid.shape
+    axes = data.grid.with_jet(None, "s3")
+    coarse = axes.subgrid(step=2)
+    n_coarse = coarse.shape[0]
+    bands = _jets.row_bands(n)
     fld = np.empty((n, m))
     maxima = {}
+    umbilic = False
 
     def peak(key, f, first, size, width):
         """Merge the max norm of ``f``, whose row 0 is grid row ``first``
@@ -466,28 +621,26 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
                  width:f.shape[1] - width]
         maxima[key] = np.maximum(maxima.get(key, 0.0), np.max(np.abs(part), initial=0.0))
 
-    def band_of(parent, own, size):
-        """The band of rows ``own`` and their halo, and where ``own`` lies
-        in it."""
-        rows = slice(max(own.start - BAND_HALO, 0), min(own.stop + BAND_HALO, size))
-        return parent.sub(rows), slice(own.start - rows.start, own.stop - rows.start)
+    def halo(own, size):
+        """The rows ``own`` and their halo on a grid of ``size`` rows."""
+        return slice(max(own.start - BAND_HALO, 0), min(own.stop + BAND_HALO, size))
 
-    def fine_band(own):
-        """Reduce the band of rows ``own``; return its sign field and Q_zbar
-        at its even nodes.  Q, Q_zbar and W_{S3} are whole-band fields, the
-        pointwise rest is taken one row block at a time."""
-        band, mine = band_of(view, own, n)
+    def fine_band(band, own, origin):
+        """Reduce the band of rows ``own``, whose row 0 is grid row
+        ``origin``; return its sign field and Q_zbar at its even nodes.  Q,
+        Q_zbar and W_{S3} are whole-band fields, the pointwise rest is
+        taken one row block at a time."""
+        mine = slice(own.start - origin, own.stop - origin)
         peak("willmore", _reduce_band(band, mine), own.start, n, 2)
+        # W_{S3} before Q_zbar; nothing reads grad H after it
+        band.willmore
+        del band.grad_H
         q_zbar = band.q_zbar[mine]
         peak("holo", q_zbar, own.start, n, 2)
         peak("holo_inner", q_zbar, own.start, n, SIGN_BAND)
         # the even rows of ``own`` are rows (own.start + 1) // 2 on of the 2h grid
         fine_field = np.empty(((own.stop + 1) // 2 - (own.start + 1) // 2, (m + 1) // 2),
                               complex)
-        # W_{S3} before the row blocks: taken among the first block's
-        # temporaries, it left holes in the heap that raised the peak RSS
-        # of classify at N = 512 by 7 MB
-        band.willmore
         for rows in _jets.row_blocks((own.stop - own.start, m)):
             at = slice(mine.start + rows.start, mine.start + rows.stop)
             first, stop = own.start + rows.start, own.start + rows.stop
@@ -509,9 +662,10 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
             fine_field[k:k + len(even)] = even
         return fine_field, q_zbar[own.start % 2::2, ::2].copy()
 
-    def band_2h(own, fine_field, fine_q_zbar):
-        """Reduce the 2h band of rows ``own`` against the fine values."""
-        band, mine = band_of(coarse, own, n_coarse)
+    def band_2h(band, own, origin, fine_field, fine_q_zbar):
+        """Reduce the 2h band of rows ``own``, whose row 0 is 2h grid row
+        ``origin``, against the fine values."""
+        mine = slice(own.start - origin, own.stop - origin)
         _reduce_band(band)
         w, term, _ = _sign_terms(band, mine)
         diff = w ** 2 - term - fine_field
@@ -520,17 +674,31 @@ def classification_value(data: FundamentalData) -> ClassifierNumbers:
         peak("noise_holo", band.q_zbar[mine] - fine_q_zbar, own.start, n_coarse,
              SIGN_BAND)
 
-    # an overflow shows as a maximum that is not finite, named below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for own in _jets.row_bands(n):
-            even_values = fine_band(own)
-            band_2h(slice((own.start + 1) // 2, (own.stop + 1) // 2), *even_values)
+    for own, (lo, slab) in zip(bands, _slabs(data, bands, coarse)):
+        inner = slice(max(own.start, 2) - lo, min(own.stop, n - 2) - lo)
+        # umbilicity is conformally invariant: one flag in every model's gauge
+        umbilic = umbilic or slab.has_umbilic(inner)
+        if umbilic:  # the later bands are streamed for their jet checks only
+            continue
+        fine = halo(own, n)
+        own_2h = slice((own.start + 1) // 2, (own.stop + 1) // 2)
+        coarse_rows = halo(own_2h, n_coarse)
+        # an overflow shows as a maximum that is not finite, named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if moments is not None:
+                moments.add(slab.cong.Y[inner, 2:-2])
+            even_values = fine_band(slab.sub(slice(fine.start - lo, fine.stop - lo)),
+                                    own, fine.start)
+            # the 2h band's rows are the slab's even rows from 2 * coarse_rows.start
+            evens = slice(2 * coarse_rows.start - lo, 2 * coarse_rows.stop - 1 - lo)
+            band_2h(slab.sub(evens, 2), own_2h, coarse_rows.start, *even_values)
+    if umbilic:
+        raise ValueError("umbilic surface: conformal Gauss map degenerate on the chart")
 
     top = {key: float(value) for key, value in maxima.items()}
     if not np.all(np.isfinite(list(top.values()))):
-        g = view.grid
-        raise ValueError(f"stencil derivatives overflow: grid spacing h_u = {g.hu:.3g},"
-                         f" h_v = {g.hv:.3g} is too fine for the chart")
+        raise ValueError(f"stencil derivatives overflow: grid spacing h_u = {axes.hu:.3g},"
+                         f" h_v = {axes.hv:.3g} is too fine for the chart")
     # for 4th-order stencils the fine-grid error is about the fine/coarse
     # difference divided by 15
     noise = {"field": top["noise_field"] / 15.0, "field_imag": top["noise_imag"] / 15.0,

@@ -355,12 +355,11 @@ class FundamentalData:
     def e2lam(self):
         return np.exp(2.0 * self.lam)
 
-    @property
-    def umbilic_mask(self):
-        return np.abs(self.Omega) <= UMBILIC_REL_TOL * self.e2lam
-
-    def has_umbilic(self) -> bool:
-        return bool(np.any(self.umbilic_mask[2:-2, 2:-2]))
+    def has_umbilic(self, rows=slice(2, -2)) -> bool:
+        """Whether an umbilic lies on ``rows``, by default the interior
+        ones, two nodes deep off the edge columns."""
+        omega, lam = self.Omega[rows, 2:-2], self.lam[rows, 2:-2]
+        return bool(np.any(np.abs(omega) <= UMBILIC_REL_TOL * np.exp(2.0 * lam)))
 
     @cached_property
     def grad_H(self):

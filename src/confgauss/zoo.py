@@ -296,9 +296,22 @@ class _RevolutionProfile:
         return np.sqrt(self.rho(t, 1) ** 2 + self.zeta(t, 1) ** 2)
 
     def _rate(self, t):
-        # callers run with numpy's warnings off (make_surface and sample do);
-        # an overflow is named here
-        rate = float(self.speed(t) / self.rho(t))
+        """speed / rho at a scalar t, in scalar ``math``: the quadrature's
+        integrand, the numpy ``speed(t) / rho(t)`` to the bit at a quarter
+        of its cost.  A float product overflows to inf as numpy's does;
+        numpy squares a scalar by ``pow`` and a 0-d array by ``x * x``.  An
+        overflow is named here."""
+        cos1, sin2 = self.cos1, self.sin2
+        rho1 = -cos1 * math.sin(t) + 2.0 * sin2 * math.cos(2.0 * t)
+        try:
+            rho1_2 = rho1 ** 2
+        except OverflowError:
+            rho1_2 = math.inf
+        speed = math.sqrt(rho1_2 + self.zslope * self.zslope)
+        rho = self.rho0 + cos1 * math.cos(t) + sin2 * math.sin(2.0 * t)
+        # callers run with numpy's warnings off (make_surface and sample
+        # do): its inf or nan of a division by zero
+        rate = speed / rho if rho else float(np.float64(speed) / rho)
         if not math.isfinite(rate):
             raise ValueError(f"profile quadrature is not finite: speed / rho = {rate}"
                              f" at t = {t:.6g}")

@@ -12,8 +12,8 @@ from confgauss import grid as G
 from confgauss import jets as J
 from confgauss import models
 from confgauss.lorentz import lorentz_product, random_word, word_matrix
-from confgauss.zoo import make_surface, sample
-from conftest import data_for
+from confgauss.zoo import CATALOG, make_surface, sample
+from conftest import assert_same_but_fit_digits, data_for
 
 
 def _s3(name, n=128, **params):
@@ -107,9 +107,9 @@ def test_classify_runs_one_reduction(monkeypatch, band_rows):
     # perfbench's classify.classification_value span times this call
     calls = []
 
-    def counted(data, _orig=CL.classification_value):
+    def counted(data, *moments, _orig=CL.classification_value):
         calls.append(data.grid.shape)
-        return _orig(data)
+        return _orig(data, *moments)
 
     monkeypatch.setattr(CL, "classification_value", counted)
     if band_rows:
@@ -162,14 +162,37 @@ def test_hyperplane_fit_sign_stable_under_roundoff():
 
 
 def test_hyperplane_fit_requires_samples():
-    with pytest.raises(ValueError, match="100 samples"):
-        CL.hyperplane_fit(np.tile([0, 0, 1, 0, 0.0], (50, 1)))
+    # the count of samples, not of array entries: 50 nodes of 5 entries
+    # each, and 99 nodes, are too few
+    for count in (50, 99):
+        with pytest.raises(ValueError, match=f"at least 100 interior samples, got {count}$"):
+            CL.hyperplane_fit(np.tile([0, 0, 1, 0, 0.0], (count, 1)))
 
 
 def test_hyperplane_fit_degenerate_congruence():
     samples = np.tile([0.0, 0.0, 1.0, 0.0, 0.0], (200, 1))
     with pytest.raises(ValueError, match="degenerate"):
         CL.hyperplane_fit(samples)
+
+
+# every catalog surface with a verdict
+VERDICT_CASES = [name for name in CATALOG if not make_surface(name).expected["umbilic"]]
+
+
+@pytest.mark.parametrize("n", [300, 513])
+@pytest.mark.parametrize("name", VERDICT_CASES)
+def test_band_count_moves_only_the_fits_last_digits(monkeypatch, name, n):
+    """Bands of 128, 256 and 512 rows against one band: the same numbers
+    and verdict, and a fit from the merged band moments whose v and eta
+    move by at most FIT_MOVE_TOL (2.2e-11 measured) and whose rms is the
+    direct sum's at its plane."""
+    view = CL.s3_fields(G.fundamental_data(sample(make_surface(name), n)))
+    monkeypatch.setattr(J, "BAND_ROWS", n)
+    whole = CL.classify_data(view, name)
+    for rows, count in zip((128, 256, 512), (3, 2, 1) if n == 300 else (5, 3, 2)):
+        monkeypatch.setattr(J, "BAND_ROWS", rows)
+        assert len(J.row_bands(n)) == count
+        assert_same_but_fit_digits(CL.classify_data(view, name), whole, view.cong.Y)
 
 
 def test_classify_reports():

@@ -445,23 +445,51 @@ def test_analyze_out_classifies_one_band_on_its_own_view(tmp_path, capsys,
         (65, 65), (33, 33), (65, 65)]
 
 
+def _fit_digits(report):
+    """The JSON ``report`` without its fits' v, eta and residual, and
+    those, in the order they appear."""
+    fits = []
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            plane = obj.get("hyperplane")
+            if isinstance(plane, dict):
+                fits.append((plane.pop("v"), plane.pop("eta"), plane.pop("residual")))
+            for value in obj.values():
+                strip(value)
+
+    strip(report)
+    return report, fits
+
+
 def test_few_row_bands_write_the_one_band_output(tmp_path, capsys, monkeypatch):
-    # at N = 65 the CLI's output does not depend on the band count
+    # at N = 65 the CLI's output does not depend on the band count, but for
+    # the last digits of each fit, whose moments four bands add up
     def outputs(label):
         out = tmp_path / label
-        code, text, _ = run_cli(capsys, "analyze", "torus_revolution", "--grid", "65",
-                                "--out", str(out))
+        code, text, err = run_cli(capsys, "analyze", "torus_revolution", "--grid", "65",
+                                  "--out", str(out))
         csvs = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
         moved = run_cli(capsys, "transform", "hyperbolic_cylinder", "--grid", "65",
                         "--word", "tra:4,0,0 inv dil:0.3")
-        return code, text, csvs, moved
+        return (code, err, moved[0], moved[2], csvs), [_fit_digits(json.loads(text)),
+                                                        _fit_digits(json.loads(moved[1]))]
 
     whole = outputs("whole")
     monkeypatch.setattr(jets, "BAND_ROWS", 20)
     assert len(jets.row_bands(65)) == 4
     banded = outputs("banded")
-    assert len(whole[2]) == 22
-    assert banded == whole
+    assert len(whole[0][-1]) == 22
+    assert banded[0] == whole[0]
+    for (report, fits), (whole_report, whole_fits) in zip(banded[1], whole[1]):
+        assert report == whole_report
+        for (v, eta, rms), (whole_v, whole_eta, whole_rms) in zip(fits, whole_fits, strict=True):
+            move = max(np.max(np.abs(np.subtract(v, whole_v))), abs(eta - whole_eta))
+            assert move <= 1e-9
+            # the rms of <Y, v> - eta moves with (v, eta) by at most
+            # sqrt(6) |(Y, -1)| <= 60 times their largest move on these
+            # charts, so an rms at the fit's own rounding level may double
+            assert abs(rms - whole_rms) <= 1e-3 * whole_rms + 60.0 * move
 
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)

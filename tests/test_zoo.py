@@ -71,6 +71,18 @@ def test_revolution_profile_quadrature_quality():
     assert np.max(num) <= 1e-8
 
 
+@pytest.mark.parametrize("params", [(1.5, 0.3, 0.1, 1.5), (0.8, 0.3, 0.1, 1.5),
+                                    (1.3, -0.2, 0.1114, 1.0026), (2.0, 0.3839, 0.0, 1e-8),
+                                    (1.5, 0.3, 0.1, 1e6), (1e128, 0.0, 1e128, 1.5)])
+def test_profile_rate_is_the_numpy_quotient_to_the_bit(params):
+    # the quadrature's integrand is evaluated in scalar math; numpy's
+    # speed / rho is the reference, on the whole profile range
+    profile = zoo._RevolutionProfile(*params)
+    with np.errstate(all="ignore"):
+        for t in np.linspace(-zoo.PROFILE_T, zoo.PROFILE_T, 4001).tolist():
+            assert profile._rate(t) == float(profile.speed(t) / profile.rho(t)), t
+
+
 def test_steep_profile_quadrature_is_relative(monkeypatch):
     # u(1) is about 5.5e5 at zslope = 1e6: held to 1e-12 of that, not to
     # an absolute 1e-12, the quadrature needs a few hundred evaluations
