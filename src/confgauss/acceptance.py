@@ -19,20 +19,14 @@ import numpy as np
 
 from . import congruence as cg
 from . import willmore as wl
-from .classify import (
-    bryant_q,
-    classify,
-    classify_data,
-    holomorphy_identity_residual,
-    s3_fields,
-)
+from .classify import bryant_q, classify, classify_data, holomorphy_identity_residual
 from .grid import (
     fundamental_data,
     gauss_codazzi_residual,
     interior_max,
     structure_residuals,
 )
-from .lorentz import Generator, dot, lift, random_word, word_matrix
+from .lorentz import Generator, dot, lift, lorentz_product, random_word, word_matrix
 from .models import representation
 from .zoo import make_surface, sample
 
@@ -130,6 +124,12 @@ def _data(name, params, n, domain=None):
     spec = make_surface(name, **params)
     grid = sample(spec, n, domain=domain)
     return fundamental_data(grid)
+
+
+def _direct_q(data_s3):
+    """Q = <Y_zz, Y_zz> of the whole-grid Gauss map of S^3 data."""
+    cong = cg.conformal_gauss_map(data_s3)
+    return lorentz_product(cong.Yzz, cong.Yzz)
 
 
 @_criterion("structure-equation suite")
@@ -298,15 +298,15 @@ def criterion_q_consistency(n: int = 128):
                          ("inverted_catenoid", {}), ("clifford_torus", {}),
                          ("hyperbolic_cylinder", {})]:
         data = _data(name, params, n)
-        data_s3 = s3_fields(data)
-        entry = {"qx_vs_direct": _check(interior_max(bryant_q(data_s3) - data_s3.q), max=1e-5)}
+        data_s3 = representation(data, "s3")
+        q = _direct_q(data_s3)
+        entry = {"qx_vs_direct": _check(interior_max(bryant_q(data_s3) - q), max=1e-5)}
         if data.model == "r3":
-            entry["qphi_vs_direct"] = _check(interior_max(bryant_q(data) - data_s3.q),
-                                             max=1e-5)
+            entry["qphi_vs_direct"] = _check(interior_max(bryant_q(data) - q), max=1e-5)
         details[_key(name, params)] = entry
         if name in ("cylinder", "torus_revolution"):  # the sqrt2 torus
             identities[f"holomorphy identity {name}"] = _check(
-                holomorphy_identity_residual(data_s3), max=1e-4)
+                holomorphy_identity_residual(data_s3, q), max=1e-4)
     details.update(identities)
     return details
 
@@ -372,8 +372,8 @@ def criterion_convergence():
         )
 
     def q_agreement_inverted(n):
-        data_s3 = s3_fields(_data("inverted_catenoid", {}, n))
-        return interior_max(bryant_q(data_s3) - data_s3.q, band=4)
+        data_s3 = representation(_data("inverted_catenoid", {}, n), "s3")
+        return interior_max(bryant_q(data_s3) - _direct_q(data_s3), band=4)
 
     for label, fn in [("structure(catenoid)", structure_catenoid),
                       ("metric_law(catenoid)", metric_catenoid),

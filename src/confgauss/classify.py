@@ -68,12 +68,12 @@ _TYPE_BY_KAPPA = {0: "lightlike", -1: "timelike", 1: "spacelike"}
 class _S3Fields(FundamentalData):
     """S^3 data with the derivative fields of an analysis, each taken once.
 
-    The congruence, W_{S3}, Q = <Y_zz, Y_zz> and Q_zbar are computed on
-    first use and kept on this object, so they live as long as it does.
-    The classifier reads them off its band sub-views (``sub``) only, which
-    die with their band, so the view it is given keeps its fields and Y.
-    A streamed view (``_streamed_view``) and a band's slab (``_slabs``)
-    hold no jets and no n.
+    A view (``_view``) holds (lam, H, Omega) and the congruence ``cong`` of
+    its Gauss map Y, and no jets and no n.  W_{S3} and Q_zbar are computed
+    on first use and kept, Q = <Y_zz, Y_zz> is set by ``_reduce_band``, so
+    they live as long as the view does.  The classifier reads them off its
+    band sub-views (``sub``) only, which die with their band, so the view
+    it is given keeps only its fields and Y.
     """
 
     # (the chart's 2h grid, the chart row of this view's row 0), set on a
@@ -82,17 +82,8 @@ class _S3Fields(FundamentalData):
     coarse: tuple | None = None
 
     @cached_property
-    def cong(self) -> CongruenceGrid:
-        return conformal_gauss_map(self)
-
-    @cached_property
     def willmore(self) -> np.ndarray:
         return willmore_scalar(self)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        """Bryant's quartic <Y_zz, Y_zz>, as smooth as Y."""
-        return lorentz_product(self.cong.Yzz, self.cong.Yzz)
 
     @cached_property
     def q_zbar(self) -> np.ndarray:
@@ -137,12 +128,13 @@ class _SampledChart(FundamentalData):
 
 
 def s3_fields(data: FundamentalData) -> _S3Fields:
-    """The S^3 view of a chart in any model, the one place where its S^3
-    representation and Gauss map ``.cong`` are built; a view is kept as is."""
+    """The S^3 view of a chart in any model: its lam, H, Omega and Gauss
+    map Y (72 B/node) and no jets, streamed (``_stream``) as the one slab
+    (``_slabs``) of a band of all its rows; a view is kept as is."""
     if isinstance(data, _S3Fields):
         return data
-    data = representation(data, "s3")
-    return _S3Fields(data.grid, data.orientation)
+    ((_, view),) = _slabs(data, [slice(0, data.grid.shape[0])], None)
+    return view
 
 
 def _pool_size() -> int:
@@ -217,8 +209,8 @@ def _stream(block, rows: slice, fields, y, at: int) -> int:
     Each row block (``_on_blocks``) is ``block(rows)``, fundamental data in
     any model, pushed to S^3 (``representation``, which checks the pushed
     jets) and read off; its jets and n die with it.  Each step is
-    pointwise, so the fields are those of ``s3_fields`` to the bit,
-    whatever the blocks.
+    pointwise, so the fields are those of the whole pushed chart to the
+    bit, whatever the blocks.
     """
     lam, h_field, omega = fields
 
@@ -236,31 +228,17 @@ def _stream(block, rows: slice, fields, y, at: int) -> int:
     return _on_blocks(stream, (rows.stop - rows.start, y.shape[1]))[0]
 
 
-def _new_fields(n: int, m: int):
-    """Empty (lam, H, Omega) and Y of n rows of m nodes, 72 B/node."""
-    return (np.empty((n, m)), np.empty((n, m)), np.empty((n, m), complex)), np.empty((n, m, 5))
-
-
-def _streamed_view(grid: ChartGrid, block) -> _S3Fields:
-    """The S^3 view of the chart whose axes are ``grid``'s and whose rows
-    ``rows`` are ``block(rows)``, fundamental data in any model, streamed
-    (``_stream``) into whole-grid arrays: it keeps 72 B/node and no jets."""
-    (lam, h_field, omega), y = _new_fields(*grid.shape)
-    orientation = _stream(block, slice(0, grid.shape[0]), (lam, h_field, omega), y, 0)
-    return _view(grid.with_jet(None, "s3"), orientation, (lam, None, h_field, omega), y)
-
-
-def _slabs(data: FundamentalData, bands: list, coarse: ChartGrid):
+def _slabs(data: FundamentalData, bands: list, coarse: ChartGrid | None):
     """For each band ``own`` of ``bands``, (lo, slab): an S^3 view whose row
     0 is grid row ``lo`` and which holds rows ``own`` and SLAB_HALO rows on
     each side, the rows its fine and 2h bands read; its restrictions lie
-    on ``coarse``, the 2h grid of the chart.
+    on ``coarse``, the 2h grid of the chart, if given.
 
     A caller's view (``s3_fields``) is every band's slab.  Any other chart
-    is streamed (``_stream``) band by band into one slab buffer, from
-    ``data.sample`` if it is a ``_SampledChart``, else from row slices of
-    its grid; the rows that a band's slab shares with the last one are
-    moved, not sampled again.
+    is streamed (``_stream``) band by band into one slab buffer of
+    72 B/node, from ``data.sample`` if it is a ``_SampledChart``, else from
+    row slices of its grid; the rows that a band's slab shares with the
+    last one are moved, not sampled again.
     """
     g = data.grid
     if isinstance(data, _S3Fields):
@@ -273,7 +251,9 @@ def _slabs(data: FundamentalData, bands: list, coarse: ChartGrid):
     axes = g.with_jet(None, "s3")
     n, m = g.shape
     spans = [(max(own.start - SLAB_HALO, 0), min(own.stop + SLAB_HALO, n)) for own in bands]
-    fields, y = _new_fields(max(hi - lo for lo, hi in spans), m)
+    height = max(hi - lo for lo, hi in spans)
+    fields = np.empty((height, m)), np.empty((height, m)), np.empty((height, m), complex)
+    y = np.empty((height, m, 5))
     last, orientation = (0, 0), None
     for lo, hi in spans:
         held = last[1] - lo  # rows lo .. last[1] are in the buffer already
@@ -283,7 +263,8 @@ def _slabs(data: FundamentalData, bands: list, coarse: ChartGrid):
         orientation = sampled if orientation is None else orientation
         lam, h_field, omega = (f[:hi - lo] for f in fields)
         yield lo, _view(axes.subgrid(slice(lo, hi)), orientation,
-                        (lam, None, h_field, omega), y[:hi - lo], (coarse, lo))
+                        (lam, None, h_field, omega), y[:hi - lo],
+                        None if coarse is None else (coarse, lo))
         last = lo, hi
 
 
@@ -315,7 +296,7 @@ def _reduce_band(band: _S3Fields, mine: slice | None = None):
 
 def bryant_q(data: FundamentalData) -> np.ndarray:
     """Closed form of Q on R^3 or S^3 data, a reference for the direct
-    <Y_zz, Y_zz> that the classifier reads off ``s3_fields(data).q``.
+    <Y_zz, Y_zz> that the classifier takes band by band.
 
     Omega^2 e^{-2lam} (Omega_z/Omega)_zbar + Omega^2 (H^2 + c)/4, with c
     the ambient curvature: 0 on R^3, 1 on S^3.  It divides by Omega, so an
@@ -334,13 +315,13 @@ def bryant_q(data: FundamentalData) -> np.ndarray:
             + data.Omega ** 2 * ((data.H ** 2 + curvature) / 4.0))
 
 
-def holomorphy_identity_residual(data: FundamentalData) -> float:
+def holomorphy_identity_residual(data: FundamentalData, q: np.ndarray) -> float:
     """Residual of Q_zbar = e^{2Lam} omega^2 (W_{S3} / (omega e^{-2Lam}))_z
-    on the S^3 view."""
-    view = s3_fields(data)
-    e2lam = view.e2lam
-    rhs = e2lam * view.Omega ** 2 * view.grid.dz(view.willmore / (view.Omega / e2lam))
-    return interior_max(view.q_zbar - rhs)
+    on the S^3 data of a chart whose direct Q = <Y_zz, Y_zz> is ``q``."""
+    data = representation(data, "s3")
+    e2lam = data.e2lam
+    rhs = e2lam * data.Omega ** 2 * data.grid.dz(willmore_scalar(data) / (data.Omega / e2lam))
+    return interior_max(data.grid.dzbar(q) - rhs)
 
 
 def estimate_classification_noise(data: FundamentalData) -> dict:

@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .classify import _streamed_view, classify, classify_data, s3_fields
-from .congruence import isotropic_frame, transform_immersion
+from .classify import _SampledChart, classify, classify_data, s3_fields
+from .congruence import conformal_gauss_map, isotropic_frame, transform_immersion
 from .grid import export_csv, fundamental_data
 from .lorentz import parse_word, word_matrix
+from .models import representation
 from .willmore import direct_currents, equivariance_residuals, willmore_scalar
 from .zoo import SURFACES, list_surfaces, make_surface, sample, sample_rows
 
@@ -101,16 +102,14 @@ def _emit_report(report, args):
         print(to_json(payload))
 
 
-def _export_fields(out, data, view):
-    """CSV fields of ``data``; Y, W_{S3} and the isotropic frame are read
-    off its S^3 view ``view``, which has the same u and v."""
-    if data.model == "s3":
-        data = view  # the same chart and normal, with the fields already read
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+def _export_fields(out: Path, data, s3):
+    """CSV fields of ``data`` into the directory ``out``; Y, W_{S3} and the
+    isotropic frame are read off its S^3 chart ``s3`` and the Gauss map of
+    that, which have the same u and v."""
+    cong, w_s3 = conformal_gauss_map(s3), willmore_scalar(s3)
     fields = {"lam": data.lam, "H": data.H, "Omega": data.Omega, "n": data.n,
-              "Y": view.cong.Y, "W_s3": view.willmore,
-              "W": view.willmore if data.model == "s3" else willmore_scalar(data)}
+              "Y": cong.Y, "W_s3": w_s3,
+              "W": w_s3 if data.model == "s3" else willmore_scalar(data)}
     if data.model == "r3":
         # block extraction of the currents is off-shell when the surface
         # is not Willmore; the report's willmore_residual says which
@@ -121,7 +120,7 @@ def _export_fields(out, data, view):
             "Vrot_x": cur.v_rot[0], "Vrot_y": cur.v_rot[1],
             "Vinv_x": cur.v_inv[0], "Vinv_y": cur.v_inv[1],
         })
-    frame = isotropic_frame(view, view.cong)
+    frame = isotropic_frame(s3, cong)
     fields.update({name: getattr(frame, name) for name in (
         "nu", "nustar", "l", "H_nu", "H_nustar", "Omega_nu", "Omega_nustar")})
     for name, value in fields.items():
@@ -141,11 +140,15 @@ def cmd_analyze(args) -> int:
         report = classify(spec, args.grid, domain=domain)
         _emit_report(report, args)
         return _exit_code_for(report)
+    # a directory that cannot be made fails before any work, and the
+    # report is printed only once the export is written
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     data = fundamental_data(sample(spec, args.grid, domain=domain))
-    view = s3_fields(data)
-    report = classify_data(view, surface=spec.name, params=spec.params)
+    s3 = representation(data, "s3")
+    report = classify_data(s3, surface=spec.name, params=spec.params)
+    _export_fields(out, data, s3)
     _emit_report(report, args)
-    _export_fields(args.out, data, view)
     return _exit_code_for(report)
 
 
@@ -157,10 +160,10 @@ def cmd_transform(args) -> int:
     # both views stream from one sampler: each row block is pushed to S^3
     # as it is and moved by the word, as ``classify`` streams one chart
     axes, block = sample_rows(spec, args.grid, domain=domain)
-    view = _streamed_view(axes, lambda rows: fundamental_data(block(rows)))
+    view = s3_fields(_SampledChart(axes, 1, lambda rows: fundamental_data(block(rows))))
     base = classify_data(view, surface=spec.name, params=spec.params)
-    moved = _streamed_view(
-        axes, lambda rows: transform_immersion(fundamental_data(block(rows)), word))
+    moved = s3_fields(_SampledChart(
+        axes, 1, lambda rows: transform_immersion(fundamental_data(block(rows)), word)))
     rep = classify_data(moved, surface=f"{spec.name} (transformed)",
                         params=spec.params)
     y_err, mu_err = equivariance_residuals(view.cong, moved.cong, matrix)

@@ -8,7 +8,6 @@ frame (nu, nu*) with its directional curvatures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,50 +33,70 @@ __all__ = [
 class CongruenceGrid:
     """Sphere congruence Y over a chart, with stencil-derived derivatives.
 
-    Y is real, and so are its derivatives: (Y_u, Y_v) is one real pass per
-    axis, kept on first use.  Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2 and the real
-    Y_zzbar = (Y_uu + Y_vv)/4 come from three more real passes, Y_uu, Y_vv
-    and Y_uv, taken once and kept.  Y_z = (Y_u - i Y_v)/2 is formed on demand.
+    Every derivative of Y comes from one row-window kernel: this
+    congruence is the rows ``rows`` of a grid's Y (all of them, or a
+    ``row_block``), and its derivatives are those rows of the whole grid's,
+    node for node.  Y is real, and so are its derivatives: (Y_u, Y_v) is
+    one real pass per axis, Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2 and the real
+    Y_zzbar = (Y_uu + Y_vv)/4 three more, Y_uu, Y_vv and Y_uv.  Each is
+    taken on first read and kept; Y_z = (Y_u - i Y_v)/2 is formed on demand.
     """
 
     grid: ChartGrid
     Y: np.ndarray
 
-    @cached_property
+    def __post_init__(self):
+        # (the grid, its Y, the rows of them that this congruence is), and
+        # the kept derivatives: plain attributes, not ``cached_property``,
+        # whose lock all instances share before Python 3.12
+        self._window = self.grid, self.Y, slice(0, self.grid.shape[0])
+        self._grad = self._zz = None
+
+    def row_block(self, rows: slice) -> "CongruenceGrid":
+        """The congruence on the grid rows ``rows``, whose derivatives are
+        this one's there; they are kept on the block only, so blocks may be
+        taken on several threads at once."""
+        block = CongruenceGrid(self.grid.subgrid(rows), self.Y[rows])
+        block._window = self.grid, self.Y, rows
+        return block
+
+    @property
     def grad_Y(self):
-        """(Y_u, Y_v), one stencil pass per axis, kept; ``Yz`` reads it."""
-        return self.grid.d_u(self.Y), self.grid.d_v(self.Y)
+        """(Y_u, Y_v) on this congruence's rows, one pass per axis.
+
+        Y_u is taken on the rows and a 2-row halo, ``grid.rows_read`` of
+        them, from Y's rows ``rows_read`` of those, and kept whole, so that
+        Y_uu needs no second Y_u pass; Y_v on the rows.
+        """
+        if self._grad is None:
+            g, y, rows = self._window
+            n = g.shape[0]
+            halo = rows_read(rows, n)
+            self._y_u = g.d_u_rows(y[rows_read(halo, n)], halo)
+            self._grad = self._y_u[rows.start - halo.start:rows.stop - halo.start], g.d_v(y[rows])
+        return self._grad
 
     @property
     def Yz(self):
         y_u, y_v = self.grad_Y
         return (y_u - 1j * y_v) / 2.0  # as ChartGrid.dz
 
-    @cached_property
+    @property
     def _second_derivatives(self):
-        """(Y_zz, Y_zzbar) from the three real passes Y_uu, Y_uv and Y_vv."""
-        y_u, y_v = self.grad_Y
-        return _zz_pair(self.grid, y_u, y_v, self.grid.d_u(y_u))
-
-    def row_block(self, rows: slice) -> "CongruenceGrid":
-        """The congruence on the grid rows ``rows``, whose Y's derivatives
-        are those of ``grad_Y``, ``Yzz`` and ``Yzzb`` node for node; none is
-        kept here, so blocks may be taken on several threads at once.
-
-        Y_u is taken on the block's rows and a 2-row halo, from Y's rows
-        +-4 (``grid.rows_read`` of each), Y_v on the block's rows, and the
-        second derivatives on the block's rows from those two.  A block's
-        congruence holds its derivatives and takes no stencil pass.
-        """
-        g, n = self.grid, self.grid.shape[0]
-        halo = rows_read(rows, n)
-        y_u = g.d_u_rows(self.Y[rows_read(halo, n)], halo)
-        y_v = g.d_v(self.Y[rows])
-        block = CongruenceGrid(g.subgrid(rows), self.Y[rows])
-        block.grad_Y = y_u[rows.start - halo.start:rows.stop - halo.start], y_v
-        block._second_derivatives = _zz_pair(g, block.grad_Y[0], y_v,
-                                             g.d_u_rows(y_u, rows))
-        return block
+        """(Y_zz, Y_zzbar) = ((Y_uu - Y_vv)/4 - i Y_uv/2, (Y_uu + Y_vv)/4)
+        from the three real passes Y_uu, Y_uv and Y_vv."""
+        if self._zz is None:
+            (y_u, y_v), (g, _, rows) = self.grad_Y, self._window
+            yzz = np.empty(y_u.shape, complex)
+            yzz.imag = g.d_v(y_u)
+            yzz.imag *= -0.5
+            y_uu, y_vv = g.d_u_rows(self._y_u, rows), g.d_v(y_v)
+            np.subtract(y_uu, y_vv, out=yzz.real)
+            yzz.real *= 0.25
+            y_uu += y_vv  # Y_uu becomes Y_zzbar
+            y_uu *= 0.25
+            self._zz = yzz, y_uu
+        return self._zz
 
     @property
     def Yzz(self):
@@ -97,21 +116,6 @@ class CongruenceGrid:
 
     def norm_defect(self) -> float:
         return float(np.max(np.abs(lorentz_product(self.Y, self.Y) - 1.0)))
-
-
-def _zz_pair(grid: ChartGrid, y_u, y_v, y_uu):
-    """(Y_zz, Y_zzbar) = ((Y_uu - Y_vv)/4 - i Y_uv/2, (Y_uu + Y_vv)/4) on
-    the rows of Y_u and Y_v, whose v-passes are Y_uv and Y_vv; Y_uu is
-    overwritten by Y_zzbar."""
-    yzz = np.empty(y_u.shape, complex)
-    yzz.imag = grid.d_v(y_u)
-    yzz.imag *= -0.5
-    y_vv = grid.d_v(y_v)
-    np.subtract(y_uu, y_vv, out=yzz.real)
-    yzz.real *= 0.25
-    y_uu += y_vv
-    y_uu *= 0.25
-    return yzz, y_uu
 
 
 def conformal_gauss_map(data: FundamentalData) -> CongruenceGrid:

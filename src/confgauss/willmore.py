@@ -57,23 +57,11 @@ def _mu(y, y_d):
     return np.einsum("...i,...j->...ij", y_d, y) - np.einsum("...i,...j->...ij", y, y_d)
 
 
-def _gradient_rows(cong: CongruenceGrid, rows: slice):
-    """(Y, Y_u, Y_v) on the grid rows ``rows``: Y_u from a ``d_u_rows``
-    window of Y and Y_v from Y's rows, node for node those rows of
-    ``grad_Y``; none is kept."""
-    y = cong.Y[rows]
-    g = cong.grid
-    return y, g.d_u_rows(cong.Y[rows_read(rows, g.shape[0])], rows), g.d_v(y)
-
-
-def conserved_matrix(cong: CongruenceGrid, rows: slice | None = None):
-    """mu = grad(Y) Y^T - Y grad(Y)^T, one 5x5 per coordinate direction;
-    on the grid rows ``rows`` if given (``_gradient_rows``)."""
-    if rows is None:
-        y, (y_u, y_v) = cong.Y, cong.grad_Y
-    else:
-        y, y_u, y_v = _gradient_rows(cong, rows)
-    return _mu(y, y_u), _mu(y, y_v)
+def conserved_matrix(cong: CongruenceGrid):
+    """mu = grad(Y) Y^T - Y grad(Y)^T, one 5x5 per coordinate direction, on
+    the rows of ``cong``, a whole congruence or a ``row_block``."""
+    y_u, y_v = cong.grad_Y
+    return _mu(cong.Y, y_u), _mu(cong.Y, y_v)
 
 
 def _row_blocks(grid: ChartGrid):
@@ -94,10 +82,10 @@ def equivariance_residuals(cong: CongruenceGrid, moved: CongruenceGrid, m: np.nd
     y_err = float(np.max(np.abs(moved.Y - cong.Y @ m.T)))
     n, mu_err = cong.grid.shape[0], 0.0
     for rows in _row_blocks(cong.grid):
-        y, *grad = _gradient_rows(cong, rows)
-        y_moved, *grad_moved = _gradient_rows(moved, rows)
+        block, block_moved = cong.row_block(rows), moved.row_block(rows)
         for k in range(2):
-            diff = _mu(y_moved, grad_moved[k]) - m @ _mu(y, grad[k]) @ m.T
+            diff = (_mu(block_moved.Y, block_moved.grad_Y[k])
+                    - m @ _mu(block.Y, block.grad_Y[k]) @ m.T)
             mu_err = np.maximum(mu_err, interior_max(diff, rows=rows, n=n))
     return y_err, float(mu_err)
 
@@ -203,7 +191,7 @@ def conserved_residuals(data: FundamentalData, cong: CongruenceGrid | None = Non
         worst["div_tra"] = np.maximum(worst["div_tra"], interior_max(div, rows=rows, n=n))
         if cong is None:
             continue
-        ext = extract_from_mu(conserved_matrix(cong, rows))
+        ext = extract_from_mu(conserved_matrix(cong.row_block(rows)))
         for name in ("v_tra", "v_dil", "v_rot_tilde", "v_inv"):
             diff = _max_current_diff(getattr(ext, name), getattr(cur, name)[:, own], rows, n)
             worst["block_vs_direct"] = np.maximum(worst["block_vs_direct"], diff)

@@ -1,15 +1,32 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
 import tracemalloc
+from concurrent import futures
 
 import pytest
 
 from confgauss import acceptance
 
+POOLS = []  # the thread pools that the suite started at N = 128
+
 
 @pytest.fixture(scope="module")
 def results():
-    return {r.name: r for r in acceptance.run_all(n=128)}
+    class Recorded(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            POOLS.append(args)
+            super().__init__(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(futures, "ThreadPoolExecutor", Recorded)
+        return {r.name: r for r in acceptance.run_all(n=128)}
+
+
+def test_acceptance_at_128_starts_no_thread_pool(results):
+    # its grids of more than 128 rows (criterion 11's 129) are whole-grid
+    # congruences, not streamed views: a pool thread's malloc arena would
+    # add about 3 MB to the suite's peak RSS
+    assert POOLS == []
 
 
 def _check(results, key):

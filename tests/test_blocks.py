@@ -15,8 +15,8 @@ from confgauss import grid as G
 from confgauss import jets as J
 from confgauss import models, zoo
 from confgauss.cli import to_json
-from confgauss.congruence import transform_immersion
-from confgauss.lorentz import parse_word
+from confgauss.congruence import conformal_gauss_map, transform_immersion
+from confgauss.lorentz import lorentz_product, parse_word
 from confgauss.zoo import CATALOG, make_surface, sample
 from conftest import FIT_MOVE_TOL, assert_same_but_fit_digits, fit_rounding
 
@@ -180,7 +180,7 @@ def test_band_sub_views_keep_no_y_derivatives(monkeypatch, band_rows):
     assert len(views) == 2 * len(J.row_bands(N))
     assert all("q" in vars(band) for band in views)
     for cong in [band.cong for band in views] + [view.cong]:
-        assert not {"grad_Y", "_second_derivatives"} & set(vars(cong))
+        assert cong._grad is None and cong._zz is None
 
 
 def test_classify_frees_the_sampled_chart_before_the_first_band(monkeypatch):
@@ -248,6 +248,37 @@ def test_streamed_classify_equals_the_whole_grid_view(monkeypatch, name, n, bloc
     whole = CL.classify_data(CL.s3_fields(G.fundamental_data(sample(spec, n))),
                              spec.name, spec.params)
     assert to_json(CL.classify(spec, n).to_dict()) == to_json(whole.to_dict())
+
+
+MOVE = "tra:4,0,0 inv dil:0.3"
+
+
+@pytest.mark.parametrize("n", [129, 300])
+@pytest.mark.parametrize("name, word", [(name, None) for name in CATALOG]
+                         + [("hyperbolic_cylinder", MOVE)])
+def test_views_are_the_whole_grid_fields(n, name, word):
+    """An S^3 view, streamed from a chart's grid or from its sampler, holds
+    the lam, H, Omega and Y of the whole pushed chart and its whole-grid
+    Gauss map to the bit, and its Q, taken one row block at a time, is
+    <Y_zz, Y_zz> of that Gauss map; 129 rows are two row blocks."""
+    spec = make_surface(name)
+    data = G.fundamental_data(sample(spec, n))
+    axes, block = zoo.sample_rows(spec, n)
+
+    def rows_of(rows):
+        chart = G.fundamental_data(block(rows))
+        return chart if word is None else transform_immersion(chart, parse_word(word))
+
+    if word is not None:
+        data = transform_immersion(data, parse_word(word))
+    whole = models.representation(data, "s3")
+    cong = conformal_gauss_map(whole)
+    q = lorentz_product(cong.Yzz, cong.Yzz)
+    for view in (CL.s3_fields(data), CL.s3_fields(CL._SampledChart(axes, 1, rows_of))):
+        CL._reduce_band(view)
+        for mine, ref in ((view.lam, whole.lam), (view.H, whole.H), (view.Omega, whole.Omega),
+                          (view.cong.Y, cong.Y), (view.q, q)):
+            assert np.array_equal(mine, ref)
 
 
 def test_streamed_classify_names_the_first_defective_block(monkeypatch):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from confgauss import classify, cli, jets, zoo
+from confgauss import acceptance, classify, cli, jets, zoo
 from confgauss.classify import ClassificationReport, classify_data, s3_fields
 from confgauss.cli import main
 from confgauss.congruence import conformal_gauss_map, transform_immersion
@@ -151,6 +151,17 @@ def test_analyze_csv_export(tmp_path, capsys):
         header = path.read_text().splitlines()[0]
         assert header.startswith("u,v,")
     assert (out_dir / "Y.csv").read_text().splitlines()[0] == "u,v,Y1,Y2,Y3,Y4,Y5"
+
+
+def test_unwritable_out_is_one_error_and_no_report(tmp_path, capsys):
+    # the directory is made before any work, and the report printed only
+    # after the export is written: a verdict or a named error, not both
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "analyze", "cylinder", "--grid", "33",
+                             "--out", str(blocker / "x"))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: [Errno 20] Not a directory")
 
 
 def test_check_invariants_small_grid_exits_2(capsys):
@@ -372,36 +383,80 @@ def test_list_surfaces_has_no_grid_flag(capsys):
 
 
 def _record_analysis_work(monkeypatch):
-    """Record the model of every Gauss map built, and every axis pass input
-    by stage: one list for each ``classify_data`` call of the CLI, and one
-    for the passes before, between and after them."""
-    maps, stages = [], [[]]
+    """Record by stage the model of every Gauss map built and every axis
+    pass input (``d_u``, ``d_v`` and ``d_u_rows`` with its rows): one list
+    of each for each ``classify_data`` call of the CLI, and one for the
+    work before, between and after them."""
+    maps, stages = [[]], [[]]
     orig = conformal_gauss_map
 
     def counted_map(data):
-        maps.append(data.model)
+        maps[-1].append(data.model)
         return orig(data)
 
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("confgauss")
                 and vars(mod).get("conformal_gauss_map") is orig):
             monkeypatch.setattr(mod, "conformal_gauss_map", counted_map)
-    for axis, name in enumerate(("d_u", "d_v")):
-        def counted(self, f, _orig=getattr(ChartGrid, name), _axis=axis):
+    for axis, name in ((0, "d_u"), (1, "d_v"), (0, "d_u_rows")):
+        def counted(self, f, *rows, _orig=getattr(ChartGrid, name), _axis=axis):
             field = np.ascontiguousarray(f)
-            stages[-1].append((_axis, field.shape, field.dtype.str, field.tobytes()))
-            return _orig(self, f)
+            window = [(r.start, r.stop) for r in rows]
+            stages[-1].append((_axis, *window, field.shape, field.dtype.str, field.tobytes()))
+            return _orig(self, f, *rows)
 
         monkeypatch.setattr(ChartGrid, name, counted)
 
     def classified(*args, _orig=cli.classify_data, **kwargs):
-        stages.append([])
+        for seen in (maps, stages):
+            seen.append([])
         report = _orig(*args, **kwargs)
-        stages.append([])
+        for seen in (maps, stages):
+            seen.append([])
         return report
 
     monkeypatch.setattr(cli, "classify_data", classified)
     return maps, stages
+
+
+def _count_axis_passes(monkeypatch):
+    """Calls of ``ChartGrid.d_u`` and ``d_u_rows`` ("u") and of ``d_v``
+    ("v"), the axis passes of a run."""
+    counts = {"u": 0, "v": 0}
+    for axis, name in (("u", "d_u"), ("u", "d_u_rows"), ("v", "d_v")):
+        def counted(self, *args, _orig=getattr(ChartGrid, name), _axis=axis):
+            counts[_axis] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(ChartGrid, name, counted)
+    return counts
+
+
+MOVE = ("--word", "tra:4,0,0 inv dil:0.3")
+
+
+@pytest.mark.parametrize("run, u, v", [
+    (("analyze", "torus_revolution", "--grid", "65", "--out"), 16, 19),
+    (("analyze", "torus_revolution", "--grid", "300", "--out"), 46, 61),
+    (("transform", "hyperbolic_cylinder", "--grid", "129", *MOVE), 34, 42),
+    (("transform", "hyperbolic_cylinder", "--grid", "300", *MOVE), 104, 132),
+    ("criterion_moebius_equivariance", 460, 544),
+    ("criterion_conserved_blocks", 17, 17),
+    ("criterion_q_consistency", 40, 46),
+], ids=["analyze-out-65", "analyze-out-300", "transform-129", "transform-300",
+        "criterion4-33", "criterion6-33", "criterion9-33"])
+def test_axis_passes_are_pinned(tmp_path, capsys, monkeypatch, run, u, v):
+    """The axis passes of analyze --out, transform and three acceptance
+    criteria (at N = 33), pinned so that no change adds one; a u-pass of
+    all rows may be a ``d_u`` or a ``d_u_rows`` call, so they count
+    together."""
+    counts = _count_axis_passes(monkeypatch)
+    if isinstance(run, str):
+        getattr(acceptance, run)(33)
+    else:
+        argv = run + (str(tmp_path),) if run[-1] == "--out" else run
+        assert run_cli(capsys, *argv)[0] == 0
+    assert counts == {"u": u, "v": v}
 
 
 @pytest.mark.parametrize("name", MODEL_CHARTS)
@@ -410,7 +465,9 @@ def test_analyze_out_builds_one_gauss_map(tmp_path, capsys, monkeypatch, name):
     code, _, _ = run_cli(capsys, "analyze", name, "--grid", "33",
                          "--out", str(tmp_path))
     assert code == 0
-    assert maps == ["s3"]
+    # the export builds one whole-grid Gauss map of the pushed S^3 chart,
+    # which classify_data streams one row block (here one) at a time
+    assert maps == [[], ["s3"], ["s3"]]
     # no pass repeated inside classify_data, nor inside the export, which
     # takes Y's and W_{S3}'s passes again after the bands freed theirs
     before, classified, export = stages
@@ -422,9 +479,10 @@ def test_analyze_out_builds_one_gauss_map(tmp_path, capsys, monkeypatch, name):
 @pytest.mark.parametrize("name", MODEL_CHARTS)
 def test_analyze_out_classifies_one_band_on_its_own_view(tmp_path, capsys,
                                                          monkeypatch, name):
-    # a one-band grid is reduced on a band sub-view, as every band is: the
-    # S^3 Gauss map runs once, on the caller's view; the S^3 Willmore
-    # scalar runs on the band, on the 2h band and once more in the export
+    # a one-band grid is reduced on a band sub-view of its streamed slab,
+    # as every band is: the S^3 Gauss map runs once in classify_data, on
+    # the one row block, and once in the export; the S^3 Willmore scalar
+    # runs on the band, on the 2h band and once more in the export
     scalars = []
     orig = willmore_scalar
 
@@ -440,7 +498,7 @@ def test_analyze_out_classifies_one_band_on_its_own_view(tmp_path, capsys,
     code, _, _ = run_cli(capsys, "analyze", name, "--grid", "65",
                          "--out", str(tmp_path))
     assert code == 0
-    assert maps == ["s3"]
+    assert maps == [[], ["s3"], ["s3"]]
     assert [shape for model, shape in scalars if model == "s3"] == [
         (65, 65), (33, 33), (65, 65)]
 
@@ -497,7 +555,9 @@ def test_transform_builds_two_gauss_maps(capsys, monkeypatch, name):
     maps, stages = _record_analysis_work(monkeypatch)
     code, _, _ = run_cli(capsys, "transform", name, "--grid", "33", "--word", WORD)
     assert code == 0
-    assert maps == ["s3", "s3"]
+    # each view is streamed, one row block (here one) at a time, before
+    # its classify_data
+    assert maps == [["s3"], [], ["s3"], [], []]
     # no pass repeated inside either classify_data, nor inside the mu
     # check, which takes Y_u and Y_v of both views again
     before, base, between, moved, mu_check = stages

@@ -234,8 +234,8 @@ def test_blocked_residuals_are_the_whole_grid_formulas(monkeypatch, n):
 
 
 def test_row_windows_are_the_whole_grid_rows():
-    """``direct_currents`` and ``conserved_matrix`` on a row window are the
-    whole grid's rows, at either edge and inside."""
+    """``direct_currents``, and ``conserved_matrix`` and Y's derivatives on
+    a ``row_block``, are the whole grid's rows, at either edge and inside."""
     data = _translated_catenoid(65)
     cong = C.conformal_gauss_map(data)
     cur, mu = W.direct_currents(data), W.conserved_matrix(cong)
@@ -243,8 +243,11 @@ def test_row_windows_are_the_whole_grid_rows():
         part = W.direct_currents(data, rows)
         for name in ("v_tra", "v_dil", "v_rot", "v_rot_tilde", "v_inv"):
             np.testing.assert_array_equal(getattr(part, name), getattr(cur, name)[:, rows])
-        for k, mu_k in enumerate(W.conserved_matrix(cong, rows)):
+        for k, mu_k in enumerate(W.conserved_matrix(cong.row_block(rows))):
             np.testing.assert_array_equal(mu_k, mu[k][rows])
+        block = cong.row_block(rows)
+        for whole, own in ((cong.Yzz, block.Yzz), (cong.Yzzb, block.Yzzb), (cong.e2L, block.e2L)):
+            np.testing.assert_array_equal(own, whole[rows])
 
 
 @pytest.mark.parametrize("row", [2, 40, 62])
